@@ -1,58 +1,3 @@
 """Spiking-neural-network ants foraging on a double-pheromone grid world."""
 
-from .agents import Ant, AntConfig, AntEvents, Heading, SimPhase, deposit_actions, perceive, step_ant
-from .circuit import (
-    ActuatorFrame,
-    AntBrain,
-    BrainLayout,
-    CircuitConfig,
-    ConditioningSchedule,
-    MOTOR_FORWARD,
-    MOTOR_ROTATE,
-    StimulusFrame,
-    actuate,
-    build_brain,
-    format_weights,
-    parse_weights,
-    run_conditioning,
-    sense,
-    trained_reference_weights,
-)
-from .config import ConfigError, SimConfig, config_hash, config_reference_text, parse_config, serialize_config
-from .engine import CompareResult, Metrics, SimulationError, compare, run, run_training
-from .plasticity import (
-    PlasticityError,
-    SimultaneousPairs,
-    SpikeHistory,
-    StdpConfig,
-    on_post_spike,
-    on_pre_spike,
-    pairing_sum,
-    stdp_window,
-)
-from .render import render_snapshot
-from .scenario import Scenario, ScenarioError, parse_scenario, reference_scenario, serialize_scenario
-from .snn import (
-    Network,
-    NeuronParams,
-    NeuronPhase,
-    NeuronState,
-    Sign,
-    SpikeEvent,
-    Synapse,
-    ValidationError,
-    decay,
-    psp,
-)
-from .world import (
-    Color,
-    EvaporationConfig,
-    Grid,
-    Patch,
-    PatchKind,
-    PheromoneCell,
-    PheromoneField,
-    effective_color,
-)
-
 __version__ = "0.1.0"

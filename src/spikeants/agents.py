@@ -28,9 +28,8 @@ class Heading(Enum):
         return _VECTORS[self]
 
     def turned(self, direction: str) -> "Heading":
-        order = _CLOCKWISE
-        i = order.index(self)
-        return order[(i + 1) % 4] if direction == "right" else order[(i - 1) % 4]
+        i = CLOCKWISE.index(self)
+        return CLOCKWISE[(i + 1) % 4] if direction == "right" else CLOCKWISE[(i - 1) % 4]
 
 
 _VECTORS = {
@@ -39,7 +38,10 @@ _VECTORS = {
     Heading.SOUTH: (0, 1),
     Heading.WEST: (-1, 0),
 }
-_CLOCKWISE = (Heading.NORTH, Heading.EAST, Heading.SOUTH, Heading.WEST)
+# Clockwise from north, in Heading's declaration order. The seeded
+# heading draw in engine.build_ants indexes this tuple too, so reordering
+# Heading changes every seeded run.
+CLOCKWISE = tuple(Heading)
 
 
 class SimPhase(Enum):

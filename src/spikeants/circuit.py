@@ -13,16 +13,10 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional, Sequence
 
-from .plasticity import (
-    SimultaneousPairs,
-    SpikeHistory,
-    StdpConfig,
-    on_post_spike,
-    on_pre_spike,
-)
+from .plasticity import SpikeHistory, StdpConfig, on_post_spike, on_pre_spike
 from .snn import Network, NeuronParams, NeuronPhase, Sign, SpikeEvent, ValidationError
 from .world import Color
 
@@ -105,20 +99,8 @@ def build_brain(net: Network, cfg: CircuitConfig, stdp: StdpConfig) -> BrainLayo
         refractory_duration=cfg.refractory_ticks,
         decay_time_constant=cfg.membrane_tau,
     )
-    nociceptor_params = NeuronParams(
-        resting_potential=cfg.resting_potential,
-        firing_threshold=cfg.firing_threshold,
-        refractory_potential=cfg.refractory_potential,
-        refractory_duration=cfg.nociceptor_refractory,
-        decay_time_constant=cfg.membrane_tau,
-    )
-    counter_params = NeuronParams(
-        resting_potential=cfg.resting_potential,
-        firing_threshold=cfg.firing_threshold,
-        refractory_potential=cfg.refractory_potential,
-        refractory_duration=cfg.refractory_ticks,
-        decay_time_constant=cfg.np_tau,
-    )
+    nociceptor_params = replace(base, refractory_duration=cfg.nociceptor_refractory)
+    counter_params = replace(base, decay_time_constant=cfg.np_tau)
 
     receptors = {smell: net.create_neuron(base) for smell in SMELLS}
     afferents = {smell: net.create_neuron(base) for smell in SMELLS}
@@ -186,16 +168,6 @@ def build_brain(net: Network, cfg: CircuitConfig, stdp: StdpConfig) -> BrainLayo
     return layout
 
 
-def sense(net: Network, layout: BrainLayout, frame: StimulusFrame, amplitude: float):
-    """Inject suprathreshold pulses for everything the frame reports."""
-    if frame.smell_ahead is not None:
-        net.inject_pulse(layout.olfactory_receptors[frame.smell_ahead], amplitude)
-    if frame.pain_contact:
-        net.inject_pulse(layout.nociceptor, amplitude)
-    if frame.reward_contact:
-        net.inject_pulse(layout.reward_sensor, amplitude)
-
-
 def actuate(layout: BrainLayout, events: Iterable[SpikeEvent]) -> ActuatorFrame:
     """Fold spike events into motor/pheromone commands.
 
@@ -247,7 +219,14 @@ class AntBrain:
             self.net.inject_pulse(self.layout.kickstart, circuit_cfg.sense_amplitude)
 
     def sense(self, frame: StimulusFrame):
-        sense(self.net, self.layout, frame, self.circuit_cfg.sense_amplitude)
+        """Inject suprathreshold pulses for everything the frame reports."""
+        amplitude = self.circuit_cfg.sense_amplitude
+        if frame.smell_ahead is not None:
+            self.net.inject_pulse(self.layout.olfactory_receptors[frame.smell_ahead], amplitude)
+        if frame.pain_contact:
+            self.net.inject_pulse(self.layout.nociceptor, amplitude)
+        if frame.reward_contact:
+            self.net.inject_pulse(self.layout.reward_sensor, amplitude)
 
     def step(self) -> list[SpikeEvent]:
         """One brain tick, with STDP bookkeeping when learning is on.
@@ -276,8 +255,7 @@ class AntBrain:
             self._accepted_arrivals[sid].record(syn.pre, t - syn.delay)
         for ev in events:
             for sid in self._plastic_in.get(ev.neuron, ()):
-                on_post_spike(self.net.synapses[sid], self._accepted_arrivals[sid],
-                              t, stdp, simultaneous=SimultaneousPairs.CAUSAL)
+                on_post_spike(self.net.synapses[sid], self._accepted_arrivals[sid], t, stdp)
         for ev in events:
             if ev.neuron in self._plastic_in:
                 self._post_history.record(ev.neuron, t)
@@ -405,6 +383,9 @@ def parse_weights(text: str) -> dict[tuple[Color, str], float]:
             value = float(raw)
         except ValueError:
             raise ValidationError(f"weight file line {lineno}: bad number '{raw}'")
+        if (smell, motor) in mapping:
+            raise ValidationError(
+                f"weight file line {lineno}: duplicate entry for {smell_name}->{motor}")
         mapping[(smell, motor)] = value
     missing = [f"{s.value}->{m}" for s in SMELLS for m in (MOTOR_FORWARD, MOTOR_ROTATE)
                if (s, m) not in mapping]

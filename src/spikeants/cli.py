@@ -87,6 +87,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    if args.frame_every < 1:
+        raise CliError("--frame-every must be at least 1")
     scenario = _load_scenario(args.scenario)
     cfg = _load_config(args)
     weights = _load_weights(args)

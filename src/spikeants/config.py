@@ -9,7 +9,6 @@ so typos fail loudly. Values are `key = value` lines; blank lines and
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Optional
 
@@ -113,10 +112,6 @@ _KEYS: dict[str, tuple[Optional[str], str, Callable[[str], Any]]] = {
     "neuron_decay_tau": ("circuit", "membrane_tau", float),
 }
 
-# Convenience alternative to neuron_decay_tau; the time constant stays
-# the canonical parameter internally.
-_MULTIPLIER_KEY = "neuron_decay_multiplier"
-
 
 def parse_config(text: str, base: Optional[SimConfig] = None) -> SimConfig:
     """Parse config text into a SimConfig, layered over `base`."""
@@ -137,15 +132,6 @@ def parse_config(text: str, base: Optional[SimConfig] = None) -> SimConfig:
             key, value = parts
         key = key.strip()
         value = value.strip()
-        if key == _MULTIPLIER_KEY:
-            try:
-                mult = float(value)
-            except ValueError:
-                raise ConfigError(f"line {lineno}: bad value for '{key}': '{value}'")
-            if not 0.0 < mult < 1.0:
-                raise ConfigError(f"line {lineno}: decay multiplier must lie in (0, 1)")
-            sections["circuit"]["membrane_tau"] = -1.0 / math.log(mult)
-            continue
         if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key '{key}'")
         section, attr, parser = _KEYS[key]

@@ -14,13 +14,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .agents import Ant, Heading, SimPhase, step_ant
+from .agents import CLOCKWISE, Ant, Heading, SimPhase, step_ant
 from .circuit import AntBrain
 from .config import SimConfig, config_hash
 from .scenario import Scenario
 from .world import Color, Grid, PatchKind
-
-_HEADING_ORDER = (Heading.NORTH, Heading.EAST, Heading.SOUTH, Heading.WEST)
 
 
 class SimulationError(ValueError):
@@ -40,7 +38,6 @@ class Metrics:
     harm_contacts: list[int] = field(default_factory=list)      # cumulative
     boundary_resets: list[int] = field(default_factory=list)    # cumulative
     boundary_reset_ticks: list[int] = field(default_factory=list)
-    per_ant_harm_ticks: list[list[int]] = field(default_factory=list)
     food_consumed: int = 0
 
     CSV_HEADER = "tick,total_food,neg_cells,pos_cells,harm_contacts,boundary_resets"
@@ -75,11 +72,6 @@ class Metrics:
             "boundary_resets": self.boundary_resets[-1] if self.ticks else 0,
         }
 
-    def trajectory_lengths(self, ant_id: int) -> list[int]:
-        """Tick gaps between consecutive harmful contacts of one ant."""
-        ticks = self.per_ant_harm_ticks[ant_id]
-        return [b - a for a, b in zip(ticks, ticks[1:])]
-
 
 def build_ants(scenario: Scenario, cfg: SimConfig, grid: Grid,
                rng: np.random.Generator, learning: bool) -> list[Ant]:
@@ -109,7 +101,7 @@ def build_ants(scenario: Scenario, cfg: SimConfig, grid: Grid,
         for _ in range(n_random):
             idx = int(rng.integers(len(empty)))
             x, y = empty.pop(idx)
-            heading = _HEADING_ORDER[int(rng.integers(4))]
+            heading = CLOCKWISE[int(rng.integers(4))]
             poses.append((x, y, heading))
 
     ants = []
@@ -140,7 +132,6 @@ def _execute(cfg: SimConfig, scenario: Scenario,
 
     metrics = Metrics(seed=cfg.seed, config_digest=config_hash(cfg),
                       initial_food=grid.total_food())
-    metrics.per_ant_harm_ticks = [[] for _ in ants]
     harm_total = 0
     reset_total = 0
     tick = 0
@@ -158,7 +149,6 @@ def _execute(cfg: SimConfig, scenario: Scenario,
                               pheromone_enabled=deposition)
                 if ev.pain:
                     harm_total += 1
-                    metrics.per_ant_harm_ticks[ant.id].append(tick)
                 if ev.boundary_reset:
                     reset_total += 1
                     metrics.boundary_reset_ticks.append(tick)

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from collections import defaultdict, deque
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable
 
 from .snn import Synapse
@@ -24,19 +23,6 @@ from .snn import Synapse
 
 class PlasticityError(ValueError):
     """Raised when an update is applied to a non-plastic synapse."""
-
-
-class SimultaneousPairs(Enum):
-    """How on_post_spike treats a pulse arriving on the firing tick.
-
-    WINDOW feeds the pair to the window function as printed (zero gap
-    lands on the depression branch). CAUSAL evaluates it as the limit
-    from the causal side (+a_plus): the stepper integrates pulses before
-    the threshold test, so within the tick a same-tick pulse in fact
-    precedes the action potential it helped trigger.
-    """
-    WINDOW = "window"
-    CAUSAL = "causal"
 
 
 @dataclass(frozen=True)
@@ -104,27 +90,20 @@ class SpikeHistory:
         return self._ticks.get(neuron, ())
 
 
-def pairing_sum(pre_arrivals: Iterable[int], post_ticks: Iterable[int],
-                cfg: StdpConfig) -> float:
-    """Unclamped total weight change over all in-window spike pairs."""
-    total = 0.0
-    posts = list(post_ticks)
-    for arrival in pre_arrivals:
-        for post in posts:
-            if abs(arrival - post) <= cfg.window_cutoff:
-                total += stdp_window(arrival - post, cfg)
-    return total
-
-
 def on_post_spike(synapse: Synapse, history: SpikeHistory, post_tick: int,
-                  cfg: StdpConfig, *,
-                  simultaneous: SimultaneousPairs = SimultaneousPairs.WINDOW) -> float:
+                  cfg: StdpConfig) -> float:
     """Update a synapse when its postsynaptic neuron fires.
 
     Sums the window over every recorded presynaptic arrival at or before
     the action potential (later arrivals are the business of
     on_pre_spike, so each pair is counted exactly once) and clamps the
     result into [w_min, w_max]. Returns the new weight.
+
+    A pulse arriving on the firing tick is credited with +a_plus, the
+    limit from the causal side, not with the zero-gap depression value
+    the window gives: the stepper integrates pulses before the threshold
+    test, so within the tick a same-tick pulse in fact precedes the
+    action potential it helped trigger.
     """
     _require_plastic(synapse)
     dw = 0.0
@@ -132,7 +111,7 @@ def on_post_spike(synapse: Synapse, history: SpikeHistory, post_tick: int,
         arrival = emission + synapse.delay
         if arrival > post_tick or post_tick - arrival > cfg.window_cutoff:
             continue
-        if arrival == post_tick and simultaneous is SimultaneousPairs.CAUSAL:
+        if arrival == post_tick:
             dw += cfg.a_plus
         else:
             dw += stdp_window(arrival - post_tick, cfg)

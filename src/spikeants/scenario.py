@@ -27,12 +27,6 @@ CHAR_TO_KIND = {
     "R": PatchKind.HARM,
     "A": PatchKind.EMPTY,
 }
-KIND_TO_CHAR = {
-    PatchKind.WALL: "#",
-    PatchKind.EMPTY: ".",
-    PatchKind.FOOD: "F",
-    PatchKind.HARM: "R",
-}
 
 
 class ScenarioError(ValueError):
@@ -97,6 +91,8 @@ def parse_scenario(text: str) -> Scenario:
                 idx = int(parts[1])
             except ValueError:
                 raise ScenarioError(f"bad spawn index '{parts[1]}'", line=i + 1)
+            if idx in headings:
+                raise ScenarioError(f"duplicate heading for spawn {idx}", line=i + 1)
             try:
                 headings[idx] = Heading(parts[2])
             except ValueError:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 
 class ValidationError(ValueError):
@@ -62,7 +62,6 @@ class NeuronState:
     membrane_potential: float
     phase: NeuronPhase = NeuronPhase.OPEN
     refractory_remaining: int = 0
-    last_spike_tick: Optional[int] = None
 
 
 @dataclass
@@ -73,17 +72,6 @@ class Synapse:
     sign: Sign
     delay: int
     plastic: bool = False
-
-
-def psp(weight: float) -> float:
-    """Postsynaptic potential amplitude of one presynaptic pulse.
-
-    The amplitude is carried entirely by the synaptic weight; the sign of
-    the perturbation comes from the synapse, not from here.
-    """
-    if weight < 0:
-        raise ValidationError("weight must be non-negative")
-    return weight
 
 
 def decay(u: float, params: NeuronParams, elapsed: int) -> float:
@@ -181,21 +169,11 @@ class Network:
                 state.membrane_potential = p.refractory_potential
                 state.phase = NeuronPhase.REFRACTORY
                 state.refractory_remaining = p.refractory_duration
-                state.last_spike_tick = t
                 for syn in self._outgoing[i]:
-                    amp = psp(syn.weight)
-                    if syn.sign is Sign.INHIBITORY:
-                        amp = -amp
+                    amp = -syn.weight if syn.sign is Sign.INHIBITORY else syn.weight
                     self.pending_pulses.setdefault(t + syn.delay, []).append((syn.post, amp))
             else:
                 state.membrane_potential = u
-        return events
-
-    def run(self, ticks: int) -> list[SpikeEvent]:
-        """Step `ticks` times, concatenating the spike events."""
-        events: list[SpikeEvent] = []
-        for _ in range(ticks):
-            events.extend(self.step())
         return events
 
     def _check_id(self, neuron: int):

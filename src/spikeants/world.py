@@ -27,20 +27,6 @@ class PheromoneField(Enum):
     NEGATIVE = "negative"
 
 
-@dataclass
-class PheromoneCell:
-    positive: float = 0.0
-    negative: float = 0.0
-
-
-@dataclass
-class Patch:
-    """Snapshot of one grid cell."""
-    base_kind: PatchKind
-    food_quantity: int
-    pheromone: PheromoneCell
-
-
 @dataclass(frozen=True)
 class EvaporationConfig:
     rho_positive: float = 0.03
@@ -53,27 +39,6 @@ class EvaporationConfig:
                 raise ValueError(f"{name} must lie in (0, 1)")
         if not self.clear_threshold > 0:
             raise ValueError("clear_threshold must be positive")
-
-
-def effective_color(patch: Patch, clear_threshold: float) -> Color:
-    """Stimulus color a cell presents, mixing base kind and pheromones.
-
-    Walls are always white and food always green; on anything else a
-    negative deposit above the visibility threshold masks the cell red,
-    while a positive deposit presents empty ground as green so that the
-    food-conditioned response extends to marked trails.
-    """
-    if patch.base_kind is PatchKind.WALL:
-        return Color.WHITE
-    if patch.base_kind is PatchKind.FOOD:
-        return Color.GREEN
-    if patch.pheromone.negative >= clear_threshold:
-        return Color.RED
-    if patch.base_kind is PatchKind.HARM:
-        return Color.RED
-    if patch.pheromone.positive >= clear_threshold:
-        return Color.GREEN
-    return Color.BLACK
 
 
 class Grid:
@@ -104,15 +69,6 @@ class Grid:
     def is_boundary(self, x: int, y: int) -> bool:
         return x == 0 or y == 0 or x == self.width - 1 or y == self.height - 1
 
-    def patch(self, x: int, y: int) -> Patch:
-        self._check(x, y)
-        return Patch(
-            base_kind=PatchKind(int(self.kind[y, x])),
-            food_quantity=int(self.food[y, x]),
-            pheromone=PheromoneCell(positive=float(self.positive[y, x]),
-                                    negative=float(self.negative[y, x])),
-        )
-
     def set_kind(self, x: int, y: int, kind: PatchKind, food_quantity: int = 0):
         self._check(x, y)
         if (kind is PatchKind.FOOD) != (food_quantity > 0):
@@ -124,6 +80,13 @@ class Grid:
             self.negative[y, x] = 0.0
 
     def effective_color_at(self, x: int, y: int) -> Color:
+        """Stimulus color a cell presents, mixing base kind and pheromones.
+
+        Walls are always white and food always green; on anything else a
+        negative deposit above the visibility threshold masks the cell red,
+        while a positive deposit presents empty ground as green so that the
+        food-conditioned response extends to marked trails.
+        """
         self._check(x, y)
         k = self.kind[y, x]
         if k == PatchKind.WALL:

@@ -276,6 +276,11 @@ class TestWeightFiles:
         with pytest.raises(ValidationError, match="unknown smell"):
             parse_weights("mauve forward 0.5\n")
 
+    def test_duplicate_line_rejected(self):
+        text = format_weights(trained_reference_weights()) + "red rotate 0.0\n"
+        with pytest.raises(ValidationError, match="line 7: duplicate entry for red->rotate"):
+            parse_weights(text)
+
     def test_reference_weights_shape(self):
         ref = trained_reference_weights()
         assert ref[(Color.WHITE, MOTOR_ROTATE)] == 1.0

@@ -134,6 +134,14 @@ class TestRunCommand:
         for n in names:
             assert (dirs[0] / n).read_bytes() == (dirs[1] / n).read_bytes()
 
+    def test_frame_every_below_one_rejected(self, arena, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        code = main(["run", "--scenario", str(arena), "--out-csv", str(out),
+                     "--frames-dir", str(tmp_path / "frames"), "--frame-every", "0"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: --frame-every must be at least 1\n"
+        assert not out.exists()
+
 
 class TestTrainCommand:
     def test_train_exports_weights(self, train_arena, tmp_path):

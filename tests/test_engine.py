@@ -283,10 +283,3 @@ class TestMetricsSummary:
         assert s["final_total_food"] == m.total_food[-1]
         assert s["initial_total_food"] == 24
         assert len(s["config_hash"]) == 16
-
-    def test_trajectory_lengths_from_harm_ticks(self):
-        scenario = parse_scenario(ARENA)
-        m = run(small_cfg(world_ticks=300), scenario)
-        for ant_id in range(len(m.per_ant_harm_ticks)):
-            gaps = m.trajectory_lengths(ant_id)
-            assert all(g > 0 for g in gaps)

@@ -1,5 +1,3 @@
-import math
-
 import pytest
 
 from spikeants.agents import Ant, Heading
@@ -63,6 +61,11 @@ class TestParseScenario:
     def test_missing_heading_rejected(self):
         text = "width 3\nheight 1\nmap\n#A#\n"
         with pytest.raises(ScenarioError, match="missing heading for spawn 0"):
+            parse_scenario(text)
+
+    def test_duplicate_heading_rejected(self):
+        text = "width 3\nheight 1\nheading 0 N\nheading 0 E\nmap\n#A#\n"
+        with pytest.raises(ScenarioError, match=r"duplicate heading for spawn 0 \(line 4\)"):
             parse_scenario(text)
 
     def test_wrong_row_count(self):
@@ -134,12 +137,6 @@ class TestConfigFile:
     def test_invalid_domain_value_rejected(self):
         with pytest.raises(ConfigError):
             parse_config("evap_rho_negative = 2.0\n")
-
-    def test_decay_multiplier_alias(self):
-        mult = 0.8
-        cfg = parse_config(f"neuron_decay_multiplier = {mult}\n")
-        assert cfg.circuit.membrane_tau == pytest.approx(-1.0 / math.log(mult))
-        assert math.exp(-1.0 / cfg.circuit.membrane_tau) == pytest.approx(mult)
 
     def test_reference_text_is_loadable(self):
         assert parse_config(config_reference_text()) == SimConfig()

@@ -10,7 +10,6 @@ from spikeants.plasticity import (
     StdpConfig,
     on_post_spike,
     on_pre_spike,
-    pairing_sum,
     stdp_window,
 )
 from spikeants.snn import Sign, Synapse
@@ -103,6 +102,12 @@ class TestOnPostSpike:
         assert on_post_spike(syn, h, 100, CFG) == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(0.58187, abs=5e-6)
 
+    def test_same_tick_arrival_counts_as_causal(self):
+        syn = plastic(0.5, delay=1)
+        h = SpikeHistory(window=CFG.window_cutoff + 1)
+        h.record(0, 99)  # emission 99 + delay 1 -> arrival on the firing tick
+        assert on_post_spike(syn, h, 100, CFG) == pytest.approx(0.5 + CFG.a_plus, rel=1e-12)
+
     def test_clamped_at_w_max(self):
         syn = plastic(0.999)
         h = SpikeHistory(window=CFG.window_cutoff + 1)
@@ -149,18 +154,6 @@ class TestOnPreSpike:
         h = SpikeHistory(window=CFG.window_cutoff + 1)
         h.record(1, 50)
         assert on_pre_spike(syn, h, 50, CFG) == 0.5
-
-
-class TestPairingSum:
-    @given(st.lists(st.integers(min_value=0, max_value=300), min_size=0,
-                    max_size=12, unique=True),
-           st.lists(st.integers(min_value=0, max_value=300), min_size=0,
-                    max_size=6, unique=True))
-    @settings(max_examples=60)
-    def test_additivity_before_clamping(self, arrivals, posts):
-        batch = pairing_sum(arrivals, posts, CFG)
-        sequential = sum(pairing_sum([a], posts, CFG) for a in arrivals)
-        assert batch == pytest.approx(sequential, rel=1e-12, abs=1e-15)
 
 
 class TestConvergence:

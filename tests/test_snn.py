@@ -10,7 +10,6 @@ from spikeants.snn import (
     Sign,
     ValidationError,
     decay,
-    psp,
 )
 
 from reference_snn import random_topology, simulate
@@ -81,10 +80,6 @@ class TestConnect:
 
 
 class TestPsp:
-    def test_identity(self):
-        assert psp(0.0) == 0.0
-        assert psp(0.7) == 0.7
-
     def test_inhibitory_subtracts(self):
         # No decay, so values stay exact: 0.5 then -1.0 gives -0.5.
         net = make_net(1, NO_DECAY)

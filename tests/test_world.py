@@ -8,51 +8,52 @@ from spikeants.world import (
     Color,
     EvaporationConfig,
     Grid,
-    Patch,
     PatchKind,
-    PheromoneCell,
     PheromoneField,
-    effective_color,
 )
 
 EPS = 0.05
 
 
-def make_patch(kind=PatchKind.EMPTY, food=0, pos=0.0, neg=0.0):
-    return Patch(base_kind=kind, food_quantity=food,
-                 pheromone=PheromoneCell(positive=pos, negative=neg))
+def color_of(kind=PatchKind.EMPTY, food=0, pos=0.0, neg=0.0, eps=EPS):
+    """Effective color of the only cell of a 1x1 grid holding this state."""
+    g = Grid(1, 1, clear_threshold=eps)
+    g.kind[0, 0] = kind
+    g.food[0, 0] = food
+    g.positive[0, 0] = pos
+    g.negative[0, 0] = neg
+    return g.effective_color_at(0, 0)
 
 
 class TestEffectiveColor:
     def test_wall_is_white(self):
-        assert effective_color(make_patch(PatchKind.WALL), EPS) is Color.WHITE
+        assert color_of(PatchKind.WALL) is Color.WHITE
 
     def test_negative_masks_empty_red(self):
-        assert effective_color(make_patch(neg=0.5), 0.01) is Color.RED
+        assert color_of(neg=0.5, eps=0.01) is Color.RED
 
     def test_food_dominates_any_pheromone(self):
-        p = make_patch(PatchKind.FOOD, food=3, pos=5.0, neg=5.0)
-        assert effective_color(p, EPS) is Color.GREEN
+        assert color_of(PatchKind.FOOD, food=3, pos=5.0, neg=5.0) is Color.GREEN
 
     def test_positive_presents_empty_green(self):
-        assert effective_color(make_patch(pos=1.0), EPS) is Color.GREEN
+        assert color_of(pos=1.0) is Color.GREEN
 
     def test_negative_beats_positive(self):
-        assert effective_color(make_patch(pos=1.0, neg=1.0), EPS) is Color.RED
+        assert color_of(pos=1.0, neg=1.0) is Color.RED
 
     def test_harm_is_red(self):
-        assert effective_color(make_patch(PatchKind.HARM), EPS) is Color.RED
+        assert color_of(PatchKind.HARM) is Color.RED
 
     def test_clean_empty_is_black(self):
-        assert effective_color(make_patch(pos=EPS / 2, neg=EPS / 2), EPS) is Color.BLACK
+        assert color_of(pos=EPS / 2, neg=EPS / 2) is Color.BLACK
 
     @given(st.sampled_from(list(PatchKind)),
            st.floats(min_value=0, max_value=2, allow_nan=False),
            st.floats(min_value=0, max_value=2, allow_nan=False))
     def test_pure_function(self, kind, pos, neg):
         food = 1 if kind is PatchKind.FOOD else 0
-        a = effective_color(make_patch(kind, food, pos, neg), EPS)
-        b = effective_color(make_patch(kind, food, pos, neg), EPS)
+        a = color_of(kind, food, pos, neg)
+        b = color_of(kind, food, pos, neg)
         assert a is b
 
 
@@ -187,12 +188,3 @@ class TestCounts:
         g.deposit(2, 2, PheromoneField.NEGATIVE, EPS / 2)  # below threshold
         assert g.negative_cell_count() == 1
         assert g.negative_cell_count() <= g.empty_cell_count()
-
-    def test_patch_snapshot_matches_arrays(self):
-        g = Grid(4, 4)
-        g.set_kind(2, 1, PatchKind.FOOD, 7)
-        g.deposit(2, 1, PheromoneField.POSITIVE, 0.25)
-        p = g.patch(2, 1)
-        assert p.base_kind is PatchKind.FOOD
-        assert p.food_quantity == 7
-        assert p.pheromone.positive == 0.25
