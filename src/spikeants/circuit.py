@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import defaultdict, deque
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional, Sequence
 
-from .plasticity import SpikeHistory, StdpConfig, on_post_spike, on_pre_spike
+from .plasticity import StdpConfig, on_post_spike, on_pre_spike
 from .snn import Network, NeuronParams, NeuronPhase, Sign, SpikeEvent, ValidationError
 from .world import Color
 
@@ -55,6 +56,23 @@ class CircuitConfig:
             raise ValidationError("plastic_init_fraction must lie in [0, 1)")
         if self.np_pulse_count < 1:
             raise ValidationError("np_pulse_count must be at least 1")
+        self.neuron_params()
+
+    def neuron_params(self) -> tuple[NeuronParams, NeuronParams, NeuronParams]:
+        """(base, nociceptor, energy counter) cell parameters.
+
+        The nociceptor differs from the base only in its dead time, the
+        counter only in its membrane time constant.
+        """
+        base = NeuronParams(
+            resting_potential=self.resting_potential,
+            firing_threshold=self.firing_threshold,
+            refractory_potential=self.refractory_potential,
+            refractory_duration=self.refractory_ticks,
+            decay_time_constant=self.membrane_tau,
+        )
+        return (base, replace(base, refractory_duration=self.nociceptor_refractory),
+                replace(base, decay_time_constant=self.np_tau))
 
 
 @dataclass(frozen=True)
@@ -92,15 +110,7 @@ class BrainLayout:
 
 def build_brain(net: Network, cfg: CircuitConfig, stdp: StdpConfig) -> BrainLayout:
     """Instantiate the full circuit in `net` and return the role map."""
-    base = NeuronParams(
-        resting_potential=cfg.resting_potential,
-        firing_threshold=cfg.firing_threshold,
-        refractory_potential=cfg.refractory_potential,
-        refractory_duration=cfg.refractory_ticks,
-        decay_time_constant=cfg.membrane_tau,
-    )
-    nociceptor_params = replace(base, refractory_duration=cfg.nociceptor_refractory)
-    counter_params = replace(base, decay_time_constant=cfg.np_tau)
+    base, nociceptor_params, counter_params = cfg.neuron_params()
 
     receptors = {smell: net.create_neuron(base) for smell in SMELLS}
     afferents = {smell: net.create_neuron(base) for smell in SMELLS}
@@ -199,15 +209,12 @@ class AntBrain:
         self.learning = learning
         self.net = Network()
         self.layout = build_brain(self.net, circuit_cfg, stdp_cfg)
-        max_delay = max(self.net.synapses[s].delay
-                        for s in self.layout.plastic_synapses.values())
-        window = stdp_cfg.window_cutoff + max_delay
-        # Shared record of postsynaptic firing plus, per plastic synapse,
-        # the arrivals its postsynaptic membrane actually integrated.
-        self._post_history = SpikeHistory(window)
-        self._accepted_arrivals: dict[int, SpikeHistory] = {
-            sid: SpikeHistory(window)
-            for sid in self.layout.plastic_synapses.values()}
+        # Recent firing ticks per plastic post neuron and, per plastic
+        # synapse, the arrival ticks its post membrane actually integrated.
+        # Created on first use: a brain that never learns holds none.
+        self._post_ticks: dict[int, deque[int]] = defaultdict(deque)
+        self._arrival_ticks: dict[int, deque[int]] = defaultdict(deque)
+        # delivery tick -> plastic synapses whose pulse lands then
         self._arrivals: dict[int, list[int]] = {}
         self._plastic_in: dict[int, list[int]] = {}
         self._plastic_out: dict[int, list[int]] = {}
@@ -241,28 +248,33 @@ class AntBrain:
         """
         if not self.learning:
             return self.net.step()
-        refractory_before = {
-            post: self.net.states[post].phase is NeuronPhase.REFRACTORY
-            for post in self._plastic_in}
-        events = self.net.step()
-        t = self.net.current_tick
+        net = self.net
+        # Decided before the step: a post that is refractory now discards
+        # whatever lands on it this tick.
+        accepted = [sid for sid in self._arrivals.pop(net.current_tick + 1, ())
+                    if net.states[net.synapses[sid].post].phase is not NeuronPhase.REFRACTORY]
+        events = net.step()
+        t = net.current_tick
         stdp = self.stdp_cfg
-        for sid in self._arrivals.pop(t, ()):
-            syn = self.net.synapses[sid]
-            if refractory_before[syn.post]:
-                continue
-            on_pre_spike(syn, self._post_history, t, stdp)
-            self._accepted_arrivals[sid].record(syn.pre, t - syn.delay)
+        for sid in accepted:
+            syn = net.synapses[sid]
+            on_pre_spike(syn, self._post_ticks[syn.post], t, stdp)
+            self._record(self._arrival_ticks[sid], t)
         for ev in events:
             for sid in self._plastic_in.get(ev.neuron, ()):
-                on_post_spike(self.net.synapses[sid], self._accepted_arrivals[sid], t, stdp)
-        for ev in events:
+                on_post_spike(net.synapses[sid], self._arrival_ticks[sid], t, stdp)
             if ev.neuron in self._plastic_in:
-                self._post_history.record(ev.neuron, t)
+                self._record(self._post_ticks[ev.neuron], t)
             for sid in self._plastic_out.get(ev.neuron, ()):
-                syn = self.net.synapses[sid]
+                syn = net.synapses[sid]
                 self._arrivals.setdefault(t + syn.delay, []).append(sid)
         return events
+
+    def _record(self, ticks: deque[int], t: int):
+        """Append tick `t`, dropping ticks the window can no longer reach."""
+        ticks.append(t)
+        while ticks[0] < t - self.stdp_cfg.window_cutoff:
+            ticks.popleft()
 
     def step_ticks(self, n: int) -> list[SpikeEvent]:
         events: list[SpikeEvent] = []

@@ -23,7 +23,7 @@ from typing import Optional
 
 from .circuit import format_weights, parse_weights, trained_reference_weights
 from .config import ConfigError, SimConfig, config_reference_text, parse_config
-from .engine import SimulationError, compare, run, run_training
+from .engine import SimulationError, ant_count, compare, run, run_training
 from .render import render_snapshot
 from .scenario import ScenarioError, parse_scenario, reference_scenario
 
@@ -138,9 +138,7 @@ def _cmd_render(args) -> int:
 
 def _cmd_validate(args) -> int:
     scenario = _load_scenario(args.scenario)
-    if args.config:
-        parse_config(_read(args.config))
-    n_ants = len(scenario.spawns) + scenario.random_ants
+    n_ants = ant_count(scenario, _load_config(args))
     print(f"ok: {scenario.width}x{scenario.height}, "
           f"{scenario.build_grid().total_food()} food units, {n_ants} ants")
     return 0

@@ -73,6 +73,21 @@ class Metrics:
         }
 
 
+def ant_count(scenario: Scenario, cfg: SimConfig) -> int:
+    """Ants a run spawns: `n_ants` when set, else the scenario's own count.
+
+    `n_ants` counts the explicit spawns too, so it may not be below them.
+    """
+    explicit = len(scenario.spawns)
+    if 0 < cfg.n_ants < explicit:
+        raise SimulationError(
+            f"n_ants={cfg.n_ants} below the {explicit} explicit spawns")
+    total = cfg.n_ants or explicit + scenario.random_ants
+    if total < 1:
+        raise SimulationError("scenario provides no ants")
+    return total
+
+
 def build_ants(scenario: Scenario, cfg: SimConfig, grid: Grid,
                rng: np.random.Generator, learning: bool) -> list[Ant]:
     """Spawn ants: explicit scenario spawns first, then random placements.
@@ -81,18 +96,8 @@ def build_ants(scenario: Scenario, cfg: SimConfig, grid: Grid,
     each random ant, one draw for the cell (from the row-major list of
     empty cells, without replacement) and one for the heading.
     """
-    explicit = list(scenario.spawns)
-    n_random = scenario.random_ants
-    if cfg.n_ants > 0:
-        if cfg.n_ants < len(explicit):
-            raise SimulationError(
-                f"n_ants={cfg.n_ants} below the {len(explicit)} explicit spawns")
-        n_random = cfg.n_ants - len(explicit)
-    total = len(explicit) + n_random
-    if total < 1:
-        raise SimulationError("scenario provides no ants")
-
-    poses: list[tuple[int, int, Heading]] = list(explicit)
+    poses: list[tuple[int, int, Heading]] = list(scenario.spawns)
+    n_random = ant_count(scenario, cfg) - len(poses)
     if n_random:
         empty = [(x, y) for y in range(grid.height) for x in range(grid.width)
                  if grid.kind[y, x] == PatchKind.EMPTY]
@@ -116,8 +121,6 @@ def _execute(cfg: SimConfig, scenario: Scenario,
              weights: Optional[dict[tuple[Color, str], float]],
              schedule: Sequence[tuple[SimPhase, int]],
              frame_hook=None) -> tuple[Metrics, list[Ant]]:
-    if not schedule or any(t < 1 for _, t in schedule):
-        raise SimulationError("every phase needs a positive tick count")
     if any(phase is SimPhase.FORAGING for phase, _ in schedule):
         if not scenario.boundary_is_walled():
             raise SimulationError("foraging scenarios must be enclosed by walls")
@@ -168,17 +171,15 @@ def _learning_for(phase: SimPhase, cfg: SimConfig) -> bool:
 
 def run(cfg: SimConfig, scenario: Scenario,
         weights: Optional[dict[tuple[Color, str], float]] = None,
-        schedule: Optional[Sequence[tuple[SimPhase, int]]] = None,
         frame_hook=None) -> Metrics:
     """Execute a full simulation and return its metrics.
 
-    `schedule` falls back to the config's phase_schedule, and failing
-    that to a single foraging phase of `world_ticks`. `frame_hook(tick,
-    grid, ants)`, when given, is called after every sampled tick (the
-    CLI uses it for snapshot dumps).
+    The phases are the config's phase_schedule, or a single foraging
+    phase of `world_ticks` when that is empty. `frame_hook(tick, grid,
+    ants)`, when given, is called after every sampled tick (the CLI uses
+    it for snapshot dumps).
     """
-    if schedule is None:
-        schedule = cfg.phase_schedule or ((SimPhase.FORAGING, cfg.world_ticks),)
+    schedule = cfg.phase_schedule or ((SimPhase.FORAGING, cfg.world_ticks),)
     metrics, _ = _execute(cfg, scenario, weights, schedule, frame_hook)
     return metrics
 
@@ -195,10 +196,7 @@ def run_training(cfg: SimConfig, scenario: Scenario,
         raise SimulationError("training scenario has no harmful patches")
     if "F" not in kinds:
         raise SimulationError("training scenario has no reward patches")
-    n_random = scenario.random_ants
-    if cfg.n_ants > 0:
-        n_random = cfg.n_ants - len(scenario.spawns)
-    if len(scenario.spawns) + n_random != 1:
+    if ant_count(scenario, cfg) != 1:
         raise SimulationError("training runs use exactly one ant")
     metrics, ants = _execute(cfg, scenario, None,
                              ((SimPhase.TRAINING, cfg.world_ticks),))

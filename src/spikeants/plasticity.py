@@ -14,7 +14,6 @@ times already include the synaptic transmission delay.
 from __future__ import annotations
 
 import math
-from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -62,40 +61,13 @@ def stdp_window(delta_t: float, cfg: StdpConfig) -> float:
     return -cfg.a_minus * math.exp(-delta_t / cfg.tau_minus)
 
 
-class SpikeHistory:
-    """Bounded per-neuron record of recent spike ticks.
-
-    One instance can hold every neuron of a circuit: presynaptic entries
-    are emission ticks (add the synapse delay to get arrivals), while
-    postsynaptic entries are firing ticks. Entries older than the window
-    are dropped on record.
-    """
-
-    def __init__(self, window: int):
-        if window < 1:
-            raise ValueError("window must be positive")
-        self.window = window
-        self._ticks: dict[int, deque[int]] = defaultdict(deque)
-
-    def record(self, neuron: int, tick: int):
-        dq = self._ticks[neuron]
-        if dq and tick <= dq[-1]:
-            raise ValueError("spike ticks must be strictly increasing per neuron")
-        dq.append(tick)
-        horizon = tick - self.window
-        while dq and dq[0] < horizon:
-            dq.popleft()
-
-    def ticks_for(self, neuron: int) -> Iterable[int]:
-        return self._ticks.get(neuron, ())
-
-
-def on_post_spike(synapse: Synapse, history: SpikeHistory, post_tick: int,
+def on_post_spike(synapse: Synapse, arrivals: Iterable[int], post_tick: int,
                   cfg: StdpConfig) -> float:
     """Update a synapse when its postsynaptic neuron fires.
 
-    Sums the window over every recorded presynaptic arrival at or before
-    the action potential (later arrivals are the business of
+    `arrivals` are the ticks on which pulses through this synapse reached
+    the postsynaptic membrane. Sums the window over every arrival at or
+    before the action potential (later arrivals are the business of
     on_pre_spike, so each pair is counted exactly once) and clamps the
     result into [w_min, w_max]. Returns the new weight.
 
@@ -107,8 +79,7 @@ def on_post_spike(synapse: Synapse, history: SpikeHistory, post_tick: int,
     """
     _require_plastic(synapse)
     dw = 0.0
-    for emission in history.ticks_for(synapse.pre):
-        arrival = emission + synapse.delay
+    for arrival in arrivals:
         if arrival > post_tick or post_tick - arrival > cfg.window_cutoff:
             continue
         if arrival == post_tick:
@@ -119,19 +90,20 @@ def on_post_spike(synapse: Synapse, history: SpikeHistory, post_tick: int,
     return synapse.weight
 
 
-def on_pre_spike(synapse: Synapse, history: SpikeHistory, pre_arrival_tick: int,
+def on_pre_spike(synapse: Synapse, post_ticks: Iterable[int], arrival_tick: int,
                  cfg: StdpConfig) -> float:
     """Update a synapse when a presynaptic pulse arrives.
 
-    Applies the depression branch against every recorded postsynaptic
-    spike strictly before the arrival; simultaneous pairs were already
-    handled by on_post_spike. Returns the new weight.
+    `post_ticks` are the firing ticks of the postsynaptic neuron. Applies
+    the depression branch against every one strictly before the arrival;
+    simultaneous pairs were already handled by on_post_spike. Returns
+    the new weight.
     """
     _require_plastic(synapse)
     dw = 0.0
-    for post in history.ticks_for(synapse.post):
-        if post < pre_arrival_tick and pre_arrival_tick - post <= cfg.window_cutoff:
-            dw += stdp_window(pre_arrival_tick - post, cfg)
+    for post in post_ticks:
+        if post < arrival_tick and arrival_tick - post <= cfg.window_cutoff:
+            dw += stdp_window(arrival_tick - post, cfg)
     synapse.weight = _clamp(synapse.weight + dw, cfg)
     return synapse.weight
 

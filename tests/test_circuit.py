@@ -258,6 +258,27 @@ class TestConditioning:
                                             stimulus_gap=wide, trial_gap=wide + 5))
 
 
+class TestLearningBookkeeping:
+    def test_held_ticks_stay_within_window(self):
+        # Every smell and pain keep arriving while the pacemaker drives the
+        # forward motoneuron, so each record is refilled all run long.
+        brain = AntBrain(learning=True)
+        cutoff = brain.stdp_cfg.window_cutoff
+        for i in range(2 * cutoff + 40):
+            if i % 7 == 0:
+                brain.sense(StimulusFrame(smell_ahead=SMELLS[i // 7 % 3]))
+            if i % 21 == 10:
+                brain.sense(StimulusFrame(pain_contact=True))
+            brain.step()
+        now = brain.net.current_tick
+        held = [*brain._post_ticks.values(), *brain._arrival_ticks.values()]
+        assert len(held) == 2 + 6 and all(held)  # both motoneurons, six synapses
+        for ticks in held:
+            assert ticks[-1] <= now
+            assert ticks[-1] - ticks[0] <= cutoff
+            assert ticks[0] >= now - cutoff - 21
+
+
 class TestWeightFiles:
     def test_round_trip(self):
         brain = AntBrain(kickstart=False)

@@ -86,6 +86,26 @@ class TestValidate:
         assert "unknown key" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("scenario, n_ants, shown", [
+        ("@foraging", 3, "3 ants"),
+        ("@training", 3, "3 ants"),
+    ])
+    def test_ant_count_follows_config(self, scenario, n_ants, shown, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"n_ants = {n_ants}\n")
+        assert main(["validate", "--scenario", scenario, "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out.rstrip().endswith(shown)
+
+    def test_n_ants_below_explicit_spawns_rejected(self, tmp_path, capsys):
+        scen = tmp_path / "spawns.txt"
+        scen.write_text("width 4\nheight 3\nheading 0 N\nheading 1 E\nmap\n"
+                        "####\n#AA#\n####\n")
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("n_ants = 1\n")
+        assert main(["validate", "--scenario", str(scen), "--config", str(cfg)]) == 1
+        assert "below the 2 explicit spawns" in capsys.readouterr().err
+
+
 class TestRunCommand:
     def test_writes_csv_and_json(self, arena, tmp_path):
         csv = tmp_path / "out.csv"

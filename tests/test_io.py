@@ -134,9 +134,16 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="bad value"):
             parse_config("seed = banana\n")
 
-    def test_invalid_domain_value_rejected(self):
+    @pytest.mark.parametrize("line", [
+        "evap_rho_negative = 2.0",
+        "neuron_threshold = -1",
+        "neuron_refractory_ticks = 0",
+        "circuit_np_tau = 0",
+    ], ids=["evap_rho_negative", "neuron_threshold", "neuron_refractory_ticks",
+            "circuit_np_tau"])
+    def test_invalid_domain_value_rejected(self, line):
         with pytest.raises(ConfigError):
-            parse_config("evap_rho_negative = 2.0\n")
+            parse_config(line + "\n")
 
     def test_reference_text_is_loadable(self):
         assert parse_config(config_reference_text()) == SimConfig()

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from spikeants.plasticity import (
     PlasticityError,
-    SpikeHistory,
     StdpConfig,
     on_post_spike,
     on_pre_spike,
@@ -18,9 +17,9 @@ CFG = StdpConfig(a_plus=0.1, a_minus=0.1, tau_plus=10.0, tau_minus=10.0,
                  w_min=0.0, w_max=1.0)
 
 
-def plastic(weight=0.5, delay=1):
+def plastic(weight=0.5):
     return Synapse(pre=0, post=1, weight=weight, sign=Sign.EXCITATORY,
-                   delay=delay, plastic=True)
+                   delay=1, plastic=True)
 
 
 class TestWindow:
@@ -73,111 +72,72 @@ class TestConfig:
         assert cfg.window_cutoff == 150
 
 
-class TestHistory:
-    def test_strictly_increasing_enforced(self):
-        h = SpikeHistory(window=100)
-        h.record(0, 5)
-        with pytest.raises(ValueError):
-            h.record(0, 5)
-
-    def test_old_entries_pruned(self):
-        h = SpikeHistory(window=10)
-        h.record(0, 1)
-        h.record(0, 50)
-        assert list(h.ticks_for(0)) == [50]
-
-
 class TestOnPostSpike:
     def test_empty_history_unchanged(self):
-        syn = plastic(0.5)
-        h = SpikeHistory(window=CFG.window_cutoff + 1)
-        assert on_post_spike(syn, h, 100, CFG) == 0.5
+        assert on_post_spike(plastic(0.5), [], 100, CFG) == 0.5
 
     def test_single_causal_pairing_closed_form(self):
         # Pre arrival 2 ticks before post: 0.5 + 0.1 * exp(-0.2)
-        syn = plastic(0.5, delay=1)
-        h = SpikeHistory(window=CFG.window_cutoff + 1)
-        h.record(0, 97)  # emission 97 + delay 1 -> arrival 98, post at 100
         expected = 0.5 + 0.1 * math.exp(-0.2)
-        assert on_post_spike(syn, h, 100, CFG) == pytest.approx(expected, rel=1e-12)
+        assert on_post_spike(plastic(0.5), [98], 100, CFG) == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(0.58187, abs=5e-6)
 
     def test_same_tick_arrival_counts_as_causal(self):
-        syn = plastic(0.5, delay=1)
-        h = SpikeHistory(window=CFG.window_cutoff + 1)
-        h.record(0, 99)  # emission 99 + delay 1 -> arrival on the firing tick
-        assert on_post_spike(syn, h, 100, CFG) == pytest.approx(0.5 + CFG.a_plus, rel=1e-12)
+        assert on_post_spike(plastic(0.5), [100], 100, CFG) == pytest.approx(
+            0.5 + CFG.a_plus, rel=1e-12)
 
     def test_clamped_at_w_max(self):
-        syn = plastic(0.999)
-        h = SpikeHistory(window=CFG.window_cutoff + 1)
-        for t in range(0, 90, 3):
-            h.record(0, t)
-        assert on_post_spike(syn, h, 91, CFG) == CFG.w_max
+        arrivals = range(1, 91, 3)
+        assert on_post_spike(plastic(0.999), arrivals, 91, CFG) == CFG.w_max
 
     def test_non_plastic_rejected(self):
         syn = Synapse(0, 1, 0.5, Sign.EXCITATORY, 1, plastic=False)
-        h = SpikeHistory(window=10)
         with pytest.raises(PlasticityError):
-            on_post_spike(syn, h, 10, CFG)
+            on_post_spike(syn, [], 10, CFG)
 
     def test_out_of_window_ignored(self):
-        syn = plastic(0.5)
-        h = SpikeHistory(window=CFG.window_cutoff + 1)
-        h.record(0, 10)  # arrival 11, post at 90: gap 79 > cutoff 50
-        assert on_post_spike(syn, h, 90, CFG) == 0.5
+        # Arrival 11, post at 90: gap 79 > cutoff 50.
+        assert on_post_spike(plastic(0.5), [11], 90, CFG) == 0.5
 
 
 class TestOnPreSpike:
     def test_no_recent_posts_unchanged(self):
-        syn = plastic(0.5)
-        h = SpikeHistory(window=CFG.window_cutoff + 1)
-        assert on_pre_spike(syn, h, 50, CFG) == 0.5
+        assert on_pre_spike(plastic(0.5), [], 50, CFG) == 0.5
 
     def test_single_acausal_pairing_closed_form(self):
         # Pre arrives 3 ticks after post: 0.5 - 0.1 * exp(-0.3)
-        syn = plastic(0.5)
-        h = SpikeHistory(window=CFG.window_cutoff + 1)
-        h.record(1, 47)  # post neuron fired at 47; arrival at 50
         expected = 0.5 - 0.1 * math.exp(-0.3)
-        assert on_pre_spike(syn, h, 50, CFG) == pytest.approx(expected, rel=1e-12)
+        assert on_pre_spike(plastic(0.5), [47], 50, CFG) == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(0.42592, abs=5e-6)
 
     def test_clamped_at_w_min(self):
-        syn = plastic(0.01)
-        h = SpikeHistory(window=CFG.window_cutoff + 1)
-        h.record(1, 49)
-        assert on_pre_spike(syn, h, 50, CFG) == 0.0
+        assert on_pre_spike(plastic(0.01), [49], 50, CFG) == 0.0
 
     def test_simultaneous_pair_left_to_on_post(self):
-        syn = plastic(0.5)
-        h = SpikeHistory(window=CFG.window_cutoff + 1)
-        h.record(1, 50)
-        assert on_pre_spike(syn, h, 50, CFG) == 0.5
+        assert on_pre_spike(plastic(0.5), [50], 50, CFG) == 0.5
 
 
 class TestConvergence:
     def test_consistent_causal_pairing_saturates_high(self):
-        # Pre always fires a few ticks before post: weight walks to w_max.
-        syn = plastic(0.1, delay=1)
-        h = SpikeHistory(window=CFG.window_cutoff + 1)
+        # Pre always arrives a few ticks before post: weight walks to w_max.
+        syn = plastic(0.1)
+        arrivals, posts = [], []
         t = 0
         for _ in range(500):
-            h.record(0, t)          # emission -> arrival t+1
-            on_pre_spike(syn, h, t + 1, CFG)
-            on_post_spike(syn, h, t + 3, CFG)
-            h.record(1, t + 3)
+            arrivals.append(t + 1)
+            on_pre_spike(syn, posts, t + 1, CFG)
+            on_post_spike(syn, arrivals, t + 3, CFG)
+            posts.append(t + 3)
             t += 60
         assert syn.weight == CFG.w_max
 
     def test_consistent_acausal_pairing_saturates_low(self):
-        syn = plastic(0.9, delay=1)
-        h = SpikeHistory(window=CFG.window_cutoff + 1)
+        syn = plastic(0.9)
+        posts = []
         t = 0
         for _ in range(500):
-            h.record(1, t)          # post fires first
-            h.record(0, t + 2)      # pre emission -> arrival t+3
-            on_pre_spike(syn, h, t + 3, CFG)
+            posts.append(t)              # post fires first
+            on_pre_spike(syn, posts, t + 3, CFG)
             t += 60
         assert syn.weight == CFG.w_min
 
@@ -186,21 +146,15 @@ class TestConvergence:
                     min_size=0, max_size=60))
     @settings(max_examples=40, deadline=None)
     def test_weights_never_leave_bounds(self, sequence):
-        syn = plastic(0.5, delay=1)
-        h = SpikeHistory(window=CFG.window_cutoff + 1)
+        syn = plastic(0.5)
+        arrivals, posts = [], []
         t = 0
         for kind, gap in sequence:
             t += gap
             if kind == "pre":
-                try:
-                    h.record(0, t)
-                except ValueError:
-                    continue
-                on_pre_spike(syn, h, t + syn.delay, CFG)
+                arrivals.append(t)
+                on_pre_spike(syn, posts, t, CFG)
             else:
-                try:
-                    h.record(1, t)
-                except ValueError:
-                    continue
-                on_post_spike(syn, h, t, CFG)
+                posts.append(t)
+                on_post_spike(syn, arrivals, t, CFG)
             assert CFG.w_min <= syn.weight <= CFG.w_max
