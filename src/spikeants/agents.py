@@ -9,6 +9,7 @@ the following world tick (standing on a red cell hurts directly).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -62,8 +63,9 @@ class AntConfig:
             raise ValueError("brain_steps_per_world_tick must be at least 1")
         if self.positive_deposit_ticks < 0:
             raise ValueError("positive_deposit_ticks must be non-negative")
-        if self.deposit_amount_positive < 0 or self.deposit_amount_negative < 0:
-            raise ValueError("deposit amounts must be non-negative")
+        for name in ("deposit_amount_positive", "deposit_amount_negative"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative")
         if self.rotate_direction not in ("right", "left"):
             raise ValueError("rotate_direction must be 'right' or 'left'")
 
@@ -116,7 +118,7 @@ def perceive(grid: Grid, ant: Ant) -> StimulusFrame:
             smell = front
     here = grid.effective_color_at(x, y)
     pain = here in (Color.WHITE, Color.RED) or ant.pain_pending
-    reward = grid.kind[y, x] == PatchKind.FOOD
+    reward = grid.kind.item(y, x) == PatchKind.FOOD
     return StimulusFrame(smell_ahead=smell, pain_contact=pain, reward_contact=reward)
 
 
@@ -150,7 +152,7 @@ def step_ant(grid: Grid, ant: Ant, cfg: AntConfig, phase: SimPhase,
     ate = 0
     if frame.reward_contact and act.emit_positive_pheromone:
         cx, cy = ant.position
-        if grid.kind[cy, cx] == PatchKind.FOOD:
+        if grid.kind.item(cy, cx) == PatchKind.FOOD:
             grid.consume_food(cx, cy, 1)
             ate = 1
             ant.positive_deposit_remaining = cfg.positive_deposit_ticks
@@ -170,7 +172,7 @@ def step_ant(grid: Grid, ant: Ant, cfg: AntConfig, phase: SimPhase,
             ant.pain_pending = True
             if phase is SimPhase.TRAINING:
                 reset = True
-        elif grid.kind[ty, tx] == PatchKind.WALL:
+        elif grid.kind.item(ty, tx) == PatchKind.WALL:
             blocked = True
             ant.pain_pending = True
             if phase is SimPhase.TRAINING and grid.is_boundary(tx, ty):

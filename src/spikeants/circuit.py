@@ -48,14 +48,31 @@ class CircuitConfig:
     refractory_ticks: int = 2
 
     def __post_init__(self):
+        # Each message names this config's own field, never a field of
+        # NeuronParams, so that a config file error can name its key.
+        for name in ("reflex_weight", "drive_weight", "sense_amplitude", "np_inhibit_weight"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValidationError(f"{name} must be finite and non-negative")
+        for name in ("membrane_tau", "np_tau"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValidationError(f"{name} must be positive and finite")
+        for name in ("resting_potential", "firing_threshold", "refractory_potential"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite")
+        for name in ("refractory_ticks", "nociceptor_refractory"):
+            if getattr(self, name) < 1:
+                raise ValidationError(f"{name} must be at least 1 tick")
         if self.pacemaker_period < 2:
-            raise ValidationError("pacemaker period must be at least 2 ticks")
+            raise ValidationError("pacemaker_period must be at least 2 ticks")
         if self.pacemaker_period <= self.refractory_ticks:
-            raise ValidationError("pacemaker period must exceed the refractory time")
+            raise ValidationError(
+                "pacemaker_period must exceed the refractory time refractory_ticks")
         if not 0.0 <= self.plastic_init_fraction < 1.0:
             raise ValidationError("plastic_init_fraction must lie in [0, 1)")
         if self.np_pulse_count < 1:
             raise ValidationError("np_pulse_count must be at least 1")
+        # What is left to NeuronParams is the order of the three
+        # potentials, whose field names match this config's.
         self.neuron_params()
 
     def neuron_params(self) -> tuple[NeuronParams, NeuronParams, NeuronParams]:

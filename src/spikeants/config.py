@@ -9,6 +9,7 @@ so typos fail loudly. Values are `key = value` lines; blank lines and
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Optional
 
@@ -111,6 +112,8 @@ _KEYS: dict[str, tuple[Optional[str], str, Callable[[str], Any]]] = {
     "neuron_refractory_ticks": ("circuit", "refractory_ticks", int),
     "neuron_decay_tau": ("circuit", "membrane_tau", float),
 }
+# Field names are unique across sections, so each one maps back to its key.
+_KEY_OF_FIELD = {attr: key for key, (_, attr, _) in _KEYS.items()}
 
 
 def parse_config(text: str, base: Optional[SimConfig] = None) -> SimConfig:
@@ -155,7 +158,8 @@ def parse_config(text: str, base: Optional[SimConfig] = None) -> SimConfig:
         if top:
             cfg = replace(cfg, **top)
     except ValueError as exc:
-        raise ConfigError(str(exc))
+        # The config classes name their own fields; report the keys.
+        raise ConfigError(re.sub(r"\w+", lambda m: _KEY_OF_FIELD.get(m[0], m[0]), str(exc)))
     return cfg
 
 

@@ -76,7 +76,8 @@ class Metrics:
 def ant_count(scenario: Scenario, cfg: SimConfig) -> int:
     """Ants a run spawns: `n_ants` when set, else the scenario's own count.
 
-    `n_ants` counts the explicit spawns too, so it may not be below them.
+    `n_ants` counts the explicit spawns too, so it may not be below them,
+    and the random ants beyond them must fit on the empty cells.
     """
     explicit = len(scenario.spawns)
     if 0 < cfg.n_ants < explicit:
@@ -85,6 +86,8 @@ def ant_count(scenario: Scenario, cfg: SimConfig) -> int:
     total = cfg.n_ants or explicit + scenario.random_ants
     if total < 1:
         raise SimulationError("scenario provides no ants")
+    if total - explicit > sum(row.count(".") for row in scenario.rows):
+        raise SimulationError("not enough empty cells for random spawns")
     return total
 
 
@@ -98,16 +101,13 @@ def build_ants(scenario: Scenario, cfg: SimConfig, grid: Grid,
     """
     poses: list[tuple[int, int, Heading]] = list(scenario.spawns)
     n_random = ant_count(scenario, cfg) - len(poses)
-    if n_random:
-        empty = [(x, y) for y in range(grid.height) for x in range(grid.width)
-                 if grid.kind[y, x] == PatchKind.EMPTY]
-        if len(empty) < n_random:
-            raise SimulationError("not enough empty cells for random spawns")
-        for _ in range(n_random):
-            idx = int(rng.integers(len(empty)))
-            x, y = empty.pop(idx)
-            heading = CLOCKWISE[int(rng.integers(4))]
-            poses.append((x, y, heading))
+    empty = np.flatnonzero(grid.kind == PatchKind.EMPTY.value)
+    for _ in range(n_random):
+        idx = int(rng.integers(empty.size))
+        y, x = divmod(int(empty[idx]), grid.width)
+        empty = np.delete(empty, idx)
+        heading = CLOCKWISE[int(rng.integers(4))]
+        poses.append((x, y, heading))
 
     ants = []
     for i, (x, y, heading) in enumerate(poses):

@@ -41,10 +41,12 @@ class StdpConfig:
 
     def __post_init__(self):
         for name in ("a_plus", "a_minus", "tau_plus", "tau_minus"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
-        if self.w_min < 0:
-            raise ValueError("w_min must be non-negative")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        if not 0 <= self.w_min < math.inf:
+            raise ValueError("w_min must be finite and non-negative")
+        if not self.w_max < math.inf:
+            raise ValueError("w_max must be finite")
         if not self.w_min < self.w_max:
             raise ValueError("w_min must be below w_max")
         if self.window_cutoff == 0:

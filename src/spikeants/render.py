@@ -14,7 +14,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .agents import Ant
-from .world import Color, Grid
+from .world import COLORS, Color, Grid
 
 PALETTE = {
     Color.BLACK: (0, 0, 0),
@@ -23,14 +23,12 @@ PALETTE = {
     Color.GREEN: (0, 255, 0),
 }
 ANT_COLOR = (64, 64, 255)
+_PIXELS = np.array([PALETTE[c] for c in COLORS], dtype=np.uint8)
 
 
 def render_snapshot(grid: Grid, ants: Optional[Iterable[Ant]] = None) -> bytes:
     """Render the grid (and optionally its ants) as a binary PPM (P6)."""
-    pixels = np.zeros((grid.height, grid.width, 3), dtype=np.uint8)
-    for y in range(grid.height):
-        for x in range(grid.width):
-            pixels[y, x] = PALETTE[grid.effective_color_at(x, y)]
+    pixels = _PIXELS[grid.effective_colors()]
     if ants is not None:
         for ant in ants:
             x, y = ant.position

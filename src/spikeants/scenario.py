@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
 
+import numpy as np
+
 from .agents import Heading
 from .world import Grid, PatchKind
 
@@ -27,6 +29,9 @@ CHAR_TO_KIND = {
     "R": PatchKind.HARM,
     "A": PatchKind.EMPTY,
 }
+# CHAR_TO_KIND indexed by the character's byte value.
+_KIND_OF_BYTE = np.zeros(256, dtype=np.uint8)
+_KIND_OF_BYTE[[ord(ch) for ch in CHAR_TO_KIND]] = list(CHAR_TO_KIND.values())
 
 
 class ScenarioError(ValueError):
@@ -51,13 +56,12 @@ class Scenario:
 
     def build_grid(self, clear_threshold: float = 0.05) -> Grid:
         grid = Grid(self.width, self.height, clear_threshold=clear_threshold)
-        for y, row in enumerate(self.rows):
-            for x, ch in enumerate(row):
-                kind = CHAR_TO_KIND[ch]
-                if kind is PatchKind.FOOD:
-                    grid.set_kind(x, y, kind, self.food_quantity)
-                elif kind is not PatchKind.EMPTY:
-                    grid.set_kind(x, y, kind)
+        cells = np.frombuffer("".join(self.rows).encode("ascii"), dtype=np.uint8)
+        grid.kind[:] = _KIND_OF_BYTE[cells].reshape(self.height, self.width)
+        food = grid.kind == PatchKind.FOOD.value
+        if self.food_quantity < 1 and food.any():
+            raise ValueError("food_quantity must be positive exactly for food patches")
+        grid.food[food] = self.food_quantity
         return grid
 
     def boundary_is_walled(self) -> bool:

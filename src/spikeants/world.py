@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 import numpy as np
@@ -27,6 +28,23 @@ class PheromoneField(Enum):
     NEGATIVE = "negative"
 
 
+# Stimulus color a cell presents, mixing base kind and pheromones, as a
+# table indexed [kind][negative >= eps][positive >= eps]. Walls are always
+# white and food always green; on anything else a negative deposit masks
+# the cell red, while a positive deposit presents empty ground as green so
+# that the food-conditioned response extends to marked trails. The
+# priority is wall, food, negative, harm, positive, black.
+_COLOR_RULE = (
+    ((Color.BLACK, Color.GREEN), (Color.RED, Color.RED)),      # EMPTY
+    ((Color.WHITE, Color.WHITE), (Color.WHITE, Color.WHITE)),  # WALL
+    ((Color.RED, Color.RED), (Color.RED, Color.RED)),          # HARM
+    ((Color.GREEN, Color.GREEN), (Color.GREEN, Color.GREEN)),  # FOOD
+)
+COLORS = tuple(Color)
+_COLOR_INDEX = np.array([[[COLORS.index(c) for c in by_pos] for by_pos in by_neg]
+                         for by_neg in _COLOR_RULE], dtype=np.uint8)
+
+
 @dataclass(frozen=True)
 class EvaporationConfig:
     rho_positive: float = 0.03
@@ -37,8 +55,8 @@ class EvaporationConfig:
         for name in ("rho_positive", "rho_negative"):
             if not 0.0 < getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must lie in (0, 1)")
-        if not self.clear_threshold > 0:
-            raise ValueError("clear_threshold must be positive")
+        if not 0 < self.clear_threshold < math.inf:
+            raise ValueError("clear_threshold must be positive and finite")
 
 
 class Grid:
@@ -80,27 +98,22 @@ class Grid:
             self.negative[y, x] = 0.0
 
     def effective_color_at(self, x: int, y: int) -> Color:
-        """Stimulus color a cell presents, mixing base kind and pheromones.
-
-        Walls are always white and food always green; on anything else a
-        negative deposit above the visibility threshold masks the cell red,
-        while a positive deposit presents empty ground as green so that the
-        food-conditioned response extends to marked trails.
-        """
+        """Stimulus color one cell presents, by the rule in `_COLOR_RULE`."""
         self._check(x, y)
-        k = self.kind[y, x]
-        if k == PatchKind.WALL:
-            return Color.WHITE
-        if k == PatchKind.FOOD:
-            return Color.GREEN
         eps = self.clear_threshold
-        if self.negative[y, x] >= eps:
-            return Color.RED
-        if k == PatchKind.HARM:
-            return Color.RED
-        if self.positive[y, x] >= eps:
-            return Color.GREEN
-        return Color.BLACK
+        return _COLOR_RULE[self.kind.item(y, x)][self.negative.item(y, x) >= eps][
+            self.positive.item(y, x) >= eps]
+
+    def effective_colors(self) -> np.ndarray:
+        """`_COLOR_RULE` applied to every cell at once.
+
+        Returns a (height, width) array of indices into `COLORS`.
+        """
+        eps = self.clear_threshold
+        # Boolean arrays used as indices would select, not index: view
+        # them as 0/1 integers.
+        return _COLOR_INDEX[self.kind, (self.negative >= eps).view(np.uint8),
+                            (self.positive >= eps).view(np.uint8)]
 
     # -- pheromone dynamics ---------------------------------------------
 
@@ -113,7 +126,7 @@ class Grid:
         self._check(x, y)
         if amount < 0:
             raise ValueError("deposit amount must be non-negative")
-        if self.kind[y, x] == PatchKind.WALL:
+        if self.kind.item(y, x) == PatchKind.WALL:
             self.wall_deposit_attempts += 1
             return
         if fieldkind is PheromoneField.POSITIVE:
@@ -138,7 +151,7 @@ class Grid:
         returning 0.
         """
         self._check(x, y)
-        if self.kind[y, x] != PatchKind.FOOD:
+        if self.kind.item(y, x) != PatchKind.FOOD:
             return 0
         q = int(self.food[y, x])
         q -= min(bite, q)
@@ -154,16 +167,16 @@ class Grid:
 
     def negative_cell_count(self) -> int:
         """Empty-ground cells currently masked red by negative pheromone."""
-        return int(((self.kind == PatchKind.EMPTY)
+        return int(((self.kind == PatchKind.EMPTY.value)
                     & (self.negative >= self.clear_threshold)).sum())
 
     def positive_cell_count(self) -> int:
         """Empty-ground cells currently presented green by positive pheromone."""
-        return int(((self.kind == PatchKind.EMPTY)
+        return int(((self.kind == PatchKind.EMPTY.value)
                     & (self.positive >= self.clear_threshold)).sum())
 
     def empty_cell_count(self) -> int:
-        return int((self.kind == PatchKind.EMPTY).sum())
+        return int((self.kind == PatchKind.EMPTY.value).sum())
 
     def _check(self, x: int, y: int):
         if not self.in_bounds(x, y):

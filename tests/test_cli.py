@@ -105,6 +105,12 @@ class TestValidate:
         assert main(["validate", "--scenario", str(scen), "--config", str(cfg)]) == 1
         assert "below the 2 explicit spawns" in capsys.readouterr().err
 
+    def test_random_ants_beyond_empty_cells_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("n_ants = 4000\n")
+        assert main(["validate", "--scenario", "@foraging", "--config", str(cfg)]) == 1
+        assert "not enough empty cells for random spawns" in capsys.readouterr().err
+
 
 class TestRunCommand:
     def test_writes_csv_and_json(self, arena, tmp_path):

@@ -1,14 +1,15 @@
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from spikeants.agents import SimPhase
+from spikeants.agents import CLOCKWISE, SimPhase
 
 from spikeants.circuit import MOTOR_ROTATE, trained_reference_weights
 from spikeants.config import SimConfig
-from spikeants.engine import SimulationError, compare, run, run_training
-from spikeants.scenario import parse_scenario
-from spikeants.world import Color
+from spikeants.engine import SimulationError, build_ants, compare, run, run_training
+from spikeants.scenario import parse_scenario, reference_scenario
+from spikeants.world import Color, PatchKind
 
 ARENA = """\
 width 12
@@ -239,6 +240,34 @@ class TestPhaseSchedule:
         assert parse_config(serialize_config(cfg)) == cfg
 
 
+def list_pop_spawn_poses(scenario, grid, n_ants, rng):
+    """Reference spawn draw: explicit spawns, then per random ant one
+    list.pop from the row-major list of empty cells and one heading."""
+    poses = list(scenario.spawns)
+    empty = [(x, y) for y in range(grid.height) for x in range(grid.width)
+             if grid.kind[y, x] == PatchKind.EMPTY]
+    while len(poses) < n_ants:
+        x, y = empty.pop(int(rng.integers(len(empty))))
+        poses.append((x, y, CLOCKWISE[int(rng.integers(4))]))
+    return poses
+
+
+class TestSpawnDraw:
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("scenario, n_ants", [
+        (reference_scenario("foraging"), 10),
+        (parse_scenario(ARENA), 30),
+    ], ids=["foraging", "arena_with_harm_and_food"])
+    def test_poses_match_list_pop_reference(self, scenario, n_ants, seed):
+        cfg = small_cfg(seed=seed, n_ants=n_ants)
+        grid = scenario.build_grid()
+        ants = build_ants(scenario, cfg, grid,
+                          np.random.Generator(np.random.PCG64(seed)), learning=False)
+        want = list_pop_spawn_poses(scenario, grid, n_ants,
+                                    np.random.Generator(np.random.PCG64(seed)))
+        assert [(*ant.position, ant.heading) for ant in ants] == want
+
+
 class TestDepositCadence:
     def test_negative_deposit_interval_is_counter_period(self):
         # An ant circling an empty walled box deposits negative marks at
@@ -247,8 +276,6 @@ class TestDepositCadence:
         cfg = small_cfg(n_ants=1, world_ticks=500)
         deposit_ticks = []
         grid = scenario.build_grid()
-        import numpy as np
-        from spikeants.engine import build_ants
         from spikeants.agents import step_ant
         rng = np.random.Generator(np.random.PCG64(cfg.seed))
         ants = build_ants(scenario, cfg, grid, rng, learning=False)

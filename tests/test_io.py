@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from spikeants.agents import Ant, Heading
@@ -12,12 +14,13 @@ from spikeants.config import (
 )
 from spikeants.render import render_snapshot
 from spikeants.scenario import (
+    CHAR_TO_KIND,
     ScenarioError,
     parse_scenario,
     reference_scenario,
     serialize_scenario,
 )
-from spikeants.world import PatchKind, PheromoneField
+from spikeants.world import Grid, PatchKind, PheromoneField
 
 SMALL = """\
 width 5
@@ -100,6 +103,22 @@ class TestParseScenario:
         assert (grid.kind == PatchKind.HARM).sum() > 0
         assert grid.total_food() > 0
 
+    @pytest.mark.parametrize("name", ["training", "foraging"])
+    def test_build_grid_matches_per_cell_set_kind(self, name):
+        s = reference_scenario(name)
+        want = Grid(s.width, s.height)
+        for y, row in enumerate(s.rows):
+            for x, ch in enumerate(row):
+                kind = CHAR_TO_KIND[ch]
+                want.set_kind(x, y, kind, s.food_quantity if kind is PatchKind.FOOD else 0)
+        got = s.build_grid()
+        assert (got.kind == want.kind).all()
+        assert (got.food == want.food).all()
+
+    def test_build_grid_rejects_food_without_quantity(self):
+        with pytest.raises(ValueError, match="food_quantity"):
+            replace(parse_scenario(SMALL), food_quantity=0).build_grid()
+
     def test_round_trip_reference_scenarios(self):
         for name in ("training", "foraging"):
             s = reference_scenario(name)
@@ -139,10 +158,23 @@ class TestConfigFile:
         "neuron_threshold = -1",
         "neuron_refractory_ticks = 0",
         "circuit_np_tau = 0",
+        "circuit_nociceptor_refractory = 0",
+        "neuron_rest = nan",
+        "ant_deposit_amount_positive = nan",
+        "circuit_reflex_weight = nan",
+        "circuit_reflex_weight = -1",
+        "circuit_sense_amplitude = -2",
+        "circuit_drive_weight = inf",
+        "stdp_w_max = inf",
+        "evap_clear_threshold = inf",
     ], ids=["evap_rho_negative", "neuron_threshold", "neuron_refractory_ticks",
-            "circuit_np_tau"])
+            "circuit_np_tau", "circuit_nociceptor_refractory", "neuron_rest_nan",
+            "ant_deposit_amount_positive_nan", "circuit_reflex_weight_nan",
+            "circuit_reflex_weight_negative", "circuit_sense_amplitude_negative",
+            "circuit_drive_weight_inf", "stdp_w_max_inf", "evap_clear_threshold_inf"])
     def test_invalid_domain_value_rejected(self, line):
-        with pytest.raises(ConfigError):
+        key = line.split()[0]
+        with pytest.raises(ConfigError, match=f"^{key} "):
             parse_config(line + "\n")
 
     def test_reference_text_is_loadable(self):

@@ -1,10 +1,14 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spikeants.agents import Ant, Heading
+from spikeants.circuit import AntBrain
+from spikeants.render import ANT_COLOR, PALETTE, render_snapshot
 from spikeants.world import (
+    COLORS,
     Color,
     EvaporationConfig,
     Grid,
@@ -23,6 +27,68 @@ def color_of(kind=PatchKind.EMPTY, food=0, pos=0.0, neg=0.0, eps=EPS):
     g.positive[0, 0] = pos
     g.negative[0, 0] = neg
     return g.effective_color_at(0, 0)
+
+
+def documented_color(kind, negative, positive, eps):
+    """The color priority, written out: wall, food, negative, harm,
+    positive, black."""
+    if kind == PatchKind.WALL:
+        return Color.WHITE
+    if kind == PatchKind.FOOD:
+        return Color.GREEN
+    if negative >= eps:
+        return Color.RED
+    if kind == PatchKind.HARM:
+        return Color.RED
+    if positive >= eps:
+        return Color.GREEN
+    return Color.BLACK
+
+
+# Pheromone levels on both sides of the visibility threshold, and on it.
+AROUND_EPS = st.one_of(
+    st.sampled_from([0.0, math.nextafter(EPS, 0.0), EPS, math.nextafter(EPS, 1.0)]),
+    st.floats(min_value=0.0, max_value=2 * EPS))
+
+
+@st.composite
+def small_grids(draw):
+    w, h = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    g = Grid(w, h, clear_threshold=EPS)
+    for y in range(h):
+        for x in range(w):
+            g.kind[y, x] = draw(st.sampled_from(list(PatchKind)))
+            g.negative[y, x] = draw(AROUND_EPS)
+            g.positive[y, x] = draw(AROUND_EPS)
+    return g
+
+
+def cells(g):
+    return [(x, y) for y in range(g.height) for x in range(g.width)]
+
+
+class TestColorRule:
+    @given(small_grids())
+    def test_cell_and_grid_lookups_follow_the_priority(self, g):
+        colors = g.effective_colors()
+        for x, y in cells(g):
+            want = documented_color(g.kind[y, x], g.negative[y, x], g.positive[y, x], EPS)
+            assert g.effective_color_at(x, y) is want
+            assert COLORS[colors[y, x]] is want
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_render_paints_cell_colors_with_ants_on_top(self, data):
+        g = data.draw(small_grids())
+        brain = AntBrain(kickstart=False)
+        ants = [Ant(id=i, position=p, heading=Heading.NORTH, brain=brain)
+                for i, p in enumerate(data.draw(st.lists(st.sampled_from(cells(g)),
+                                                         max_size=3)))]
+        pixels = render_snapshot(g, ants).split(b"255\n", 1)[1]
+        on_ant = {ant.position for ant in ants}
+        for i, (x, y) in enumerate(cells(g)):
+            want = ANT_COLOR if (x, y) in on_ant else PALETTE[g.effective_color_at(x, y)]
+            assert tuple(pixels[3 * i:3 * i + 3]) == want
 
 
 class TestEffectiveColor:
