@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .circuit import ActuatorFrame, AntBrain, StimulusFrame
+from .circuit import AntBrain, StimulusFrame
 from .world import Color, Grid, PatchKind, PheromoneField
 
 
@@ -43,6 +43,8 @@ _VECTORS = {
 # heading draw in engine.build_ants indexes this tuple too, so reordering
 # Heading changes every seeded run.
 CLOCKWISE = tuple(Heading)
+# Colors that hurt an ant standing on them.
+_HARMFUL = (Color.WHITE, Color.RED)
 
 
 class SimPhase(Enum):
@@ -116,25 +118,9 @@ def perceive(grid: Grid, ant: Ant) -> StimulusFrame:
         front = grid.effective_color_at(fx, fy)
         if front is not Color.BLACK:
             smell = front
-    here = grid.effective_color_at(x, y)
-    pain = here in (Color.WHITE, Color.RED) or ant.pain_pending
+    pain = grid.effective_color_at(x, y) in _HARMFUL or ant.pain_pending
     reward = grid.kind.item(y, x) == PatchKind.FOOD
     return StimulusFrame(smell_ahead=smell, pain_contact=pain, reward_contact=reward)
-
-
-def deposit_actions(frame: ActuatorFrame, positive_deposit_remaining: int,
-                    ) -> tuple[bool, bool, int]:
-    """Pure deposition policy for one tick.
-
-    Positive pheromone is released while the post-food countdown runs;
-    negative pheromone follows the energy-counter neuron directly.
-    Returns (deposit_positive, deposit_negative, new_countdown).
-    """
-    deposit_positive = False
-    if positive_deposit_remaining > 0:
-        deposit_positive = True
-        positive_deposit_remaining -= 1
-    return deposit_positive, frame.emit_negative_pheromone, positive_deposit_remaining
 
 
 def step_ant(grid: Grid, ant: Ant, cfg: AntConfig, phase: SimPhase,
@@ -151,14 +137,11 @@ def step_ant(grid: Grid, ant: Ant, cfg: AntConfig, phase: SimPhase,
     # post-move cell would leave contacted food permanently uneaten.
     ate = 0
     if frame.reward_contact and act.emit_positive_pheromone:
-        cx, cy = ant.position
-        if grid.kind.item(cy, cx) == PatchKind.FOOD:
-            grid.consume_food(cx, cy, 1)
-            ate = 1
-            ant.positive_deposit_remaining = cfg.positive_deposit_ticks
+        grid.consume_food(*ant.position, 1)
+        ate = 1
+        ant.positive_deposit_remaining = cfg.positive_deposit_ticks
 
-    moved = blocked = rotated = False
-    reset = False
+    moved = blocked = rotated = reset = False
     if act.rotate:
         ant.heading = ant.heading.turned(cfg.rotate_direction)
         rotated = True
@@ -166,35 +149,32 @@ def step_ant(grid: Grid, ant: Ant, cfg: AntConfig, phase: SimPhase,
         x, y = ant.position
         dx, dy = ant.heading.vector
         tx, ty = x + dx, y + dy
-        if not grid.in_bounds(tx, ty):
-            # Open grid edge: treat like hitting the world boundary.
+        edge = not grid.in_bounds(tx, ty)
+        if edge or grid.kind.item(ty, tx) == PatchKind.WALL:
+            # An open grid edge counts as hitting the world boundary.
             blocked = True
             ant.pain_pending = True
-            if phase is SimPhase.TRAINING:
-                reset = True
-        elif grid.kind.item(ty, tx) == PatchKind.WALL:
-            blocked = True
-            ant.pain_pending = True
-            if phase is SimPhase.TRAINING and grid.is_boundary(tx, ty):
-                reset = True
+            reset = phase is SimPhase.TRAINING and (edge or grid.is_boundary(tx, ty))
         else:
             ant.position = (tx, ty)
             moved = True
 
+    # Positive pheromone is released while the post-food countdown runs;
+    # negative pheromone follows the energy-counter neuron directly.
+    counting_down = ant.positive_deposit_remaining > 0
+    if counting_down:
+        ant.positive_deposit_remaining -= 1
+    dep_pos = pheromone_enabled and counting_down
+    dep_neg = pheromone_enabled and act.emit_negative_pheromone
     x, y = ant.position
-    dep_pos, dep_neg, ant.positive_deposit_remaining = deposit_actions(
-        act, ant.positive_deposit_remaining)
-    if pheromone_enabled:
-        if dep_pos:
-            grid.deposit(x, y, PheromoneField.POSITIVE, cfg.deposit_amount_positive)
-        if dep_neg:
-            grid.deposit(x, y, PheromoneField.NEGATIVE, cfg.deposit_amount_negative)
-    else:
-        dep_pos = dep_neg = False
+    if dep_pos:
+        grid.deposit(x, y, PheromoneField.POSITIVE, cfg.deposit_amount_positive)
+    if dep_neg:
+        grid.deposit(x, y, PheromoneField.NEGATIVE, cfg.deposit_amount_negative)
 
     if phase is SimPhase.TRAINING and grid.is_boundary(*ant.position):
         reset = True
-        if grid.effective_color_at(*ant.position) in (Color.WHITE, Color.RED):
+        if grid.effective_color_at(*ant.position) in _HARMFUL:
             # Touching a harmful boundary still has to reach the senses
             # even though the pose snaps back before the next perceive.
             ant.pain_pending = True

@@ -195,22 +195,6 @@ def build_brain(net: Network, cfg: CircuitConfig, stdp: StdpConfig) -> BrainLayo
     return layout
 
 
-def actuate(layout: BrainLayout, events: Iterable[SpikeEvent]) -> ActuatorFrame:
-    """Fold spike events into motor/pheromone commands.
-
-    When forward and rotate both fired, rotate wins: avoidance dominates
-    locomotion.
-    """
-    fired = {ev.neuron for ev in events}
-    rotate = layout.motor_rotate in fired
-    return ActuatorFrame(
-        move_forward=layout.motor_forward in fired and not rotate,
-        rotate=rotate,
-        emit_positive_pheromone=layout.pheromone_positive in fired,
-        emit_negative_pheromone=layout.pheromone_negative in fired,
-    )
-
-
 class AntBrain:
     """One network plus its layout, with optional online plasticity.
 
@@ -300,7 +284,20 @@ class AntBrain:
         return events
 
     def actuate(self, events: Iterable[SpikeEvent]) -> ActuatorFrame:
-        return actuate(self.layout, events)
+        """Fold spike events into motor/pheromone commands.
+
+        When forward and rotate both fired, rotate wins: avoidance
+        dominates locomotion.
+        """
+        layout = self.layout
+        fired = {ev.neuron for ev in events}
+        rotate = layout.motor_rotate in fired
+        return ActuatorFrame(
+            move_forward=layout.motor_forward in fired and not rotate,
+            rotate=rotate,
+            emit_positive_pheromone=layout.pheromone_positive in fired,
+            emit_negative_pheromone=layout.pheromone_negative in fired,
+        )
 
     # -- trained-weight interchange --------------------------------------
 
@@ -356,7 +353,9 @@ def run_conditioning(brain: AntBrain,
     brain.learning = True
     try:
         for sched in schedules:
-            if abs(sched.stimulus_gap) >= brain.stdp_cfg.window_cutoff:
+            # The smell path is one synapse longer than the reflex path,
+            # so a pairing's arrival-to-spike lag is stimulus_gap - 1.
+            if abs(sched.stimulus_gap - 1) > brain.stdp_cfg.window_cutoff:
                 warnings.warn(
                     "stimulus gap reaches beyond the learning window; "
                     "no conditioning will occur", stacklevel=2)

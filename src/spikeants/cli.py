@@ -52,6 +52,8 @@ def _load_config(args) -> SimConfig:
     if getattr(args, "seed", None) is not None:
         cfg = replace(cfg, seed=args.seed)
     if getattr(args, "ticks", None) is not None:
+        if cfg.phase_schedule:
+            raise CliError("--ticks cannot override phase_schedule")
         cfg = replace(cfg, world_ticks=args.ticks)
     pher = getattr(args, "pheromone", None)
     if pher is not None:
@@ -157,13 +159,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     scenario_help = "scenario file, or @training / @foraging for the bundled ones"
 
-    def common(p, seed=True, ticks=True, config=True):
-        if config:
-            p.add_argument("--config", help="flat key=value config file")
-        if seed:
-            p.add_argument("--seed", type=int, help="override the run seed")
-        if ticks:
-            p.add_argument("--ticks", type=int, help="override world_ticks")
+    def common(p):
+        p.add_argument("--config", help="flat key=value config file")
+        p.add_argument("--seed", type=int, help="override the run seed")
+        p.add_argument("--ticks", type=int, help="override world_ticks")
 
     p = sub.add_parser("train", help="train one ant, export weights")
     p.add_argument("--scenario", required=True, help=scenario_help)

@@ -31,7 +31,8 @@ class SimConfig:
     n_ants: int = 0  # 0 -> take the ant count from the scenario
     pheromone_enabled: bool = True
     learn_during_foraging: bool = False
-    # Empty means a single foraging phase of world_ticks.
+    # A set schedule is the whole run; empty means a single foraging
+    # phase of world_ticks.
     phase_schedule: tuple[tuple[SimPhase, int], ...] = ()
     stdp: StdpConfig = field(default_factory=StdpConfig)
     evaporation: EvaporationConfig = field(default_factory=EvaporationConfig)
@@ -39,6 +40,8 @@ class SimConfig:
     circuit: CircuitConfig = field(default_factory=CircuitConfig)
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         if self.world_ticks < 1:
             raise ConfigError("world_ticks must be positive")
         if self.n_ants < 0:
@@ -88,7 +91,6 @@ _KEYS: dict[str, tuple[Optional[str], str, Callable[[str], Any]]] = {
     "stdp_tau_minus": ("stdp", "tau_minus", float),
     "stdp_w_min": ("stdp", "w_min", float),
     "stdp_w_max": ("stdp", "w_max", float),
-    "stdp_window_cutoff": ("stdp", "window_cutoff", int),
     "evap_rho_positive": ("evaporation", "rho_positive", float),
     "evap_rho_negative": ("evaporation", "rho_negative", float),
     "evap_clear_threshold": ("evaporation", "clear_threshold", float),

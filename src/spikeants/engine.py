@@ -127,8 +127,8 @@ def _execute(cfg: SimConfig, scenario: Scenario,
 
     grid = scenario.build_grid(clear_threshold=cfg.evaporation.clear_threshold)
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    ants = build_ants(scenario, cfg, grid, rng,
-                      learning=_learning_for(schedule[0][0], cfg))
+    # The phase loop sets learning before each phase's first step.
+    ants = build_ants(scenario, cfg, grid, rng, learning=False)
     if weights is not None:
         for ant in ants:
             ant.brain.set_weights(weights)
@@ -139,7 +139,7 @@ def _execute(cfg: SimConfig, scenario: Scenario,
     reset_total = 0
     tick = 0
     for phase, phase_ticks in schedule:
-        learning = _learning_for(phase, cfg)
+        learning = phase is SimPhase.TRAINING or cfg.learn_during_foraging
         # Stigmergy belongs to the collective foraging stage; an ant in
         # conditioning would only poison its own arena with deposits.
         deposition = cfg.pheromone_enabled and phase is not SimPhase.TRAINING
@@ -163,12 +163,6 @@ def _execute(cfg: SimConfig, scenario: Scenario,
     return metrics, ants
 
 
-def _learning_for(phase: SimPhase, cfg: SimConfig) -> bool:
-    if phase is SimPhase.TRAINING:
-        return True
-    return cfg.learn_during_foraging
-
-
 def run(cfg: SimConfig, scenario: Scenario,
         weights: Optional[dict[tuple[Color, str], float]] = None,
         frame_hook=None) -> Metrics:
@@ -188,9 +182,12 @@ def run_training(cfg: SimConfig, scenario: Scenario,
                  ) -> tuple[dict[tuple[Color, str], float], Metrics]:
     """Train a single embodied ant; returns its weights and the metrics.
 
-    The scenario must hold both harmful and rewarding patches, otherwise
-    there is nothing to condition on.
+    The run lasts `world_ticks`, so a config that sets a phase_schedule
+    is rejected. The scenario must hold both harmful and rewarding
+    patches, otherwise there is nothing to condition on.
     """
+    if cfg.phase_schedule:
+        raise SimulationError("training runs last world_ticks and take no phase_schedule")
     kinds = "".join(scenario.rows)
     if "R" not in kinds and "#" not in kinds:
         raise SimulationError("training scenario has no harmful patches")

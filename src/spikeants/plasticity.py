@@ -14,7 +14,7 @@ times already include the synaptic transmission delay.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from .snn import Synapse
@@ -37,7 +37,9 @@ class StdpConfig:
     # conditioned pathway is exactly strong enough to act as a reflex,
     # which is also where the self-limiting conditioning dynamics settle.
     w_max: float = 1.0
-    window_cutoff: int = 0  # 0 -> derived as 5 * max(tau_plus, tau_minus)
+    # Reach of the window in ticks, always derived from the time constants
+    # (5 * max(tau_plus, tau_minus)), so dataclasses.replace derives it again.
+    window_cutoff: int = field(init=False)
 
     def __post_init__(self):
         for name in ("a_plus", "a_minus", "tau_plus", "tau_minus"):
@@ -49,11 +51,8 @@ class StdpConfig:
             raise ValueError("w_max must be finite")
         if not self.w_min < self.w_max:
             raise ValueError("w_min must be below w_max")
-        if self.window_cutoff == 0:
-            object.__setattr__(self, "window_cutoff",
-                               int(math.ceil(5 * max(self.tau_plus, self.tau_minus))))
-        if self.window_cutoff < 1:
-            raise ValueError("window_cutoff must be positive")
+        object.__setattr__(self, "window_cutoff",
+                           math.ceil(5 * max(self.tau_plus, self.tau_minus)))
 
 
 def stdp_window(delta_t: float, cfg: StdpConfig) -> float:

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .agents import Heading
-from .world import Grid, PatchKind
+from .world import EvaporationConfig, Grid, PatchKind
 
 CHAR_TO_KIND = {
     "#": PatchKind.WALL,
@@ -54,7 +54,7 @@ class Scenario:
     spawns: tuple[tuple[int, int, Heading], ...]  # (x, y, heading)
     random_ants: int = 0
 
-    def build_grid(self, clear_threshold: float = 0.05) -> Grid:
+    def build_grid(self, clear_threshold: float = EvaporationConfig.clear_threshold) -> Grid:
         grid = Grid(self.width, self.height, clear_threshold=clear_threshold)
         cells = np.frombuffer("".join(self.rows).encode("ascii"), dtype=np.uint8)
         grid.kind[:] = _KIND_OF_BYTE[cells].reshape(self.height, self.width)
@@ -146,23 +146,22 @@ def parse_scenario(text: str) -> Scenario:
                 raise ScenarioError(f"unknown cell character '{ch}'",
                                     line=line_no, column=x + 1)
             if ch == "A":
-                spawns.append((x, y, Heading.NORTH))  # heading patched below
+                idx = len(spawns)
+                if idx not in headings:
+                    raise ScenarioError(f"missing heading for spawn {idx}",
+                                        line=line_no, column=x + 1)
+                spawns.append((x, y, headings[idx]))
                 cells.append(".")
             else:
                 cells.append(ch)
         rows.append("".join(cells))
 
-    resolved: list[tuple[int, int, Heading]] = []
-    for idx, (x, y, _) in enumerate(spawns):
-        if idx not in headings:
-            raise ScenarioError(f"missing heading for spawn {idx}")
-        resolved.append((x, y, headings[idx]))
     extras = set(headings) - set(range(len(spawns)))
     if extras:
         raise ScenarioError(f"heading given for nonexistent spawn {min(extras)}")
 
     return Scenario(width=width, height=height, food_quantity=food_quantity,
-                    rows=tuple(rows), spawns=tuple(resolved),
+                    rows=tuple(rows), spawns=tuple(spawns),
                     random_ants=random_ants)
 
 

@@ -98,9 +98,6 @@ class Network:
         self.pending_pulses: dict[int, list[tuple[int, float]]] = {}
         self._outgoing: list[list[Synapse]] = []
 
-    def __len__(self) -> int:
-        return len(self.params)
-
     def create_neuron(self, params: NeuronParams) -> int:
         """Add a neuron at rest in the open phase; returns its id."""
         self.params.append(params)

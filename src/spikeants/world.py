@@ -67,7 +67,8 @@ class Grid:
     between ticks may be shared freely.
     """
 
-    def __init__(self, width: int, height: int, clear_threshold: float = 0.05):
+    def __init__(self, width: int, height: int,
+                 clear_threshold: float = EvaporationConfig.clear_threshold):
         if width < 1 or height < 1:
             raise ValueError("grid dimensions must be positive")
         self.width = width
@@ -77,7 +78,6 @@ class Grid:
         self.food = np.zeros((height, width), dtype=np.int64)
         self.positive = np.zeros((height, width), dtype=np.float64)
         self.negative = np.zeros((height, width), dtype=np.float64)
-        self.wall_deposit_attempts = 0
 
     # -- cell access ---------------------------------------------------
 
@@ -120,14 +120,12 @@ class Grid:
     def deposit(self, x: int, y: int, fieldkind: PheromoneField, amount: float):
         """Add pheromone to one cell; deposits accumulate additively.
 
-        Attempts on wall cells are ignored, except for a diagnostic
-        counter.
+        Attempts on wall cells are ignored.
         """
         self._check(x, y)
         if amount < 0:
             raise ValueError("deposit amount must be non-negative")
         if self.kind.item(y, x) == PatchKind.WALL:
-            self.wall_deposit_attempts += 1
             return
         if fieldkind is PheromoneField.POSITIVE:
             self.positive[y, x] += amount

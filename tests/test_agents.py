@@ -1,3 +1,4 @@
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -6,7 +7,6 @@ from spikeants.agents import (
     AntConfig,
     Heading,
     SimPhase,
-    deposit_actions,
     perceive,
     step_ant,
 )
@@ -152,20 +152,31 @@ class TestMovementRules:
 
 class TestDepositPolicy:
     def test_counter_spike_routes_one_negative_deposit(self):
-        dep_pos, dep_neg, rem = deposit_actions(
-            ActuatorFrame(emit_negative_pheromone=True), 0)
-        assert (dep_pos, dep_neg, rem) == (False, True, 0)
+        g = walled_grid()
+        ant = scripted_ant((5, 5), Heading.EAST,
+                           [ActuatorFrame(emit_negative_pheromone=True)])
+        ev = step_ant(g, ant, CFG, SimPhase.FORAGING)
+        assert (ev.deposited_positive, ev.deposited_negative) == (False, True)
+        assert ant.positive_deposit_remaining == 0
+        assert g.negative[5, 5] == CFG.deposit_amount_negative
+        assert np.count_nonzero(g.negative) == 1 and not g.positive.any()
 
     def test_countdown_emits_exactly_t_pos_deposits(self):
-        rem = 5
-        emitted = 0
-        for _ in range(10):
-            dep_pos, _, rem = deposit_actions(ActuatorFrame(), rem)
-            emitted += dep_pos
-        assert emitted == 5 and rem == 0
+        g = walled_grid()
+        ant = scripted_ant((5, 5), Heading.EAST, [], positive_deposit_remaining=5)
+        emitted = sum(step_ant(g, ant, CFG, SimPhase.FORAGING).deposited_positive
+                      for _ in range(10))
+        assert emitted == 5 and ant.positive_deposit_remaining == 0
+        assert g.positive[5, 5] == 5 * CFG.deposit_amount_positive
+        assert np.count_nonzero(g.positive) == 1 and not g.negative.any()
 
     def test_no_events_no_deposits(self):
-        assert deposit_actions(ActuatorFrame(), 0) == (False, False, 0)
+        g = walled_grid()
+        ant = scripted_ant((5, 5), Heading.EAST, [ActuatorFrame()])
+        ev = step_ant(g, ant, CFG, SimPhase.FORAGING)
+        assert not ev.deposited_positive and not ev.deposited_negative
+        assert ant.positive_deposit_remaining == 0
+        assert not g.positive.any() and not g.negative.any()
 
 
 class TestEmbodiedBehaviour:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import pytest
 
@@ -11,7 +12,6 @@ from spikeants.circuit import (
     ConditioningSchedule,
     SMELLS,
     StimulusFrame,
-    actuate,
     format_weights,
     parse_weights,
     run_conditioning,
@@ -170,23 +170,22 @@ class TestSense:
 
 
 class TestActuate:
-    def layout(self):
-        return AntBrain(kickstart=False).layout
-
     def test_forward_only(self):
-        lay = self.layout()
-        frame = actuate(lay, [SpikeEvent(lay.motor_forward, 1)])
+        brain = AntBrain(kickstart=False)
+        lay = brain.layout
+        frame = brain.actuate([SpikeEvent(lay.motor_forward, 1)])
         assert frame == ActuatorFrame(move_forward=True)
 
     def test_rotate_wins_over_forward(self):
-        lay = self.layout()
-        frame = actuate(lay, [SpikeEvent(lay.motor_forward, 1),
-                              SpikeEvent(lay.motor_rotate, 1)])
+        brain = AntBrain(kickstart=False)
+        lay = brain.layout
+        frame = brain.actuate([SpikeEvent(lay.motor_forward, 1),
+                               SpikeEvent(lay.motor_rotate, 1)])
         assert frame.rotate and not frame.move_forward
 
     def test_positive_pheromone_without_movement(self):
-        lay = self.layout()
-        frame = actuate(lay, [SpikeEvent(lay.pheromone_positive, 1)])
+        brain = AntBrain(kickstart=False)
+        frame = brain.actuate([SpikeEvent(brain.layout.pheromone_positive, 1)])
         assert frame == ActuatorFrame(emit_positive_pheromone=True)
 
 
@@ -255,7 +254,27 @@ class TestConditioning:
         with pytest.warns(UserWarning, match="learning window"):
             run_conditioning(
                 brain, ConditioningSchedule(Color.WHITE, "pain", 1,
-                                            stimulus_gap=wide, trial_gap=wide + 5))
+                                            stimulus_gap=wide + 2, trial_gap=wide + 5))
+
+    # The smell path is one synapse longer than the reflex path, so the
+    # arrival-to-spike lag is stimulus_gap - 1: gaps cutoff + 1 and
+    # -(cutoff - 1) still pair within the window, cutoff + 2 and -cutoff
+    # do not.
+    @pytest.mark.parametrize("sign, shift, conditions", [
+        (1, 1, True), (-1, 1, True), (1, 2, False), (-1, 0, False)],
+        ids=["cutoff_plus_1", "minus_cutoff_plus_1", "cutoff_plus_2", "minus_cutoff"])
+    def test_warning_marks_the_window_edge(self, sign, shift, conditions):
+        brain = AntBrain(kickstart=False)
+        cutoff = brain.stdp_cfg.window_cutoff
+        gap = sign * cutoff + shift
+        schedule = ConditioningSchedule(Color.WHITE, "pain", 5, stimulus_gap=gap,
+                                        trial_gap=cutoff + 5)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = run_conditioning(brain, schedule)
+        assert bool(caught) is not conditions
+        moved = report[(Color.WHITE, MOTOR_ROTATE)] != pytest.approx(0.1)
+        assert moved is conditions
 
 
 class TestLearningBookkeeping:

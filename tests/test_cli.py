@@ -111,6 +111,12 @@ class TestValidate:
         assert main(["validate", "--scenario", "@foraging", "--config", str(cfg)]) == 1
         assert "not enough empty cells for random spawns" in capsys.readouterr().err
 
+    def test_negative_seed_rejected(self, arena, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("seed = -1\n")
+        assert main(["validate", "--scenario", str(arena), "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == "error: seed must be non-negative\n"
+
 
 class TestRunCommand:
     def test_writes_csv_and_json(self, arena, tmp_path):
@@ -166,6 +172,16 @@ class TestRunCommand:
                      "--frames-dir", str(tmp_path / "frames"), "--frame-every", "0"])
         assert code == 1
         assert capsys.readouterr().err == "error: --frame-every must be at least 1\n"
+        assert not out.exists()
+
+    def test_ticks_cannot_override_schedule(self, arena, tmp_path, capsys):
+        cfg = tmp_path / "ps.cfg"
+        cfg.write_text("phase_schedule = foraging:30\n")
+        out = tmp_path / "out.csv"
+        code = main(["run", "--scenario", str(arena), "--out-csv", str(out),
+                     "--config", str(cfg), "--ticks", "5"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: --ticks cannot override phase_schedule\n"
         assert not out.exists()
 
 

@@ -193,6 +193,11 @@ class TestRunTraining:
         with pytest.raises(SimulationError, match="exactly one ant"):
             run_training(small_cfg(), parse_scenario(text))
 
+    def test_rejects_phase_schedule(self):
+        cfg = small_cfg(phase_schedule=((SimPhase.TRAINING, 30),))
+        with pytest.raises(SimulationError, match="phase_schedule"):
+            run_training(cfg, parse_scenario(TRAIN_ARENA))
+
 
 class TestCompare:
     def test_identical_initial_state(self):

@@ -63,7 +63,8 @@ class TestParseScenario:
 
     def test_missing_heading_rejected(self):
         text = "width 3\nheight 1\nmap\n#A#\n"
-        with pytest.raises(ScenarioError, match="missing heading for spawn 0"):
+        with pytest.raises(ScenarioError,
+                           match=r"missing heading for spawn 0 \(line 4, column 2\)"):
             parse_scenario(text)
 
     def test_duplicate_heading_rejected(self):
@@ -136,6 +137,13 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="unknown key 'ant_speed'"):
             parse_config("ant_speed = 3\n")
 
+    def test_window_cutoff_is_not_a_key(self):
+        with pytest.raises(ConfigError, match="unknown key 'stdp_window_cutoff'"):
+            parse_config("stdp_window_cutoff = 100\n")
+
+    def test_window_cutoff_follows_tau(self):
+        assert parse_config("stdp_tau_plus = 40\n").stdp.window_cutoff == 200
+
     def test_values_and_comments(self):
         cfg = parse_config("""
             # overrides
@@ -167,11 +175,13 @@ class TestConfigFile:
         "circuit_drive_weight = inf",
         "stdp_w_max = inf",
         "evap_clear_threshold = inf",
+        "seed = -1",
     ], ids=["evap_rho_negative", "neuron_threshold", "neuron_refractory_ticks",
             "circuit_np_tau", "circuit_nociceptor_refractory", "neuron_rest_nan",
             "ant_deposit_amount_positive_nan", "circuit_reflex_weight_nan",
             "circuit_reflex_weight_negative", "circuit_sense_amplitude_negative",
-            "circuit_drive_weight_inf", "stdp_w_max_inf", "evap_clear_threshold_inf"])
+            "circuit_drive_weight_inf", "stdp_w_max_inf", "evap_clear_threshold_inf",
+            "seed_negative"])
     def test_invalid_domain_value_rejected(self, line):
         key = line.split()[0]
         with pytest.raises(ConfigError, match=f"^{key} "):

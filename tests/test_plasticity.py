@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -70,6 +71,13 @@ class TestConfig:
     def test_default_cutoff_is_five_tau(self):
         cfg = StdpConfig(tau_plus=10.0, tau_minus=30.0)
         assert cfg.window_cutoff == 150
+
+    def test_replace_derives_cutoff_again(self):
+        assert replace(StdpConfig(), tau_minus=30).window_cutoff == 150
+
+    def test_cutoff_is_not_an_argument(self):
+        with pytest.raises(TypeError):
+            StdpConfig(window_cutoff=100)
 
 
 class TestOnPostSpike:

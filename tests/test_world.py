@@ -135,7 +135,6 @@ class TestDeposit:
         g.set_kind(1, 1, PatchKind.WALL)
         g.deposit(1, 1, PheromoneField.NEGATIVE, 1.0)
         assert g.negative[1, 1] == 0.0
-        assert g.wall_deposit_attempts == 1
 
     def test_negative_deposit_turns_cell_red(self):
         g = Grid(5, 5, clear_threshold=EPS)
