@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional, Sequence
 
 from .plasticity import StdpConfig, on_post_spike, on_pre_spike
-from .snn import Network, NeuronParams, NeuronPhase, Sign, SpikeEvent, ValidationError
+from .snn import Network, NeuronParams, Sign, SpikeEvent, ValidationError
 from .world import Color
 
 MOTOR_FORWARD = "forward"
@@ -46,6 +46,14 @@ class CircuitConfig:
     firing_threshold: float = 1.0
     refractory_potential: float = -1.0
     refractory_ticks: int = 2
+    # Derived in __post_init__, so dataclasses.replace derives them again:
+    # the base cell, the nociceptor (own dead time), the energy counter (own
+    # membrane time constant), and the pacemaker->counter weight with which
+    # exactly np_pulse_count pulses, decaying in between, reach threshold.
+    base_params: NeuronParams = field(init=False)
+    nociceptor_params: NeuronParams = field(init=False)
+    counter_params: NeuronParams = field(init=False)
+    counter_weight: float = field(init=False)
 
     def __post_init__(self):
         # Each message names this config's own field, never a field of
@@ -73,14 +81,6 @@ class CircuitConfig:
             raise ValidationError("np_pulse_count must be at least 1")
         # What is left to NeuronParams is the order of the three
         # potentials, whose field names match this config's.
-        self.neuron_params()
-
-    def neuron_params(self) -> tuple[NeuronParams, NeuronParams, NeuronParams]:
-        """(base, nociceptor, energy counter) cell parameters.
-
-        The nociceptor differs from the base only in its dead time, the
-        counter only in its membrane time constant.
-        """
         base = NeuronParams(
             resting_potential=self.resting_potential,
             firing_threshold=self.firing_threshold,
@@ -88,8 +88,15 @@ class CircuitConfig:
             refractory_duration=self.refractory_ticks,
             decay_time_constant=self.membrane_tau,
         )
-        return (base, replace(base, refractory_duration=self.nociceptor_refractory),
-                replace(base, decay_time_constant=self.np_tau))
+        per_period = math.exp(-1.0 / self.np_tau) ** self.pacemaker_period
+        geometric = sum(per_period ** i for i in range(self.np_pulse_count))
+        object.__setattr__(self, "base_params", base)
+        object.__setattr__(self, "nociceptor_params",
+                           replace(base, refractory_duration=self.nociceptor_refractory))
+        object.__setattr__(self, "counter_params",
+                           replace(base, decay_time_constant=self.np_tau))
+        object.__setattr__(self, "counter_weight",
+                           self.firing_threshold / geometric * (1.0 + 1e-9))
 
 
 @dataclass(frozen=True)
@@ -125,76 +132,6 @@ class BrainLayout:
     plastic_synapses: dict[tuple[Color, str], int] = field(default_factory=dict)
 
 
-def build_brain(net: Network, cfg: CircuitConfig, stdp: StdpConfig) -> BrainLayout:
-    """Instantiate the full circuit in `net` and return the role map."""
-    base, nociceptor_params, counter_params = cfg.neuron_params()
-
-    receptors = {smell: net.create_neuron(base) for smell in SMELLS}
-    afferents = {smell: net.create_neuron(base) for smell in SMELLS}
-    nociceptor = net.create_neuron(nociceptor_params)
-    reward = net.create_neuron(base)
-    motor_forward = net.create_neuron(base)
-    motor_rotate = net.create_neuron(base)
-    pacemaker_a = net.create_neuron(base)
-    pacemaker_b = net.create_neuron(base)
-    kickstart = net.create_neuron(base)
-    pheromone_positive = net.create_neuron(base)
-    pheromone_negative = net.create_neuron(counter_params)
-
-    layout = BrainLayout(
-        olfactory_receptors=receptors,
-        afferents=afferents,
-        nociceptor=nociceptor,
-        reward_sensor=reward,
-        motor_forward=motor_forward,
-        motor_rotate=motor_rotate,
-        pacemaker_a=pacemaker_a,
-        pacemaker_b=pacemaker_b,
-        kickstart=kickstart,
-        pheromone_positive=pheromone_positive,
-        pheromone_negative=pheromone_negative,
-    )
-
-    w_fix = cfg.reflex_weight
-    # Each receptor drives exactly one afferent.
-    for smell in SMELLS:
-        net.connect(receptors[smell], afferents[smell], w_fix, Sign.EXCITATORY, 1)
-
-    # Conditionable pathways, initialized too weak to move anything.
-    w_init = cfg.plastic_init_fraction * stdp.w_max
-    for smell in SMELLS:
-        sid = net.connect(afferents[smell], motor_forward, w_init,
-                          Sign.EXCITATORY, 1, plastic=True)
-        layout.plastic_synapses[(smell, MOTOR_FORWARD)] = sid
-        sid = net.connect(afferents[smell], motor_rotate, w_init,
-                          Sign.EXCITATORY, 1, plastic=True)
-        layout.plastic_synapses[(smell, MOTOR_ROTATE)] = sid
-
-    # Unconditioned reflexes.
-    net.connect(nociceptor, motor_rotate, w_fix, Sign.EXCITATORY, 1)
-    net.connect(reward, motor_forward, w_fix, Sign.EXCITATORY, 1)
-    net.connect(reward, pheromone_positive, w_fix, Sign.EXCITATORY, 1)
-
-    # Pacemaker loop; the two delays sum to the configured period.
-    half = cfg.pacemaker_period // 2
-    net.connect(pacemaker_a, pacemaker_b, w_fix, Sign.EXCITATORY, half)
-    net.connect(pacemaker_b, pacemaker_a, w_fix, Sign.EXCITATORY,
-                cfg.pacemaker_period - half)
-    net.connect(kickstart, pacemaker_a, w_fix, Sign.EXCITATORY, 1)
-    net.connect(pacemaker_a, motor_forward, cfg.drive_weight, Sign.EXCITATORY, 1)
-
-    # Energy-consumption counter: sized so that exactly np_pulse_count
-    # pacemaker pulses (with the decay seen between them) reach threshold.
-    per_tick = math.exp(-1.0 / cfg.np_tau)
-    per_period = per_tick ** cfg.pacemaker_period
-    geometric = sum(per_period ** i for i in range(cfg.np_pulse_count))
-    counter_weight = cfg.firing_threshold / geometric * (1.0 + 1e-9)
-    net.connect(pacemaker_a, pheromone_negative, counter_weight, Sign.EXCITATORY, 1)
-    net.connect(reward, pheromone_negative, cfg.np_inhibit_weight, Sign.INHIBITORY, 1)
-
-    return layout
-
-
 class AntBrain:
     """One network plus its layout, with optional online plasticity.
 
@@ -205,11 +142,65 @@ class AntBrain:
     def __init__(self, circuit_cfg: CircuitConfig = CircuitConfig(),
                  stdp_cfg: StdpConfig = StdpConfig(),
                  learning: bool = False, kickstart: bool = True):
-        self.circuit_cfg = circuit_cfg
+        self.circuit_cfg = cfg = circuit_cfg
         self.stdp_cfg = stdp_cfg
         self.learning = learning
-        self.net = Network()
-        self.layout = build_brain(self.net, circuit_cfg, stdp_cfg)
+        self.net = net = Network()
+        base = cfg.base_params
+        # Neuron ids follow the order of the arguments.
+        self.layout = layout = BrainLayout(
+            olfactory_receptors={smell: net.create_neuron(base) for smell in SMELLS},
+            afferents={smell: net.create_neuron(base) for smell in SMELLS},
+            nociceptor=net.create_neuron(cfg.nociceptor_params),
+            reward_sensor=net.create_neuron(base),
+            motor_forward=net.create_neuron(base),
+            motor_rotate=net.create_neuron(base),
+            pacemaker_a=net.create_neuron(base),
+            pacemaker_b=net.create_neuron(base),
+            kickstart=net.create_neuron(base),
+            pheromone_positive=net.create_neuron(base),
+            pheromone_negative=net.create_neuron(cfg.counter_params),
+        )
+
+        w_fix = cfg.reflex_weight
+        # Each receptor drives exactly one afferent.
+        for smell in SMELLS:
+            net.connect(layout.olfactory_receptors[smell], layout.afferents[smell],
+                        w_fix, Sign.EXCITATORY, 1)
+
+        # Conditionable pathways, initialized too weak to move anything,
+        # indexed by post and by pre neuron for the STDP bookkeeping.
+        self._plastic_in: dict[int, list[int]] = {}
+        self._plastic_out: dict[int, list[int]] = {}
+        w_init = cfg.plastic_init_fraction * stdp_cfg.w_max
+        for smell in SMELLS:
+            pre = layout.afferents[smell]
+            for motor, post in ((MOTOR_FORWARD, layout.motor_forward),
+                                (MOTOR_ROTATE, layout.motor_rotate)):
+                sid = net.connect(pre, post, w_init, Sign.EXCITATORY, 1, plastic=True)
+                layout.plastic_synapses[(smell, motor)] = sid
+                self._plastic_in.setdefault(post, []).append(sid)
+                self._plastic_out.setdefault(pre, []).append(sid)
+
+        excite, inhibit = Sign.EXCITATORY, Sign.INHIBITORY
+        half = cfg.pacemaker_period // 2
+        for pre, post, weight, sign, delay in (
+                # Unconditioned reflexes.
+                (layout.nociceptor, layout.motor_rotate, w_fix, excite, 1),
+                (layout.reward_sensor, layout.motor_forward, w_fix, excite, 1),
+                (layout.reward_sensor, layout.pheromone_positive, w_fix, excite, 1),
+                # Pacemaker loop; the two delays sum to the configured period.
+                (layout.pacemaker_a, layout.pacemaker_b, w_fix, excite, half),
+                (layout.pacemaker_b, layout.pacemaker_a, w_fix, excite,
+                 cfg.pacemaker_period - half),
+                (layout.kickstart, layout.pacemaker_a, w_fix, excite, 1),
+                (layout.pacemaker_a, layout.motor_forward, cfg.drive_weight, excite, 1),
+                # Energy-consumption counter, which reward inhibits.
+                (layout.pacemaker_a, layout.pheromone_negative, cfg.counter_weight, excite, 1),
+                (layout.reward_sensor, layout.pheromone_negative, cfg.np_inhibit_weight,
+                 inhibit, 1)):
+            net.connect(pre, post, weight, sign, delay)
+
         # Recent firing ticks per plastic post neuron and, per plastic
         # synapse, the arrival ticks its post membrane actually integrated.
         # Created on first use: a brain that never learns holds none.
@@ -217,14 +208,8 @@ class AntBrain:
         self._arrival_ticks: dict[int, deque[int]] = defaultdict(deque)
         # delivery tick -> plastic synapses whose pulse lands then
         self._arrivals: dict[int, list[int]] = {}
-        self._plastic_in: dict[int, list[int]] = {}
-        self._plastic_out: dict[int, list[int]] = {}
-        for sid in self.layout.plastic_synapses.values():
-            syn = self.net.synapses[sid]
-            self._plastic_in.setdefault(syn.post, []).append(sid)
-            self._plastic_out.setdefault(syn.pre, []).append(sid)
         if kickstart:
-            self.net.inject_pulse(self.layout.kickstart, circuit_cfg.sense_amplitude)
+            net.inject_pulse(layout.kickstart, cfg.sense_amplitude)
 
     def sense(self, frame: StimulusFrame):
         """Inject suprathreshold pulses for everything the frame reports."""
@@ -253,7 +238,7 @@ class AntBrain:
         # Decided before the step: a post that is refractory now discards
         # whatever lands on it this tick.
         accepted = [sid for sid in self._arrivals.pop(net.current_tick + 1, ())
-                    if net.states[net.synapses[sid].post].phase is not NeuronPhase.REFRACTORY]
+                    if not net.states[net.synapses[sid].post].refractory_remaining]
         events = net.step()
         t = net.current_tick
         stdp = self.stdp_cfg

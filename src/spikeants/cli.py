@@ -22,10 +22,10 @@ from pathlib import Path
 from typing import Optional
 
 from .circuit import format_weights, parse_weights, trained_reference_weights
-from .config import ConfigError, SimConfig, config_reference_text, parse_config
-from .engine import SimulationError, ant_count, compare, run, run_training
+from .config import SimConfig, config_reference_text, parse_config
+from .engine import ant_count, compare, run, run_training
 from .render import render_snapshot
-from .scenario import ScenarioError, parse_scenario, reference_scenario
+from .scenario import parse_scenario, reference_scenario
 
 
 class CliError(Exception):
@@ -219,8 +219,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # Every --out-* file must lie in an existing directory: check before any run.
+        for dest, path in vars(args).items():
+            if dest.startswith("out_") and path and not Path(path).parent.is_dir():
+                raise CliError(f"cannot write {path}: no such directory")
         return args.func(args)
-    except (CliError, ScenarioError, ConfigError, SimulationError, ValueError) as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

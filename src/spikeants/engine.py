@@ -37,7 +37,6 @@ class Metrics:
     pos_cells: list[int] = field(default_factory=list)
     harm_contacts: list[int] = field(default_factory=list)      # cumulative
     boundary_resets: list[int] = field(default_factory=list)    # cumulative
-    boundary_reset_ticks: list[int] = field(default_factory=list)
     food_consumed: int = 0
 
     CSV_HEADER = "tick,total_food,neg_cells,pos_cells,harm_contacts,boundary_resets"
@@ -49,6 +48,11 @@ class Metrics:
         self.pos_cells.append(grid.positive_cell_count())
         self.harm_contacts.append(harm_total)
         self.boundary_resets.append(reset_total)
+
+    @property
+    def boundary_reset_ticks(self) -> list[int]:
+        """Each sampled tick, listed once per boundary reset that fell on it."""
+        return np.repeat(self.ticks, np.diff(self.boundary_resets, prepend=0)).tolist()
 
     def to_csv_text(self) -> str:
         lines = [self.CSV_HEADER]
@@ -154,7 +158,6 @@ def _execute(cfg: SimConfig, scenario: Scenario,
                     harm_total += 1
                 if ev.boundary_reset:
                     reset_total += 1
-                    metrics.boundary_reset_ticks.append(tick)
                 metrics.food_consumed += ev.ate
             grid.evaporate_step(cfg.evaporation)
             metrics.sample(tick, grid, harm_total, reset_total)

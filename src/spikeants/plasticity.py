@@ -51,6 +51,9 @@ class StdpConfig:
             raise ValueError("w_max must be finite")
         if not self.w_min < self.w_max:
             raise ValueError("w_min must be below w_max")
+        for name in ("tau_plus", "tau_minus"):
+            if not 5 * getattr(self, name) < math.inf:
+                raise ValueError(f"{name} is too large: 5 * {name} must be finite")
         object.__setattr__(self, "window_cutoff",
                            math.ceil(5 * max(self.tau_plus, self.tau_minus)))
 

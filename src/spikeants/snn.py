@@ -60,8 +60,12 @@ class NeuronParams:
 @dataclass
 class NeuronState:
     membrane_potential: float
-    phase: NeuronPhase = NeuronPhase.OPEN
+    # Ticks of dead time left; the neuron is refractory while this is positive.
     refractory_remaining: int = 0
+
+    @property
+    def phase(self) -> NeuronPhase:
+        return NeuronPhase.REFRACTORY if self.refractory_remaining else NeuronPhase.OPEN
 
 
 @dataclass
@@ -149,11 +153,10 @@ class Network:
         events: list[SpikeEvent] = []
         for i, state in enumerate(self.states):
             p = self.params[i]
-            if state.phase is NeuronPhase.REFRACTORY:
+            if state.refractory_remaining:
                 # Arriving pulses are neglected while refractory.
                 state.refractory_remaining -= 1
                 if state.refractory_remaining == 0:
-                    state.phase = NeuronPhase.OPEN
                     state.membrane_potential = p.resting_potential
                 continue
             u = p.resting_potential + (
@@ -164,7 +167,6 @@ class Network:
             if u >= p.firing_threshold:
                 events.append(SpikeEvent(i, t))
                 state.membrane_potential = p.refractory_potential
-                state.phase = NeuronPhase.REFRACTORY
                 state.refractory_remaining = p.refractory_duration
                 for syn in self._outgoing[i]:
                     amp = -syn.weight if syn.sign is Sign.INHIBITORY else syn.weight

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import pytest
 
@@ -54,6 +55,53 @@ class TestBuildBrain:
             CircuitConfig(pacemaker_period=1)
         with pytest.raises(ValidationError, match="exceed the refractory"):
             CircuitConfig(pacemaker_period=2, refractory_ticks=2)
+
+
+class TestDerivedConstants:
+    def counter_synapse(self, brain):
+        lay = brain.layout
+        return next(s for s in brain.net.synapses
+                    if s.pre == lay.pacemaker_a and s.post == lay.pheromone_negative)
+
+    def test_counter_weight_is_the_wired_weight(self):
+        assert CircuitConfig().counter_weight == self.counter_synapse(AntBrain()).weight
+
+    def test_replace_derives_again(self):
+        default = CircuitConfig()
+        cfg = replace(default, np_pulse_count=8, nociceptor_refractory=4, np_tau=50.0)
+        assert cfg.counter_weight > default.counter_weight
+        assert cfg.counter_weight == self.counter_synapse(AntBrain(cfg)).weight
+        assert cfg.nociceptor_params.refractory_duration == 4
+        assert cfg.counter_params.decay_time_constant == 50.0
+        assert cfg.base_params == default.base_params
+
+    @pytest.mark.parametrize("name", ["counter_weight", "base_params",
+                                      "nociceptor_params", "counter_params"])
+    def test_derived_fields_are_not_parameters(self, name):
+        with pytest.raises(TypeError):
+            CircuitConfig(**{name: CircuitConfig().counter_weight})
+
+    def test_cells_use_the_derived_params(self):
+        cfg = CircuitConfig()
+        brain = AntBrain(cfg)
+        lay = brain.layout
+        params = brain.net.params
+        assert params[lay.nociceptor] is cfg.nociceptor_params
+        assert params[lay.pheromone_negative] is cfg.counter_params
+        others = set(range(15)) - {lay.nociceptor, lay.pheromone_negative}
+        assert all(params[i] is cfg.base_params for i in others)
+
+    def test_layout_ids_are_stable(self):
+        lay = AntBrain().layout
+        assert list(lay.olfactory_receptors.values()) == [0, 1, 2]
+        assert list(lay.afferents.values()) == [3, 4, 5]
+        assert (lay.nociceptor, lay.reward_sensor, lay.motor_forward, lay.motor_rotate,
+                lay.pacemaker_a, lay.pacemaker_b, lay.kickstart, lay.pheromone_positive,
+                lay.pheromone_negative) == (6, 7, 8, 9, 10, 11, 12, 13, 14)
+        assert lay.plastic_synapses == {
+            (smell, motor): 3 + 2 * i + j
+            for i, smell in enumerate(SMELLS)
+            for j, motor in enumerate((MOTOR_FORWARD, MOTOR_ROTATE))}
 
 
 class TestPacemaker:

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from spikeants import cli
 from spikeants.circuit import parse_weights
 from spikeants.cli import main
 from spikeants.config import parse_config
@@ -207,6 +210,44 @@ class TestTrainCommand:
         assert code == 0
 
 
+class TestOutputPaths:
+    def test_missing_weights_dir_fails_before_training(self, tmp_path, capsys, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("training ran")
+        monkeypatch.setattr(cli, "run_training", no_run)
+        target = tmp_path / "missing" / "w.txt"
+        code = main(["train", "--scenario", "@training", "--out-weights", str(target)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(target) in err
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--out-csv", "{ok}", "--out-json", "{missing}"],
+        ["compare", "--out-on", "{ok}", "--out-off", "{missing}"],
+    ], ids=["run", "compare"])
+    def test_missing_output_dir_fails_before_running(self, arena, tmp_path, capsys,
+                                                     monkeypatch, argv):
+        monkeypatch.setattr(cli, "run", None)
+        monkeypatch.setattr(cli, "compare", None)
+        missing = tmp_path / "missing" / "x"
+        argv = [a.format(ok=tmp_path / "ok", missing=missing) for a in argv]
+        assert main([*argv, "--scenario", str(arena)]) == 1
+        assert capsys.readouterr().err == f"error: cannot write {missing}: no such directory\n"
+
+    def test_frames_dir_that_is_a_file(self, arena, tmp_path, capsys):
+        blocker = tmp_path / "frames"
+        blocker.write_text("not a directory")
+        out = tmp_path / "out.csv"
+        code = main(["run", "--scenario", str(arena), "--out-csv", str(out),
+                     "--frames-dir", str(blocker), "--ticks", "5"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(blocker) in err
+        assert not out.exists()
+
+
 class TestFlagConflicts:
     def test_weights_sources_conflict(self, arena, tmp_path, capsys):
         wfile = tmp_path / "w.txt"
@@ -255,9 +296,13 @@ class TestDefaults:
         assert cfg.circuit.pacemaker_period == 10
 
     def test_module_entry_point(self, arena):
+        # The subprocess does not see pytest's pythonpath setting.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
             [sys.executable, "-m", "spikeants", "validate",
              "--scenario", str(arena)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert "ok:" in proc.stdout

@@ -1,12 +1,15 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spikeants.agents import CLOCKWISE, SimPhase
 
 from spikeants.circuit import MOTOR_ROTATE, trained_reference_weights
-from spikeants.config import SimConfig
+from spikeants.config import SimConfig, parse_config
 from spikeants.engine import SimulationError, build_ants, compare, run, run_training
 from spikeants.scenario import parse_scenario, reference_scenario
 from spikeants.world import Color, PatchKind
@@ -244,6 +247,14 @@ class TestPhaseSchedule:
                                       (SimPhase.FORAGING, 100))
         assert parse_config(serialize_config(cfg)) == cfg
 
+    def test_reset_ticks_of_a_multi_ant_schedule_pinned(self):
+        # Digest of the list the ant loop appended, before it was derived
+        # from the cumulative boundary_resets column.
+        cfg = parse_config("phase_schedule = training:500,foraging:100\n")
+        ticks = run(cfg, reference_scenario("foraging")).boundary_reset_ticks
+        assert (len(ticks), len(set(ticks))) == (100, 88)
+        assert hashlib.sha256(repr(ticks).encode()).hexdigest()[:16] == "7c62ea9c37f16ec9"
+
 
 def list_pop_spawn_poses(scenario, grid, n_ants, rng):
     """Reference spawn draw: explicit spawns, then per random ant one
@@ -315,3 +326,40 @@ class TestMetricsSummary:
         assert s["final_total_food"] == m.total_food[-1]
         assert s["initial_total_food"] == 24
         assert len(s["config_hash"]) == 16
+
+
+@st.composite
+def walled_arenas(draw):
+    """A walled arena of at most 12x12 with 1-5 randomly placed ants."""
+    width, height = draw(st.integers(3, 12)), draw(st.integers(3, 12))
+    inner = width - 2
+    cells = draw(st.lists(st.sampled_from("....FR#"),
+                          min_size=inner * (height - 2), max_size=inner * (height - 2)))
+    cells[0] = "."
+    ants = draw(st.integers(1, min(5, cells.count("."))))
+    rows = ["#" * width]
+    rows += ["#" + "".join(cells[i:i + inner]) + "#" for i in range(0, len(cells), inner)]
+    rows += ["#" * width]
+    return parse_scenario(f"width {width}\nheight {height}\n"
+                          f"food_quantity {draw(st.integers(1, 5))}\n"
+                          f"random_ants {ants}\nmap\n" + "\n".join(rows) + "\n")
+
+
+class TestRunInvariants:
+    @settings(max_examples=150, deadline=None)
+    @given(scenario=walled_arenas(), ticks=st.integers(1, 80), seed=st.integers(0, 2**16),
+           pheromone=st.booleans(), reference=st.booleans())
+    def test_food_walls_and_fields(self, scenario, ticks, seed, pheromone, reference):
+        def check_tick(tick, grid, ants):
+            for ant in ants:
+                x, y = ant.position
+                assert grid.kind[y, x] != PatchKind.WALL.value
+            for values in (grid.positive, grid.negative):
+                assert np.isfinite(values).all() and (values >= 0).all()
+
+        cfg = small_cfg(seed=seed, world_ticks=ticks, pheromone_enabled=pheromone)
+        weights = trained_reference_weights() if reference else None
+        m = run(cfg, scenario, weights=weights, frame_hook=check_tick)
+        assert m.initial_food - m.food_consumed == m.total_food[-1]
+        food = [m.initial_food, *m.total_food]
+        assert all(a >= b for a, b in zip(food, food[1:]))

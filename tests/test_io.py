@@ -176,12 +176,14 @@ class TestConfigFile:
         "stdp_w_max = inf",
         "evap_clear_threshold = inf",
         "seed = -1",
+        "stdp_tau_plus = 1e308",
+        "stdp_tau_minus = 1e308",
     ], ids=["evap_rho_negative", "neuron_threshold", "neuron_refractory_ticks",
             "circuit_np_tau", "circuit_nociceptor_refractory", "neuron_rest_nan",
             "ant_deposit_amount_positive_nan", "circuit_reflex_weight_nan",
             "circuit_reflex_weight_negative", "circuit_sense_amplitude_negative",
             "circuit_drive_weight_inf", "stdp_w_max_inf", "evap_clear_threshold_inf",
-            "seed_negative"])
+            "seed_negative", "stdp_tau_plus_overflow", "stdp_tau_minus_overflow"])
     def test_invalid_domain_value_rejected(self, line):
         key = line.split()[0]
         with pytest.raises(ConfigError, match=f"^{key} "):

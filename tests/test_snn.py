@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -7,6 +8,7 @@ from spikeants.snn import (
     Network,
     NeuronParams,
     NeuronPhase,
+    NeuronState,
     Sign,
     ValidationError,
     decay,
@@ -191,6 +193,33 @@ class TestInjectAndStep:
         for _ in range(5):
             net.step()
             assert all(t > net.current_tick for t in net.pending_pulses)
+
+
+class TestRefractoryCounter:
+    def test_phase_is_not_stored(self):
+        names = {f.name for f in dataclasses.fields(NeuronState)}
+        assert names == {"membrane_potential", "refractory_remaining"}
+
+    def test_phase_follows_counter_on_random_run(self):
+        rng = random.Random(20261018)
+        seen = set()
+        for _ in range(10):
+            neurons, synapses, injections = random_topology(rng)
+            net = build_package_net(neurons, synapses)
+            by_tick = {}
+            for (dt, nid, amp) in injections:
+                by_tick.setdefault(dt, []).append((nid, amp))
+            for t in range(1, 301):
+                for nid, amp in by_tick.get(t, ()):
+                    net.inject_pulse(nid, amp)
+                fired = {ev.neuron for ev in net.step()}
+                for i, state in enumerate(net.states):
+                    refractory = state.refractory_remaining > 0
+                    assert (state.phase is NeuronPhase.REFRACTORY) == refractory
+                    if i in fired:
+                        assert state.refractory_remaining == net.params[i].refractory_duration
+                    seen.add(refractory)
+        assert seen == {True, False}
 
 
 def build_package_net(neurons, synapses):
