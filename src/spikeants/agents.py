@@ -24,21 +24,17 @@ class Heading(Enum):
     SOUTH = "S"
     WEST = "W"
 
-    @property
-    def vector(self) -> tuple[int, int]:
-        return _VECTORS[self]
+    def __init__(self, letter: str):
+        # One step ahead as (dx, dy), with y growing southward. Stored on
+        # the member, since a dict keyed by members would hash them.
+        self.vector: tuple[int, int] = {
+            "N": (0, -1), "E": (1, 0), "S": (0, 1), "W": (-1, 0)}[letter]
 
     def turned(self, direction: str) -> "Heading":
         i = CLOCKWISE.index(self)
         return CLOCKWISE[(i + 1) % 4] if direction == "right" else CLOCKWISE[(i - 1) % 4]
 
 
-_VECTORS = {
-    Heading.NORTH: (0, -1),
-    Heading.EAST: (1, 0),
-    Heading.SOUTH: (0, 1),
-    Heading.WEST: (-1, 0),
-}
 # Clockwise from north, in Heading's declaration order. The seeded
 # heading draw in engine.build_ants indexes this tuple too, so reordering
 # Heading changes every seeded run.
@@ -128,9 +124,7 @@ def step_ant(grid: Grid, ant: Ant, cfg: AntConfig, phase: SimPhase,
     """Advance one ant by one world tick."""
     frame = perceive(grid, ant)
     ant.pain_pending = False
-    ant.brain.sense(frame)
-    events = ant.brain.step_ticks(cfg.brain_steps_per_world_tick)
-    act = ant.brain.actuate(events)
+    act = ant.brain.world_tick(frame, cfg.brain_steps_per_world_tick)
 
     # Consumption happens at the cell where the reward contact was
     # sensed: the motor drive moves the ant every tick, so testing the

@@ -26,6 +26,11 @@ MOTOR_ROTATE = "rotate"
 
 SMELLS = (Color.WHITE, Color.RED, Color.GREEN)
 
+# Relative excess of the energy counter's weight over the exact
+# threshold / geometric sum, so that rounding cannot keep the last pulse
+# below threshold.
+_COUNTER_MARGIN = 1e-9
+
 
 @dataclass(frozen=True)
 class CircuitConfig:
@@ -89,6 +94,20 @@ class CircuitConfig:
             decay_time_constant=self.membrane_tau,
         )
         per_period = math.exp(-1.0 / self.np_tau) ** self.pacemaker_period
+        # The weight reaches threshold on the last pulse only while that
+        # pulse adds more than the weight's margin; past that, the counter
+        # fires one pulse early. The pulses shrink as their sum grows, so
+        # the first count that fails bounds every larger one, and a count
+        # out of reach fails within that many terms.
+        partial, pulse = 0.0, 1.0
+        for reached in range(1, self.np_pulse_count):
+            partial += pulse
+            pulse *= per_period
+            if pulse <= _COUNTER_MARGIN * partial:
+                raise ValidationError(
+                    f"np_pulse_count must be at most {reached} with this np_tau and "
+                    "pacemaker_period: a later pulse adds less than the counter "
+                    "weight's margin, so the counter would fire early")
         geometric = sum(per_period ** i for i in range(self.np_pulse_count))
         object.__setattr__(self, "base_params", base)
         object.__setattr__(self, "nociceptor_params",
@@ -96,7 +115,7 @@ class CircuitConfig:
         object.__setattr__(self, "counter_params",
                            replace(base, decay_time_constant=self.np_tau))
         object.__setattr__(self, "counter_weight",
-                           self.firing_threshold / geometric * (1.0 + 1e-9))
+                           self.firing_threshold / geometric * (1.0 + _COUNTER_MARGIN))
 
 
 @dataclass(frozen=True)
@@ -135,8 +154,11 @@ class BrainLayout:
 class AntBrain:
     """One network plus its layout, with optional online plasticity.
 
-    A brain owns its network exclusively; many brains can be stepped in
-    parallel because they share nothing.
+    A brain owns its network exclusively. While learning is off, a run
+    may move the brain's state into the run's transition table for its
+    weight set (`table.share_table`); its world ticks are then lookups
+    until `leave_table` loads the state back into the network. The
+    brains of one run share that table and nothing else.
     """
 
     def __init__(self, circuit_cfg: CircuitConfig = CircuitConfig(),
@@ -210,6 +232,12 @@ class AntBrain:
         self._arrivals: dict[int, list[int]] = {}
         if kickstart:
             net.inject_pulse(layout.kickstart, cfg.sense_amplitude)
+        # While `table` is set, the brain's state is that table's core
+        # state `core_id` plus `cells`, the (potential, refractory
+        # counter, fired) of each actuator; `net` keeps only the clock.
+        self.table = None
+        self.core_id = 0
+        self.cells: list[tuple[float, int, bool]] = []
 
     def sense(self, frame: StimulusFrame):
         """Inject suprathreshold pulses for everything the frame reports."""
@@ -283,6 +311,28 @@ class AntBrain:
             emit_positive_pheromone=layout.pheromone_positive in fired,
             emit_negative_pheromone=layout.pheromone_negative in fired,
         )
+
+    def world_tick(self, frame: StimulusFrame, steps: int) -> ActuatorFrame:
+        """Sense `frame`, run `steps` brain ticks and actuate.
+
+        A brain in a transition table (built for the same `steps`) looks
+        the world tick up instead; when the transition is new and the
+        table is full, the brain leaves the table and is stepped from
+        then on.
+        """
+        if self.table is not None:
+            act = self.table.advance(self, frame)
+            if act is not None:
+                return act
+            self.leave_table()
+        self.sense(frame)
+        return self.actuate(self.step_ticks(steps))
+
+    def leave_table(self):
+        """Load the state held in a transition table back into the
+        network; a no-op outside a table."""
+        if self.table is not None:
+            self.table.leave(self)
 
     # -- trained-weight interchange --------------------------------------
 

@@ -18,6 +18,7 @@ from .agents import CLOCKWISE, Ant, Heading, SimPhase, step_ant
 from .circuit import AntBrain
 from .config import SimConfig, config_hash
 from .scenario import Scenario
+from .table import TransitionTable, share_table
 from .world import Color, Grid, PatchKind
 
 
@@ -142,6 +143,8 @@ def _execute(cfg: SimConfig, scenario: Scenario,
     harm_total = 0
     reset_total = 0
     tick = 0
+    # Built afresh for every run, so a run never sees another's states.
+    tables: dict[bytes, TransitionTable] = {}
     for phase, phase_ticks in schedule:
         learning = phase is SimPhase.TRAINING or cfg.learn_during_foraging
         # Stigmergy belongs to the collective foraging stage; an ant in
@@ -149,6 +152,8 @@ def _execute(cfg: SimConfig, scenario: Scenario,
         deposition = cfg.pheromone_enabled and phase is not SimPhase.TRAINING
         for ant in ants:
             ant.brain.learning = learning
+            if not learning:
+                share_table(tables, ant.brain, cfg.ant.brain_steps_per_world_tick)
         for _ in range(phase_ticks):
             tick += 1
             for ant in ants:
@@ -163,6 +168,8 @@ def _execute(cfg: SimConfig, scenario: Scenario,
             metrics.sample(tick, grid, harm_total, reset_total)
             if frame_hook is not None:
                 frame_hook(tick, grid, ants)
+        for ant in ants:
+            ant.brain.leave_table()
     return metrics, ants
 
 

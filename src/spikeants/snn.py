@@ -10,6 +10,7 @@ so a spike can never influence the tick it was emitted on.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -86,11 +87,41 @@ def decay(u: float, params: NeuronParams, elapsed: int) -> float:
     return rest + (u - rest) * math.exp(-elapsed / params.decay_time_constant)
 
 
+def run_cell(u: float, remaining: int, params: NeuronParams,
+             pulses) -> tuple[float, int, bool]:
+    """One neuron through `len(pulses)` ticks, given the pulse sum due
+    on each tick (None where none is due): its final potential and
+    refractory counter, and whether it fired.
+
+    The arithmetic is `Network.step`'s, in the same order, so the result
+    is bit-identical to stepping a neuron that feeds no other neuron.
+    """
+    rest = params.resting_potential
+    per_tick = params._decay_per_tick
+    fired = False
+    for pulse in pulses:
+        if remaining:
+            remaining -= 1
+            if not remaining:
+                u = rest
+            continue
+        u = rest + (u - rest) * per_tick
+        if pulse is not None:
+            u += pulse
+        if u >= params.firing_threshold:
+            fired = True
+            u = params.refractory_potential
+            remaining = params.refractory_duration
+    return u, remaining, fired
+
+
 class Network:
     """An isolated collection of neurons, synapses and in-flight pulses.
 
     Stepping is single-threaded per network; distinct networks share
-    nothing and may be advanced in parallel.
+    nothing and may be advanced in parallel. `state_key` and
+    `load_state` move the dynamic state of some neurons, plus every
+    pulse in flight, out of a network and into another.
     """
 
     def __init__(self):
@@ -174,6 +205,44 @@ class Network:
             else:
                 state.membrane_potential = u
         return events
+
+    def state_key(self, neurons) -> tuple[bytes, tuple[int, ...]]:
+        """The state of `neurons` (ids) and of every pending pulse, as a
+        hashable key: equal keys give equal futures.
+
+        Potentials and pulse amplitudes are kept as float bit patterns,
+        so -0.0 and 0.0 differ; the refractory counters and, per pulse,
+        its delivery tick relative to `current_tick` and its target are
+        plain ints. Pulses are listed by delivery tick and, within one
+        tick, in append order, because `step` sums them in that order.
+        """
+        t = self.current_tick
+        floats = array("d", [self.states[i].membrane_potential for i in neurons])
+        ints = [self.states[i].refractory_remaining for i in neurons]
+        for tick in sorted(self.pending_pulses):
+            for post, amp in self.pending_pulses[tick]:
+                floats.append(amp)
+                ints += (tick - t, post)
+        return floats.tobytes(), tuple(ints)
+
+    def load_state(self, key: tuple[bytes, tuple[int, ...]], neurons):
+        """Make `neurons` and the pending pulses the state `key` holds
+        (see `state_key`), relative to this network's own `current_tick`.
+        Other neurons are left as they are."""
+        raw, ints = key
+        floats = array("d")
+        floats.frombytes(raw)
+        n = len(neurons)
+        for i, u, remaining in zip(neurons, floats, ints):
+            state = self.states[i]
+            state.membrane_potential = u
+            state.refractory_remaining = remaining
+        t = self.current_tick
+        pending: dict[int, list[tuple[int, float]]] = {}
+        for j, amp in enumerate(floats[n:]):
+            delay, post = ints[n + 2 * j], ints[n + 2 * j + 1]
+            pending.setdefault(t + delay, []).append((post, amp))
+        self.pending_pulses = pending
 
     def _check_id(self, neuron: int):
         if not 0 <= neuron < len(self.params):

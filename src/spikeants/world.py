@@ -137,8 +137,10 @@ class Grid:
         self.positive *= (1.0 - cfg.rho_positive)
         self.negative *= (1.0 - cfg.rho_negative)
         eps = cfg.clear_threshold
-        self.positive[self.positive < eps] = 0.0
-        self.negative[self.negative < eps] = 0.0
+        # Both fields are finite and non-negative, so scaling by the
+        # keep-mask clears exactly the faint cells.
+        self.positive *= self.positive >= eps
+        self.negative *= self.negative >= eps
 
     # -- food ------------------------------------------------------------
 
@@ -165,13 +167,13 @@ class Grid:
 
     def negative_cell_count(self) -> int:
         """Empty-ground cells currently masked red by negative pheromone."""
-        return int(((self.kind == PatchKind.EMPTY.value)
-                    & (self.negative >= self.clear_threshold)).sum())
+        return int(np.count_nonzero((self.kind == PatchKind.EMPTY.value)
+                                    & (self.negative >= self.clear_threshold)))
 
     def positive_cell_count(self) -> int:
         """Empty-ground cells currently presented green by positive pheromone."""
-        return int(((self.kind == PatchKind.EMPTY.value)
-                    & (self.positive >= self.clear_threshold)).sum())
+        return int(np.count_nonzero((self.kind == PatchKind.EMPTY.value)
+                                    & (self.positive >= self.clear_threshold)))
 
     def empty_cell_count(self) -> int:
         return int((self.kind == PatchKind.EMPTY.value).sum())

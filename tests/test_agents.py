@@ -35,13 +35,7 @@ class ScriptedBrain:
         self.i = 0
         self.learning = False
 
-    def sense(self, frame):
-        self.sensed = frame
-
-    def step_ticks(self, n):
-        return []
-
-    def actuate(self, events):
+    def world_tick(self, frame, steps):
         if self.i < len(self.frames):
             frame = self.frames[self.i]
         else:

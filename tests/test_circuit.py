@@ -157,6 +157,28 @@ class TestEnergyCounter:
         spikes = motor_spikes(brain, 300, brain.layout.pheromone_negative)
         assert spikes[0] == expected == first
 
+    def test_largest_accepted_count_fires_on_its_last_pulse(self):
+        """Past 184 pulses the default weight's margin outgrows the last
+        pulse and the counter would fire early, so 184 is the largest
+        count accepted, and a real brain counts exactly that many."""
+        largest = 1
+        while True:
+            try:
+                CircuitConfig(np_pulse_count=largest + 1)
+            except ValidationError:
+                break
+            largest += 1
+        assert largest == 184
+        brain = AntBrain(CircuitConfig(np_pulse_count=largest))
+        spikes = motor_spikes(brain, 2000, brain.layout.pheromone_negative)
+        # pacemaker_a fires at tick 2 and every period; +1 delay
+        assert spikes[0] == self.hand_simulated_first_spike(brain) == 3 + (largest - 1) * 10
+
+    @pytest.mark.parametrize("count", [185, 250, 10 ** 8])
+    def test_unreachable_count_is_rejected(self, count):
+        with pytest.raises(ValidationError, match="np_pulse_count must be at most 184 "):
+            CircuitConfig(np_pulse_count=count)
+
     def test_steady_cadence_without_reward(self):
         brain = AntBrain(SHORT_COUNTER)
         spikes = motor_spikes(brain, 1000, brain.layout.pheromone_negative)

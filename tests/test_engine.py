@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spikeants import engine, table
 from spikeants.agents import CLOCKWISE, SimPhase
 
 from spikeants.circuit import MOTOR_ROTATE, trained_reference_weights
 from spikeants.config import SimConfig, parse_config
 from spikeants.engine import SimulationError, build_ants, compare, run, run_training
 from spikeants.scenario import parse_scenario, reference_scenario
+from spikeants.snn import Network
 from spikeants.world import Color, PatchKind
 
 ARENA = """\
@@ -363,3 +365,64 @@ class TestRunInvariants:
         assert m.initial_food - m.food_consumed == m.total_food[-1]
         food = [m.initial_food, *m.total_food]
         assert all(a >= b for a, b in zip(food, food[1:]))
+
+
+class TestTransitionTables:
+    @pytest.mark.parametrize("text", [
+        "phase_schedule = foraging:40,training:40",
+        "phase_schedule = training:40,foraging:40,training:40",
+        "world_ticks = 60\nlearn_during_foraging = true"])
+    @pytest.mark.parametrize("bound", [0, 1, 2])
+    def test_outputs_do_not_depend_on_the_table_bound(self, text, bound, monkeypatch):
+        """With bound 0 every ant is stepped; with 1 or 2 ants leave the
+        table mid-phase. Metrics, weights and final brain states must
+        equal those of the unbounded table, and that one steps fewer
+        ticks whenever a phase is not learning."""
+        cfg = parse_config(f"seed = 3\n{text}\n")
+        schedule = cfg.phase_schedule or ((SimPhase.FORAGING, cfg.world_ticks),)
+        scenario = parse_scenario(ARENA)
+        original_step = Network.step
+        steps = []
+
+        def counted_step(net):
+            steps.append(1)
+            return original_step(net)
+
+        def outputs():
+            steps.clear()
+            metrics, ants = engine._execute(cfg, scenario, None, schedule)
+            assert all(ant.brain.table is None for ant in ants)
+            return (metrics.to_csv_text(), [a.brain.weights() for a in ants],
+                    [(a.brain.net.current_tick,
+                      a.brain.net.state_key(range(len(a.brain.net.states)))) for a in ants],
+                    len(steps))
+
+        monkeypatch.setattr(Network, "step", counted_step)
+        *tabled, tabled_steps = outputs()
+        assert outputs() == (*tabled, tabled_steps)  # no table outlives its run
+        monkeypatch.setattr(table, "MAX_TABLE_STATES", bound)
+        *bounded, bounded_steps = outputs()
+        assert bounded == tabled
+        if cfg.learn_during_foraging:
+            assert tabled_steps == bounded_steps
+        else:
+            assert tabled_steps < bounded_steps
+
+
+class TestPositiveTrails:
+    def test_positive_deposits_do_not_steer_reference_ants(self):
+        """Under the reference weights green drives only `forward`, which
+        the pacemaker already fires every world tick, so a positive
+        trail ahead never changes what an ant does: without positive
+        deposits, food and negative marks follow the same series."""
+        cfg = parse_config("seed = 1\nworld_ticks = 1000\n")
+        weights = trained_reference_weights(cfg.stdp)
+        scenario = reference_scenario("foraging")
+        double = run(cfg, scenario, weights=weights)
+        negative_only = run(replace(cfg, ant=replace(cfg.ant, deposit_amount_positive=0.0)),
+                            scenario, weights=weights)
+        assert double.food_consumed == negative_only.food_consumed == 54
+        assert max(double.pos_cells) > 0
+        assert max(negative_only.pos_cells) == 0
+        assert double.total_food == negative_only.total_food
+        assert double.neg_cells == negative_only.neg_cells

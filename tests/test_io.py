@@ -1,3 +1,4 @@
+import time
 from dataclasses import replace
 
 import pytest
@@ -178,16 +179,26 @@ class TestConfigFile:
         "seed = -1",
         "stdp_tau_plus = 1e308",
         "stdp_tau_minus = 1e308",
+        "circuit_np_pulse_count = 185",
     ], ids=["evap_rho_negative", "neuron_threshold", "neuron_refractory_ticks",
             "circuit_np_tau", "circuit_nociceptor_refractory", "neuron_rest_nan",
             "ant_deposit_amount_positive_nan", "circuit_reflex_weight_nan",
             "circuit_reflex_weight_negative", "circuit_sense_amplitude_negative",
             "circuit_drive_weight_inf", "stdp_w_max_inf", "evap_clear_threshold_inf",
-            "seed_negative", "stdp_tau_plus_overflow", "stdp_tau_minus_overflow"])
+            "seed_negative", "stdp_tau_plus_overflow", "stdp_tau_minus_overflow",
+            "circuit_np_pulse_count_unreachable"])
     def test_invalid_domain_value_rejected(self, line):
         key = line.split()[0]
         with pytest.raises(ConfigError, match=f"^{key} "):
             parse_config(line + "\n")
+
+    def test_huge_pulse_count_fails_fast(self):
+        """The counter weight sums one term per pulse; a count out of
+        reach is rejected before that sum."""
+        started = time.perf_counter()
+        with pytest.raises(ConfigError, match="^circuit_np_pulse_count must be at most 184 "):
+            parse_config("circuit_np_pulse_count = 100000000\n")
+        assert time.perf_counter() - started < 0.5
 
     def test_reference_text_is_loadable(self):
         assert parse_config(config_reference_text()) == SimConfig()

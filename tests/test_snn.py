@@ -1,8 +1,11 @@
 import dataclasses
 import math
 import random
+from array import array
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spikeants.snn import (
     Network,
@@ -12,6 +15,7 @@ from spikeants.snn import (
     Sign,
     ValidationError,
     decay,
+    run_cell,
 )
 
 from reference_snn import random_topology, simulate
@@ -300,3 +304,120 @@ class TestDeterminismAndRelabeling:
             relabeled = run_package_net(build_package_net(neurons2, synapses2),
                                         injections2, 400)
             assert sorted((perm[i], t) for (i, t) in base) == sorted(relabeled)
+
+
+class TestStateKey:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_loaded_state_continues_as_the_original(self, seed):
+        """Moving a network's state to a fresh copy that sits at another
+        tick changes nothing that follows, relative to the current tick."""
+        neurons, synapses, injections = random_topology(random.Random(seed))
+        split, shift = 400, 1234
+        all_ids = range(len(neurons))
+        by_tick = {}
+        for (dt, nid, amp) in injections:
+            by_tick.setdefault(dt, []).append((nid, amp))
+
+        def advance(net, first, last, offset=0):
+            spikes = []
+            for t in range(first, last + 1):
+                for nid, amp in by_tick.get(t, ()):
+                    sign = Sign.EXCITATORY if amp >= 0 else Sign.INHIBITORY
+                    net.inject_pulse(nid, abs(amp), sign)
+                spikes.extend((ev.neuron, ev.tick - offset) for ev in net.step())
+            return spikes
+
+        original = build_package_net(neurons, synapses)
+        advance(original, 1, split)
+        key = original.state_key(all_ids)
+        copy = build_package_net(neurons, synapses)
+        copy.current_tick = split + shift
+        copy.load_state(key, all_ids)
+        assert copy.state_key(all_ids) == key
+        assert advance(copy, split + 1, 1000, shift) == advance(original, split + 1, 1000)
+        assert copy.state_key(all_ids) == original.state_key(all_ids)
+
+    def test_key_ignores_the_order_pulses_were_scheduled_in(self):
+        """Pulses for different ticks may be scheduled in any order; the
+        key lists them by delivery tick, so equal states share a key."""
+        first, second = make_net(2), make_net(2)
+        for net, delays in ((first, (1, 3)), (second, (3, 1))):
+            for delay in delays:
+                net.pending_pulses.setdefault(delay, []).append((delay % 2, 0.5 * delay))
+        assert list(first.pending_pulses) != list(second.pending_pulses)
+        assert first.state_key([0, 1]) == second.state_key([0, 1])
+
+    def test_key_keeps_append_order_and_sign_bits(self):
+        """Within one tick the pulse order decides the float sum, and -0.0
+        is not 0.0: both give distinct keys."""
+        nets = [make_net(1) for _ in range(3)]
+        for net, amps in zip(nets, ((0.1, 0.2), (0.2, 0.1), (0.2, 0.1))):
+            net.pending_pulses[1] = [(0, amp) for amp in amps]
+        nets[2].states[0].membrane_potential = -0.0
+        keys = {net.state_key([0]) for net in nets}
+        assert len(keys) == 3
+
+    def test_key_of_some_neurons_leaves_the_others_alone(self):
+        """A key made for some neurons holds their potentials and
+        counters plus every pending pulse; loading it touches no other
+        neuron."""
+        original = make_net(3)
+        original.connect(0, 2, 0.7, Sign.EXCITATORY, 3)
+        original.inject_pulse(0, 2.0)
+        original.inject_pulse(1, 0.4)
+        original.step()
+        original.inject_pulse(2, 0.3)
+        key = original.state_key([0, 2])
+        copy = make_net(3)
+        copy.current_tick = original.current_tick
+        copy.states[1].membrane_potential = 0.25
+        copy.load_state(key, [0, 2])
+        assert copy.states[1].membrane_potential == 0.25
+        assert copy.state_key([0, 2]) == key
+        assert copy.pending_pulses == original.pending_pulses
+        assert [copy.states[i] for i in (0, 2)] == [original.states[i] for i in (0, 2)]
+
+    def test_counters_and_delays_beyond_int64(self):
+        """Counters and delays are plain ints in the key, so a dead time
+        no machine word holds still round-trips exactly."""
+        net = make_net(1, dataclasses.replace(DEFAULT, refractory_duration=2 ** 70))
+        net.inject_pulse(0, 2.0)
+        net.step()
+        net.pending_pulses[2 ** 66] = [(0, 0.5)]
+        key = net.state_key([0])
+        copy = make_net(1)
+        copy.current_tick = net.current_tick
+        copy.load_state(key, [0])
+        assert copy.states[0].refractory_remaining == 2 ** 70
+        assert copy.pending_pulses == net.pending_pulses
+
+
+class TestRunCell:
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(-1.0, 0.5), st.floats(0.1, 2.0), st.integers(1, 4),
+           st.floats(0.5, 300.0), st.floats(-3.0, 3.0), st.integers(0, 4),
+           st.lists(st.lists(st.floats(-2.0, 2.0), max_size=3), min_size=1, max_size=20))
+    def test_matches_network_step(self, rest, above, duration, tau, u, remaining, arrivals):
+        """`run_cell` ends with the potential bits, counter and firing of
+        one neuron that `Network.step` advances through the same pulses,
+        given their sums in arrival order from 0.0."""
+        params = NeuronParams(resting_potential=rest, firing_threshold=rest + above,
+                              refractory_potential=rest - 1.0, refractory_duration=duration,
+                              decay_time_constant=tau)
+        net = make_net(1, params)
+        cell = net.states[0]
+        cell.membrane_potential = u
+        cell.refractory_remaining = remaining
+        sums = []
+        for tick, amps in enumerate(arrivals, start=1):
+            total = None
+            for amp in amps:
+                net.pending_pulses.setdefault(tick, []).append((0, amp))
+                total = (0.0 if total is None else total) + amp
+            sums.append(total)
+        fired = False
+        for _ in arrivals:
+            fired = bool(net.step()) or fired
+        got_u, got_remaining, got_fired = run_cell(u, remaining, params, sums)
+        assert array("d", [got_u]).tobytes() == array("d", [cell.membrane_potential]).tobytes()
+        assert (got_remaining, got_fired) == (cell.refractory_remaining, fired)

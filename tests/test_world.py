@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -190,6 +191,26 @@ class TestEvaporation:
                 assert cur < prev
             prev = cur
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.one_of(AROUND_EPS, st.floats(0.0, 1e300)),
+                              st.one_of(AROUND_EPS, st.floats(0.0, 1e300))),
+                    min_size=1, max_size=40))
+    def test_matches_masked_clearing(self, levels):
+        """The reference rule, decay then masked assignment of faint
+        cells, gives the same bits on finite non-negative fields."""
+        cfg = EvaporationConfig(clear_threshold=EPS)
+        g = Grid(len(levels), 1, clear_threshold=EPS)
+        g.positive[0, :] = [pos for pos, _ in levels]
+        g.negative[0, :] = [neg for _, neg in levels]
+        want = {}
+        for name, rho in (("positive", cfg.rho_positive), ("negative", cfg.rho_negative)):
+            field = getattr(g, name) * (1.0 - rho)
+            field[field < EPS] = 0.0
+            want[name] = field.tobytes()
+        g.evaporate_step(cfg)
+        assert g.positive.tobytes() == want["positive"]
+        assert g.negative.tobytes() == want["negative"]
+
     def test_rho_bounds_validated(self):
         with pytest.raises(ValueError):
             EvaporationConfig(rho_positive=0.0)
@@ -253,3 +274,12 @@ class TestCounts:
         g.deposit(2, 2, PheromoneField.NEGATIVE, EPS / 2)  # below threshold
         assert g.negative_cell_count() == 1
         assert g.negative_cell_count() <= g.empty_cell_count()
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_grids())
+    def test_counts_match_summed_masks(self, g):
+        empty = g.kind == PatchKind.EMPTY.value
+        for count, values in ((g.negative_cell_count(), g.negative),
+                              (g.positive_cell_count(), g.positive)):
+            assert type(count) is int
+            assert count == int((empty & (values >= EPS)).sum())
