@@ -27,8 +27,8 @@ MOTOR_ROTATE = "rotate"
 SMELLS = (Color.WHITE, Color.RED, Color.GREEN)
 
 # Relative excess of the energy counter's weight over the exact
-# threshold / geometric sum, so that rounding cannot keep the last pulse
-# below threshold.
+# (threshold - rest) / geometric sum, so that rounding cannot keep the
+# last pulse below threshold.
 _COUNTER_MARGIN = 1e-9
 
 
@@ -54,7 +54,8 @@ class CircuitConfig:
     # Derived in __post_init__, so dataclasses.replace derives them again:
     # the base cell, the nociceptor (own dead time), the energy counter (own
     # membrane time constant), and the pacemaker->counter weight with which
-    # exactly np_pulse_count pulses, decaying in between, reach threshold.
+    # exactly np_pulse_count pulses, decaying in between, lift the counter
+    # from rest to threshold.
     base_params: NeuronParams = field(init=False)
     nociceptor_params: NeuronParams = field(init=False)
     counter_params: NeuronParams = field(init=False)
@@ -115,7 +116,8 @@ class CircuitConfig:
         object.__setattr__(self, "counter_params",
                            replace(base, decay_time_constant=self.np_tau))
         object.__setattr__(self, "counter_weight",
-                           self.firing_threshold / geometric * (1.0 + _COUNTER_MARGIN))
+                           (self.firing_threshold - self.resting_potential) / geometric
+                           * (1.0 + _COUNTER_MARGIN))
 
 
 @dataclass(frozen=True)
@@ -155,10 +157,12 @@ class AntBrain:
     """One network plus its layout, with optional online plasticity.
 
     A brain owns its network exclusively. While learning is off, a run
-    may move the brain's state into the run's transition table for its
-    weight set (`table.share_table`); its world ticks are then lookups
-    until `leave_table` loads the state back into the network. The
-    brains of one run share that table and nothing else.
+    may move the brain's core state into the run's transition table for
+    its weight set (`table.share_table`); its world ticks are then
+    lookups until `leave_table` loads the core back into the network.
+    Meanwhile the actuators, and so the energy counter, and the clock
+    stay current in the network after every world tick. The brains of
+    one run share that table and nothing else.
     """
 
     def __init__(self, circuit_cfg: CircuitConfig = CircuitConfig(),
@@ -232,12 +236,10 @@ class AntBrain:
         self._arrivals: dict[int, list[int]] = {}
         if kickstart:
             net.inject_pulse(layout.kickstart, cfg.sense_amplitude)
-        # While `table` is set, the brain's state is that table's core
-        # state `core_id` plus `cells`, the (potential, refractory
-        # counter, fired) of each actuator; `net` keeps only the clock.
+        # While `table` is set, the core state is the key of that table's
+        # `row`; `net` keeps the actuators and the clock current.
         self.table = None
-        self.core_id = 0
-        self.cells: list[tuple[float, int, bool]] = []
+        self.row = None
 
     def sense(self, frame: StimulusFrame):
         """Inject suprathreshold pulses for everything the frame reports."""

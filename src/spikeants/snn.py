@@ -131,6 +131,8 @@ class Network:
         self.current_tick: int = 0
         # delivery tick -> list of (post neuron, signed amplitude)
         self.pending_pulses: dict[int, list[tuple[int, float]]] = {}
+        # post neuron -> summed pulse the last step delivered to it
+        self.incoming: dict[int, float] = {}
         self._outgoing: list[list[Synapse]] = []
 
     def create_neuron(self, params: NeuronParams) -> int:
@@ -177,7 +179,7 @@ class Network:
         self.current_tick += 1
         t = self.current_tick
         due = self.pending_pulses.pop(t, None)
-        incoming: dict[int, float] = {}
+        incoming = self.incoming = {}
         if due:
             for post, amp in due:
                 incoming[post] = incoming.get(post, 0.0) + amp

@@ -174,6 +174,17 @@ class TestEnergyCounter:
         # pacemaker_a fires at tick 2 and every period; +1 delay
         assert spikes[0] == self.hand_simulated_first_spike(brain) == 3 + (largest - 1) * 10
 
+    @pytest.mark.parametrize("rest", [-0.5, 0.5])
+    @pytest.mark.parametrize("count", [1, 20, 184])
+    def test_count_is_exact_off_zero_rest(self, rest, count):
+        """The counter climbs from its resting potential, so the weight
+        shares out threshold - rest: it fires on exactly the count-th
+        pacemaker pulse whatever the rest."""
+        brain = AntBrain(CircuitConfig(resting_potential=rest, np_pulse_count=count))
+        spikes = motor_spikes(brain, 3 + count * 10, brain.layout.pheromone_negative)
+        # pacemaker_a fires at tick 2 and every period; +1 delay
+        assert spikes[0] == 3 + (count - 1) * 10
+
     @pytest.mark.parametrize("count", [185, 250, 10 ** 8])
     def test_unreachable_count_is_rejected(self, count):
         with pytest.raises(ValidationError, match="np_pulse_count must be at most 184 "):

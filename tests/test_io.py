@@ -1,7 +1,10 @@
 import time
+import tracemalloc
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spikeants.agents import Ant, Heading
 from spikeants.circuit import AntBrain
@@ -34,6 +37,47 @@ map
 #A..#
 #####
 """
+
+
+@st.composite
+def scenario_texts(draw):
+    """A valid small scenario: any mix of cells, a heading per spawn,
+    and optional `food_quantity` and `random_ants`, in any header order."""
+    width, height = draw(st.integers(1, 8)), draw(st.integers(1, 6))
+    rows = ["".join(draw(st.lists(st.sampled_from("#.FRA"), min_size=width, max_size=width)))
+            for _ in range(height)]
+    spawns = sum(row.count("A") for row in rows)
+    header = [f"width {width}", f"height {height}"]
+    header += [f"heading {i} {draw(st.sampled_from(Heading)).value}" for i in range(spawns)]
+    for key in ("food_quantity", "random_ants"):
+        value = draw(st.none() | st.integers(1, 50))
+        if value is not None:
+            header.append(f"{key} {value}")
+    return "\n".join(draw(st.permutations(header)) + ["map"] + rows) + "\n"
+
+
+# Lines near the grammar of each parser, so fuzzing reaches past the first check.
+SCENARIO_LINES = st.one_of(
+    st.text(max_size=10),
+    st.sampled_from(["map", "", "width", "heading 0", "heading 0 N", "heading -1 E",
+                     "heading x S", "random_ants -3", "food_quantity 0"]),
+    st.tuples(st.sampled_from(["width", "height", "food_quantity", "random_ants", "heading 0"]),
+              st.one_of(st.integers(-3, 10 ** 12).map(str), st.text(max_size=4)))
+    .map(" ".join),
+    st.text("#.FRA? ", max_size=8),
+)
+CONFIG_KEYS = [line.split(" = ")[0] for line in serialize_config(SimConfig()).splitlines()]
+CONFIG_VALUES = st.one_of(
+    st.text(max_size=8),
+    st.integers(-10 ** 20, 10 ** 20).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["true", "off", "1e308", "5e-324", "-0.0", "nan", "-inf", "cw", "ccw",
+                     "training:5", "foraging:0,training:3", "184", "185", "0"]),
+)
+CONFIG_LINES = st.one_of(
+    st.text(max_size=12),
+    st.tuples(st.sampled_from(CONFIG_KEYS), CONFIG_VALUES).map(" = ".join),
+)
 
 
 class TestParseScenario:
@@ -87,12 +131,38 @@ class TestParseScenario:
         with pytest.raises(ScenarioError, match="missing 'map'"):
             parse_scenario("width 3\nheight 1\n")
 
-    def test_round_trip_is_fixed_point(self):
-        s1 = parse_scenario(SMALL)
+    @settings(max_examples=200, deadline=None)
+    @given(scenario_texts())
+    @example(SMALL)
+    def test_round_trip_is_fixed_point(self, text):
+        s1 = parse_scenario(text)
         text1 = serialize_scenario(s1)
         s2 = parse_scenario(text1)
         assert s2 == s1
         assert serialize_scenario(s2) == text1
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(SCENARIO_LINES, max_size=8).map("\n".join) | st.text())
+    def test_fuzzed_text_raises_only_scenario_errors(self, text):
+        try:
+            parse_scenario(text)
+        except ScenarioError:
+            pass
+
+    def test_huge_dimensions_fail_before_allocating(self):
+        """Dimensions are bounded by the body the text must hold: a header
+        that claims a 10^9 x 10^9 grid over one row fails at once."""
+        text = "width 1000000000\nheight 1000000000\nmap\n###\n"
+        tracemalloc.start()
+        started = time.perf_counter()
+        try:
+            with pytest.raises(ScenarioError, match="expected 1000000000 map rows, found 1"):
+                parse_scenario(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - started < 0.5
+        assert peak < 1 << 20
 
     def test_reference_scenarios_load(self):
         train = reference_scenario("training")
@@ -199,6 +269,14 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="^circuit_np_pulse_count must be at most 184 "):
             parse_config("circuit_np_pulse_count = 100000000\n")
         assert time.perf_counter() - started < 0.5
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(CONFIG_LINES, max_size=4).map("\n".join))
+    def test_fuzzed_text_raises_only_config_errors(self, text):
+        try:
+            parse_config(text)
+        except ConfigError:
+            pass
 
     def test_reference_text_is_loadable(self):
         assert parse_config(config_reference_text()) == SimConfig()

@@ -27,12 +27,19 @@ def full_state(brain):
     return net.current_tick, net.state_key(range(len(net.states)))
 
 
+def actuator_states(brain):
+    layout = brain.layout
+    return [brain.net.states[n] for n in (layout.motor_forward, layout.motor_rotate,
+                                          layout.pheromone_positive, layout.pheromone_negative)]
+
+
 def assert_table_matches_stepping(weights, steps, frames, cfg=CircuitConfig()):
     """Two brains in one table and one stepped brain, all fresh and
     kickstarted, see the same frames: every world tick gives the same
-    actuator frame, and after leaving the table the networks are equal.
-    The second table brain follows the first, so its ticks are all
-    lookups. Returns the table."""
+    actuator frame and leaves the same actuator states in each network,
+    and after leaving the table the networks are equal. The second
+    table brain follows the first, so its ticks are all lookups.
+    Returns the table."""
     stepped, *tabled = [AntBrain(cfg) for _ in range(3)]
     tables = {}
     for brain in [stepped, *tabled]:
@@ -43,6 +50,8 @@ def assert_table_matches_stepping(weights, steps, frames, cfg=CircuitConfig()):
     for frame in frames:
         want = stepped.world_tick(frame, steps)
         assert [brain.world_tick(frame, steps) for brain in tabled] == [want, want]
+        for brain in tabled:
+            assert actuator_states(brain) == actuator_states(stepped)
     for brain in tabled:
         brain.leave_table()
         assert brain.table is None
