@@ -50,15 +50,12 @@ class SimPhase(Enum):
 
 @dataclass(frozen=True)
 class AntConfig:
-    brain_steps_per_world_tick: int = 10
     positive_deposit_ticks: int = 6
     deposit_amount_positive: float = 1.0
     deposit_amount_negative: float = 1.0
     rotate_direction: str = "right"
 
     def __post_init__(self):
-        if self.brain_steps_per_world_tick < 1:
-            raise ValueError("brain_steps_per_world_tick must be at least 1")
         if self.positive_deposit_ticks < 0:
             raise ValueError("positive_deposit_ticks must be non-negative")
         for name in ("deposit_amount_positive", "deposit_amount_negative"):
@@ -121,10 +118,16 @@ def perceive(grid: Grid, ant: Ant) -> StimulusFrame:
 
 def step_ant(grid: Grid, ant: Ant, cfg: AntConfig, phase: SimPhase,
              pheromone_enabled: bool = True) -> AntEvents:
-    """Advance one ant by one world tick."""
+    """Advance one ant by one world tick.
+
+    The phase decides what training changes: in a training phase the ant
+    lays no pheromone, whatever `pheromone_enabled` says, and touching a
+    boundary puts it back at its spawn pose.
+    """
+    training = phase is SimPhase.TRAINING
     frame = perceive(grid, ant)
     ant.pain_pending = False
-    act = ant.brain.world_tick(frame, cfg.brain_steps_per_world_tick)
+    act = ant.brain.world_tick(frame)
 
     # Consumption happens at the cell where the reward contact was
     # sensed: the motor drive moves the ant every tick, so testing the
@@ -148,25 +151,28 @@ def step_ant(grid: Grid, ant: Ant, cfg: AntConfig, phase: SimPhase,
             # An open grid edge counts as hitting the world boundary.
             blocked = True
             ant.pain_pending = True
-            reset = phase is SimPhase.TRAINING and (edge or grid.is_boundary(tx, ty))
+            reset = training and (edge or grid.is_boundary(tx, ty))
         else:
             ant.position = (tx, ty)
             moved = True
 
     # Positive pheromone is released while the post-food countdown runs;
     # negative pheromone follows the energy-counter neuron directly.
+    # Stigmergy belongs to the collective foraging stage; an ant in
+    # conditioning would only poison its own arena with deposits.
     counting_down = ant.positive_deposit_remaining > 0
     if counting_down:
         ant.positive_deposit_remaining -= 1
-    dep_pos = pheromone_enabled and counting_down
-    dep_neg = pheromone_enabled and act.emit_negative_pheromone
+    deposit = pheromone_enabled and not training
+    dep_pos = deposit and counting_down
+    dep_neg = deposit and act.emit_negative_pheromone
     x, y = ant.position
     if dep_pos:
         grid.deposit(x, y, PheromoneField.POSITIVE, cfg.deposit_amount_positive)
     if dep_neg:
         grid.deposit(x, y, PheromoneField.NEGATIVE, cfg.deposit_amount_negative)
 
-    if phase is SimPhase.TRAINING and grid.is_boundary(*ant.position):
+    if training and grid.is_boundary(*ant.position):
         reset = True
         if grid.effective_color_at(*ant.position) in _HARMFUL:
             # Touching a harmful boundary still has to reach the senses

@@ -34,6 +34,7 @@ _COUNTER_MARGIN = 1e-9
 
 @dataclass(frozen=True)
 class CircuitConfig:
+    brain_steps_per_world_tick: int = 10
     pacemaker_period: int = 10
     reflex_weight: float = 2.0
     drive_weight: float = 1.2
@@ -73,7 +74,7 @@ class CircuitConfig:
         for name in ("resting_potential", "firing_threshold", "refractory_potential"):
             if not math.isfinite(getattr(self, name)):
                 raise ValidationError(f"{name} must be finite")
-        for name in ("refractory_ticks", "nociceptor_refractory"):
+        for name in ("brain_steps_per_world_tick", "refractory_ticks", "nociceptor_refractory"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be at least 1 tick")
         if self.pacemaker_period < 2:
@@ -194,11 +195,13 @@ class AntBrain:
             net.connect(layout.olfactory_receptors[smell], layout.afferents[smell],
                         w_fix, Sign.EXCITATORY, 1)
 
-        # Conditionable pathways, initialized too weak to move anything,
-        # indexed by post and by pre neuron for the STDP bookkeeping.
+        # Conditionable pathways, initialized plastic_init_fraction of the
+        # way from w_min to w_max (at the defaults too weak to move
+        # anything), indexed by post and by pre neuron for the STDP
+        # bookkeeping.
         self._plastic_in: dict[int, list[int]] = {}
         self._plastic_out: dict[int, list[int]] = {}
-        w_init = cfg.plastic_init_fraction * stdp_cfg.w_max
+        w_init = stdp_cfg.w_min + cfg.plastic_init_fraction * (stdp_cfg.w_max - stdp_cfg.w_min)
         for smell in SMELLS:
             pre = layout.afferents[smell]
             for motor, post in ((MOTOR_FORWARD, layout.motor_forward),
@@ -314,13 +317,13 @@ class AntBrain:
             emit_negative_pheromone=layout.pheromone_negative in fired,
         )
 
-    def world_tick(self, frame: StimulusFrame, steps: int) -> ActuatorFrame:
-        """Sense `frame`, run `steps` brain ticks and actuate.
+    def world_tick(self, frame: StimulusFrame) -> ActuatorFrame:
+        """Sense `frame`, run the config's `brain_steps_per_world_tick`
+        brain ticks and actuate.
 
-        A brain in a transition table (built for the same `steps`) looks
-        the world tick up instead; when the transition is new and the
-        table is full, the brain leaves the table and is stepped from
-        then on.
+        A brain in a transition table looks the world tick up instead;
+        when the transition is new and the table is full, the brain
+        leaves the table and is stepped from then on.
         """
         if self.table is not None:
             act = self.table.advance(self, frame)
@@ -328,7 +331,7 @@ class AntBrain:
                 return act
             self.leave_table()
         self.sense(frame)
-        return self.actuate(self.step_ticks(steps))
+        return self.actuate(self.step_ticks(self.circuit_cfg.brain_steps_per_world_tick))
 
     def leave_table(self):
         """Load the state held in a transition table back into the

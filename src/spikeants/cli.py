@@ -61,7 +61,7 @@ def _load_config(args) -> SimConfig:
     return cfg
 
 
-def _load_weights(args) -> Optional[dict]:
+def _load_weights(args, cfg: SimConfig) -> Optional[dict]:
     from_file = getattr(args, "weights", None)
     idealized = getattr(args, "reference_weights", False)
     if from_file and idealized:
@@ -69,7 +69,7 @@ def _load_weights(args) -> Optional[dict]:
     if from_file:
         return parse_weights(_read(from_file))
     if idealized:
-        return trained_reference_weights()
+        return trained_reference_weights(cfg.stdp)
     return None
 
 
@@ -93,7 +93,7 @@ def _cmd_run(args) -> int:
         raise CliError("--frame-every must be at least 1")
     scenario = _load_scenario(args.scenario)
     cfg = _load_config(args)
-    weights = _load_weights(args)
+    weights = _load_weights(args, cfg)
     frame_hook = None
     if args.frames_dir:
         frames = Path(args.frames_dir)
@@ -118,7 +118,7 @@ def _cmd_run(args) -> int:
 def _cmd_compare(args) -> int:
     scenario = _load_scenario(args.scenario)
     cfg = _load_config(args)
-    weights = _load_weights(args)
+    weights = _load_weights(args, cfg)
     result = compare(cfg, scenario, weights=weights)
     Path(args.out_on).write_text(result.enabled.to_csv_text())
     Path(args.out_off).write_text(result.disabled.to_csv_text())

@@ -94,7 +94,7 @@ _KEYS: dict[str, tuple[Optional[str], str, Callable[[str], Any]]] = {
     "evap_rho_positive": ("evaporation", "rho_positive", float),
     "evap_rho_negative": ("evaporation", "rho_negative", float),
     "evap_clear_threshold": ("evaporation", "clear_threshold", float),
-    "ant_brain_steps": ("ant", "brain_steps_per_world_tick", int),
+    "ant_brain_steps": ("circuit", "brain_steps_per_world_tick", int),
     "ant_positive_deposit_ticks": ("ant", "positive_deposit_ticks", int),
     "ant_deposit_amount_positive": ("ant", "deposit_amount_positive", float),
     "ant_deposit_amount_negative": ("ant", "deposit_amount_negative", float),
@@ -121,9 +121,10 @@ _KEY_OF_FIELD = {attr: key for key, (_, attr, _) in _KEYS.items()}
 def parse_config(text: str, base: Optional[SimConfig] = None) -> SimConfig:
     """Parse config text into a SimConfig, layered over `base`."""
     cfg = base if base is not None else SimConfig()
-    top: dict[str, Any] = {}
-    sections: dict[str, dict[str, Any]] = {"stdp": {}, "evaporation": {},
-                                           "ant": {}, "circuit": {}}
+    # Sections apply in this fixed order, the top level last, which
+    # fixes the error reported for a config with several bad keys.
+    sections: dict[Optional[str], dict[str, Any]] = {
+        "stdp": {}, "evaporation": {}, "ant": {}, "circuit": {}, None: {}}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -140,25 +141,19 @@ def parse_config(text: str, base: Optional[SimConfig] = None) -> SimConfig:
         if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key '{key}'")
         section, attr, parser = _KEYS[key]
+        if attr in sections[section]:
+            raise ConfigError(f"line {lineno}: repeated key '{key}'")
         try:
-            parsed = parser(value)
+            sections[section][attr] = parser(value)
         except ValueError:
             raise ConfigError(f"line {lineno}: bad value for '{key}': '{value}'")
-        if section is None:
-            top[attr] = parsed
-        else:
-            sections[section][attr] = parsed
     try:
-        if sections["stdp"]:
-            cfg = replace(cfg, stdp=replace(cfg.stdp, **sections["stdp"]))
-        if sections["evaporation"]:
-            cfg = replace(cfg, evaporation=replace(cfg.evaporation, **sections["evaporation"]))
-        if sections["ant"]:
-            cfg = replace(cfg, ant=replace(cfg.ant, **sections["ant"]))
-        if sections["circuit"]:
-            cfg = replace(cfg, circuit=replace(cfg.circuit, **sections["circuit"]))
-        if top:
-            cfg = replace(cfg, **top)
+        for section, fields in sections.items():
+            if not fields:
+                continue
+            if section is not None:
+                fields = {section: replace(getattr(cfg, section), **fields)}
+            cfg = replace(cfg, **fields)
     except ValueError as exc:
         # The config classes name their own fields; report the keys.
         raise ConfigError(re.sub(r"\w+", lambda m: _KEY_OF_FIELD.get(m[0], m[0]), str(exc)))

@@ -9,6 +9,7 @@ run is a pure function of (seed, config, scenario).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from .agents import CLOCKWISE, Ant, Heading, SimPhase, step_ant
 from .circuit import AntBrain
-from .config import SimConfig, config_hash
+from .config import ConfigError, SimConfig, config_hash
 from .scenario import Scenario
 from .table import TransitionTable, share_table
 from .world import Color, Grid, PatchKind
@@ -82,7 +83,9 @@ def ant_count(scenario: Scenario, cfg: SimConfig) -> int:
     """Ants a run spawns: `n_ants` when set, else the scenario's own count.
 
     `n_ants` counts the explicit spawns too, so it may not be below them,
-    and the random ants beyond them must fit on the empty cells.
+    and the random ants beyond them must fit on the empty cells. With
+    every ant depositing on it every tick, a cell holds at most
+    ants * amount / rho of each pheromone; twice that must be finite.
     """
     explicit = len(scenario.spawns)
     if 0 < cfg.n_ants < explicit:
@@ -93,6 +96,13 @@ def ant_count(scenario: Scenario, cfg: SimConfig) -> int:
         raise SimulationError("scenario provides no ants")
     if total - explicit > sum(row.count(".") for row in scenario.rows):
         raise SimulationError("not enough empty cells for random spawns")
+    for sign, rho in (("positive", cfg.evaporation.rho_positive),
+                      ("negative", cfg.evaporation.rho_negative)):
+        amount = getattr(cfg.ant, f"deposit_amount_{sign}")
+        if not math.isfinite(2 * total * amount / rho):
+            raise ConfigError(
+                f"ant_deposit_amount_{sign} = {amount!r} with {total} ants and "
+                f"evap_rho_{sign} = {rho!r} would overflow the {sign} pheromone field")
     return total
 
 
@@ -147,18 +157,13 @@ def _execute(cfg: SimConfig, scenario: Scenario,
     tables: dict[bytes, TransitionTable] = {}
     for phase, phase_ticks in schedule:
         learning = phase is SimPhase.TRAINING or cfg.learn_during_foraging
-        # Stigmergy belongs to the collective foraging stage; an ant in
-        # conditioning would only poison its own arena with deposits.
-        deposition = cfg.pheromone_enabled and phase is not SimPhase.TRAINING
         for ant in ants:
             ant.brain.learning = learning
-            if not learning:
-                share_table(tables, ant.brain, cfg.ant.brain_steps_per_world_tick)
+            share_table(tables, ant.brain)
         for _ in range(phase_ticks):
             tick += 1
             for ant in ants:
-                ev = step_ant(grid, ant, cfg.ant, phase,
-                              pheromone_enabled=deposition)
+                ev = step_ant(grid, ant, cfg.ant, phase, cfg.pheromone_enabled)
                 if ev.pain:
                     harm_total += 1
                 if ev.boundary_reset:

@@ -40,7 +40,9 @@ _SMELL_CODES = (None,) + SMELLS
 
 class TransitionTable:
     """World-tick transitions shared by the non-learning brains of one
-    run that have the same plastic weights.
+    run that have the same plastic weights; `share_table` picks them.
+    A transition spans the brain's own `brain_steps_per_world_tick`,
+    the same record a stepped brain reads.
 
     `_rows` maps each core key (`Network.state_key` of every neuron but
     the actuators) to its row: the key and 16 slots, one per stimulus
@@ -51,8 +53,7 @@ class TransitionTable:
     `sense`, `step` and `actuate` of the brain that meets it.
     """
 
-    def __init__(self, brain: AntBrain, steps: int):
-        self.steps = steps
+    def __init__(self, brain: AntBrain):
         layout = brain.layout
         self.actuators = (layout.motor_forward, layout.motor_rotate,
                           layout.pheromone_positive, layout.pheromone_negative)
@@ -74,13 +75,6 @@ class TransitionTable:
         if row is None and len(self._rows) < MAX_TABLE_STATES:
             row = self._rows[key] = (key, [None] * 16)
         return row
-
-    def enter(self, brain: AntBrain):
-        """Move `brain` into this table, unless its core state is new and
-        the table is full. Learning must stay off until `leave`."""
-        row = self._row(brain.net.state_key(self.core))
-        if row is not None:
-            brain.table, brain.row = self, row
 
     def leave(self, brain: AntBrain):
         """Load `brain`'s core state back into its network."""
@@ -115,7 +109,7 @@ class TransitionTable:
                 state.membrane_potential, state.refractory_remaining, spiked = at_rest
             if spiked:
                 fired |= 1 << j
-        net.current_tick += self.steps
+        net.current_tick += brain.circuit_cfg.brain_steps_per_world_tick
         return self._frames[fired]
 
     def _compute(self, brain: AntBrain, frame: StimulusFrame, slots, code: int) -> ActuatorFrame:
@@ -125,7 +119,7 @@ class TransitionTable:
         brain.sense(frame)
         due: list[list[Optional[float]]] = [[] for _ in self.actuators]
         events: list[SpikeEvent] = []
-        for _ in range(self.steps):
+        for _ in range(brain.circuit_cfg.brain_steps_per_world_tick):
             events.extend(brain.step())
             for pulses, n in zip(due, self.actuators):
                 pulses.append(net.incoming.get(n))
@@ -138,12 +132,17 @@ class TransitionTable:
         return brain.actuate(events)
 
 
-def share_table(tables: dict[bytes, TransitionTable], brain: AntBrain, steps: int):
+def share_table(tables: dict[bytes, TransitionTable], brain: AntBrain):
     """Move `brain` into the table for its plastic weights in `tables`
-    (made there when missing), which advances `steps` brain ticks per
-    world tick. Learning must stay off until `brain.leave_table()`."""
+    (made there when missing), unless it is learning, or its core state
+    is new and that table is full. Learning must stay off until
+    `brain.leave_table()`."""
+    if brain.learning:
+        return
     weights = array("d", brain.weights().values()).tobytes()
     table = tables.get(weights)
     if table is None:
-        table = tables[weights] = TransitionTable(brain, steps)
-    table.enter(brain)
+        table = tables[weights] = TransitionTable(brain)
+    row = table._row(brain.net.state_key(table.core))
+    if row is not None:
+        brain.table, brain.row = table, row

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -35,7 +36,7 @@ class ScriptedBrain:
         self.i = 0
         self.learning = False
 
-    def world_tick(self, frame, steps):
+    def world_tick(self, frame):
         if self.i < len(self.frames):
             frame = self.frames[self.i]
         else:
@@ -163,6 +164,18 @@ class TestDepositPolicy:
         assert emitted == 5 and ant.positive_deposit_remaining == 0
         assert g.positive[5, 5] == 5 * CFG.deposit_amount_positive
         assert np.count_nonzero(g.positive) == 1 and not g.negative.any()
+
+    @pytest.mark.parametrize("phase, deposits", [(SimPhase.FORAGING, True),
+                                                 (SimPhase.TRAINING, False)])
+    def test_training_lays_no_pheromone(self, phase, deposits):
+        g = walled_grid()
+        ant = scripted_ant((5, 5), Heading.EAST,
+                           [ActuatorFrame(emit_negative_pheromone=True)],
+                           positive_deposit_remaining=3)
+        ev = step_ant(g, ant, CFG, phase, pheromone_enabled=True)
+        assert (ev.deposited_positive, ev.deposited_negative) == (deposits, deposits)
+        assert (g.positive.any(), g.negative.any()) == (deposits, deposits)
+        assert ant.positive_deposit_remaining == 2
 
     def test_no_events_no_deposits(self):
         g = walled_grid()

@@ -3,6 +3,8 @@ import warnings
 from dataclasses import replace
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from spikeants.circuit import (
     MOTOR_FORWARD,
@@ -18,6 +20,7 @@ from spikeants.circuit import (
     run_conditioning,
     trained_reference_weights,
 )
+from spikeants.plasticity import StdpConfig
 from spikeants.snn import SpikeEvent, ValidationError
 from spikeants.world import Color
 
@@ -49,6 +52,18 @@ class TestBuildBrain:
         brain = AntBrain(kickstart=False)
         for w in brain.weights().values():
             assert w == pytest.approx(0.1 * brain.stdp_cfg.w_max)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(0.0, 5.0), st.floats(0.0, 5.0), st.floats(0.0, 1.0, exclude_max=True))
+    def test_initial_weights_lie_in_bounds(self, w_min, w_max, fraction):
+        """The initial plastic weight lies `plastic_init_fraction` of the
+        way from w_min to w_max, so a brain accepts its own weights."""
+        assume(w_min < w_max)
+        stdp = StdpConfig(w_min=w_min, w_max=w_max)
+        brain = AntBrain(CircuitConfig(plastic_init_fraction=fraction), stdp, kickstart=False)
+        for w in brain.weights().values():
+            assert stdp.w_min <= w <= stdp.w_max
+        brain.set_weights(brain.weights())
 
     def test_short_period_rejected(self):
         with pytest.raises(ValidationError, match="at least 2"):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from spikeants import cli
+from spikeants import cli, engine
 from spikeants.circuit import parse_weights
 from spikeants.cli import main
 from spikeants.config import parse_config
@@ -121,6 +121,33 @@ class TestValidate:
         assert capsys.readouterr().err == "error: seed must be non-negative\n"
 
 
+    def test_repeated_key_rejected(self, arena, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("seed = 1\nseed = 2\n")
+        assert main(["validate", "--scenario", str(arena), "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == "error: line 2: repeated key 'seed'\n"
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("key", ["ant_deposit_amount_positive",
+                                     "ant_deposit_amount_negative"])
+    def test_overflowing_deposit_fails_before_any_tick(self, command, key, tmp_path,
+                                                       capsys, monkeypatch):
+        """With 10 ants a cell could hold 10 * 1e308 / rho: rejected up
+        front, naming the key, instead of a field that turns inf."""
+        def no_tick(*args, **kwargs):
+            raise AssertionError("an ant stepped")
+        monkeypatch.setattr(engine, "step_ant", no_tick)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"{key} = 1e308\n")
+        out = tmp_path / "out.csv"
+        argv = {"validate": [], "run": ["--out-csv", str(out), "--reference-weights"]}[command]
+        assert main([command, "--scenario", "@foraging", "--config", str(cfg), *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} = 1e+308 with 10 ants ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+
 class TestRunCommand:
     def test_writes_csv_and_json(self, arena, tmp_path):
         csv = tmp_path / "out.csv"
@@ -210,6 +237,19 @@ class TestTrainCommand:
         assert code == 0
 
 
+    def test_trained_weights_feed_run_off_zero_floor(self, train_arena, arena, tmp_path):
+        """Untrained pathways start inside [w_min, w_max], so a run with
+        the same config accepts the weights training wrote."""
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("stdp_w_min = 0.2\n")
+        wfile = tmp_path / "weights.txt"
+        assert main(["train", "--scenario", str(train_arena), "--out-weights", str(wfile),
+                     "--ticks", "1", "--config", str(cfg)]) == 0
+        assert all(0.2 <= w <= 1.0 for w in parse_weights(wfile.read_text()).values())
+        assert main(["run", "--scenario", str(arena), "--out-csv", str(tmp_path / "run.csv"),
+                     "--ticks", "5", "--weights", str(wfile), "--config", str(cfg)]) == 0
+
+
 class TestOutputPaths:
     def test_missing_weights_dir_fails_before_training(self, tmp_path, capsys, monkeypatch):
         def no_run(*args, **kwargs):
@@ -277,6 +317,23 @@ class TestCompareCommand:
         summary = json.loads(summ.read_text())
         assert set(summary) >= {"food_consumed_enabled", "food_consumed_disabled",
                                 "consumption_advantage"}
+
+
+class TestReferenceWeights:
+    @pytest.mark.parametrize("command, text", [
+        ("run", "stdp_w_max = 0.8\n"),
+        ("compare", "stdp_w_min = 0.5\nstdp_w_max = 2.0\n"),
+    ])
+    def test_reference_weights_follow_the_config_bounds(self, command, text, arena,
+                                                        tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(text)
+        outs = {"run": ["--out-csv", str(tmp_path / "o.csv")],
+                "compare": ["--out-on", str(tmp_path / "on.csv"),
+                            "--out-off", str(tmp_path / "off.csv")]}[command]
+        code = main([command, "--scenario", str(arena), *outs, "--ticks", "20",
+                     "--reference-weights", "--config", str(cfg)])
+        assert (code, capsys.readouterr().err) == (0, "")
 
 
 class TestRenderCommand:

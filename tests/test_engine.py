@@ -303,7 +303,7 @@ class TestDepositCadence:
                 deposit_ticks.append(t)
         period_world_ticks = (cfg.circuit.np_pulse_count
                               * cfg.circuit.pacemaker_period
-                              // cfg.ant.brain_steps_per_world_tick)
+                              // cfg.circuit.brain_steps_per_world_tick)
         gaps = {b - a for a, b in zip(deposit_ticks, deposit_ticks[1:])}
         assert len(deposit_ticks) >= 10
         assert gaps == {period_world_ticks}

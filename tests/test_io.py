@@ -228,6 +228,14 @@ class TestConfigFile:
         assert cfg.evaporation.rho_negative == 0.01
         assert cfg.pheromone_enabled is False
 
+    @pytest.mark.parametrize("text, message", [
+        ("seed = 1\nseed = 2\n", "line 2: repeated key 'seed'"),
+        ("stdp_w_max = 2\n# again\nstdp_w_max 2\n", "line 3: repeated key 'stdp_w_max'"),
+    ])
+    def test_repeated_key_rejected(self, text, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            parse_config(text)
+
     def test_bad_value_reports_line(self):
         with pytest.raises(ConfigError, match="bad value"):
             parse_config("seed = banana\n")
@@ -250,13 +258,14 @@ class TestConfigFile:
         "stdp_tau_plus = 1e308",
         "stdp_tau_minus = 1e308",
         "circuit_np_pulse_count = 185",
+        "ant_brain_steps = 0",
     ], ids=["evap_rho_negative", "neuron_threshold", "neuron_refractory_ticks",
             "circuit_np_tau", "circuit_nociceptor_refractory", "neuron_rest_nan",
             "ant_deposit_amount_positive_nan", "circuit_reflex_weight_nan",
             "circuit_reflex_weight_negative", "circuit_sense_amplitude_negative",
             "circuit_drive_weight_inf", "stdp_w_max_inf", "evap_clear_threshold_inf",
             "seed_negative", "stdp_tau_plus_overflow", "stdp_tau_minus_overflow",
-            "circuit_np_pulse_count_unreachable"])
+            "circuit_np_pulse_count_unreachable", "ant_brain_steps"])
     def test_invalid_domain_value_rejected(self, line):
         key = line.split()[0]
         with pytest.raises(ConfigError, match=f"^{key} "):

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from unittest import mock
 
 from hypothesis import given, settings
@@ -40,16 +41,17 @@ def assert_table_matches_stepping(weights, steps, frames, cfg=CircuitConfig()):
     and after leaving the table the networks are equal. The second
     table brain follows the first, so its ticks are all lookups.
     Returns the table."""
+    cfg = replace(cfg, brain_steps_per_world_tick=steps)
     stepped, *tabled = [AntBrain(cfg) for _ in range(3)]
     tables = {}
     for brain in [stepped, *tabled]:
         brain.set_weights(weights)
     for brain in tabled:
-        table.share_table(tables, brain, steps)
+        table.share_table(tables, brain)
     assert len(tables) == 1
     for frame in frames:
-        want = stepped.world_tick(frame, steps)
-        assert [brain.world_tick(frame, steps) for brain in tabled] == [want, want]
+        want = stepped.world_tick(frame)
+        assert [brain.world_tick(frame) for brain in tabled] == [want, want]
         for brain in tabled:
             assert actuator_states(brain) == actuator_states(stepped)
     for brain in tabled:
@@ -82,8 +84,8 @@ class TestTransitionTable:
         frames = [StimulusFrame(pain_contact=True)] + STIMULI * 3
         assert_table_matches_stepping(trained_reference_weights(), 12, frames, cfg)
         # The first world tick already reaches states beyond one byte.
-        probe = AntBrain(cfg)
-        probe.world_tick(frames[0], 12)
+        probe = AntBrain(replace(cfg, brain_steps_per_world_tick=12))
+        probe.world_tick(frames[0])
         assert probe.net.states[probe.layout.nociceptor].refractory_remaining > 255
         assert max(probe.net.pending_pulses) - probe.net.current_tick > 255
 
@@ -100,7 +102,7 @@ class TestTransitionTable:
         """The table runs the actuators apart from the core, which is
         exact only while no synapse leaves an actuator."""
         brain = AntBrain()
-        held = table.TransitionTable(brain, 10)
+        held = table.TransitionTable(brain)
         assert not [syn for syn in brain.net.synapses if syn.pre in held.actuators]
         assert sorted(held.core + list(held.actuators)) == list(range(len(brain.net.states)))
 
@@ -108,7 +110,7 @@ class TestTransitionTable:
         with mock.patch.object(table, "MAX_TABLE_STATES", 0):
             tables = {}
             brain = AntBrain()
-            table.share_table(tables, brain, 10)
+            table.share_table(tables, brain)
             assert brain.table is None
             assert len(tables) == 1
 
@@ -119,9 +121,29 @@ class TestTransitionTable:
             tabled, stepped = AntBrain(), AntBrain()
             for brain in (tabled, stepped):
                 brain.set_weights(weights)
-            table.share_table(tables, tabled, 10)
+            table.share_table(tables, tabled)
             pairs.append((tabled, stepped))
         assert len(tables) == 2
         for frame in STIMULI * 3:
             for tabled, stepped in pairs:
-                assert tabled.world_tick(frame, 10) == stepped.world_tick(frame, 10)
+                assert tabled.world_tick(frame) == stepped.world_tick(frame)
+
+    def test_the_brain_keeps_its_clock_rate(self):
+        """Tabled or stepped, a world tick advances the clock by the
+        brain's own `brain_steps_per_world_tick`."""
+        cfg = CircuitConfig(brain_steps_per_world_tick=7)
+        tabled, stepped = AntBrain(cfg), AntBrain(cfg)
+        table.share_table({}, tabled)
+        assert tabled.table is not None
+        for world_ticks, frame in enumerate(STIMULI + [StimulusFrame()] * 30, start=1):
+            for brain in (tabled, stepped):
+                brain.world_tick(frame)
+                assert brain.net.current_tick == 7 * world_ticks
+        assert tabled.table is not None
+
+    def test_a_learning_brain_stays_stepped(self):
+        tables = {}
+        brain = AntBrain(learning=True)
+        table.share_table(tables, brain)
+        assert brain.table is None
+        assert tables == {}
