@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .circuit import AntBrain, StimulusFrame
-from .world import Color, Grid, PatchKind, PheromoneField
+from .circuit import SMELLS, STIMULI, AntBrain, StimulusFrame
+from .world import COLORS, Color, Grid, PatchKind, PheromoneField
 
 
 class Heading(Enum):
@@ -41,11 +41,24 @@ class Heading(Enum):
 CLOCKWISE = tuple(Heading)
 # Colors that hurt an ant standing on them.
 _HARMFUL = (Color.WHITE, Color.RED)
+# The stimulus code bits a color, as its index into COLORS, sets ahead
+# of the ant (smell) and under it (pain).
+_SMELL_BITS = tuple(StimulusFrame(smell_ahead=c if c in SMELLS else None).code for c in COLORS)
+_PAIN_BIT = StimulusFrame(pain_contact=True).code
+_PAIN_BITS = tuple(_PAIN_BIT if c in _HARMFUL else 0 for c in COLORS)
+_REWARD_BIT = StimulusFrame(reward_contact=True).code
+# Enum members used on every ant-tick are bound once, since looking them
+# up through their class is slow.
+_FOOD = int(PatchKind.FOOD)
+_WALL = int(PatchKind.WALL)
 
 
 class SimPhase(Enum):
     TRAINING = "training"
     FORAGING = "foraging"
+
+
+_TRAINING = SimPhase.TRAINING
 
 
 @dataclass(frozen=True)
@@ -97,7 +110,7 @@ class AntEvents:
 
 
 def perceive(grid: Grid, ant: Ant) -> StimulusFrame:
-    """Build the stimulus frame for the ant's current pose.
+    """The stimulus frame for the ant's current pose, one of `STIMULI`.
 
     The only smell comes from the single cell directly ahead; pain is
     standing on a harm-colored cell or last tick's collision; reward is
@@ -106,14 +119,13 @@ def perceive(grid: Grid, ant: Ant) -> StimulusFrame:
     x, y = ant.position
     dx, dy = ant.heading.vector
     fx, fy = x + dx, y + dy
-    smell: Optional[Color] = None
+    # The ant's own cell is on the grid; the cell ahead may not be.
+    code = _PAIN_BIT if ant.pain_pending else _PAIN_BITS[grid.color_index(x, y)]
     if grid.in_bounds(fx, fy):
-        front = grid.effective_color_at(fx, fy)
-        if front is not Color.BLACK:
-            smell = front
-    pain = grid.effective_color_at(x, y) in _HARMFUL or ant.pain_pending
-    reward = grid.kind.item(y, x) == PatchKind.FOOD
-    return StimulusFrame(smell_ahead=smell, pain_contact=pain, reward_contact=reward)
+        code |= _SMELL_BITS[grid.color_index(fx, fy)]
+    if grid.kind.item(y, x) == _FOOD:
+        code |= _REWARD_BIT
+    return STIMULI[code]
 
 
 def step_ant(grid: Grid, ant: Ant, cfg: AntConfig, phase: SimPhase,
@@ -124,7 +136,7 @@ def step_ant(grid: Grid, ant: Ant, cfg: AntConfig, phase: SimPhase,
     lays no pheromone, whatever `pheromone_enabled` says, and touching a
     boundary puts it back at its spawn pose.
     """
-    training = phase is SimPhase.TRAINING
+    training = phase is _TRAINING
     frame = perceive(grid, ant)
     ant.pain_pending = False
     act = ant.brain.world_tick(frame)
@@ -147,7 +159,7 @@ def step_ant(grid: Grid, ant: Ant, cfg: AntConfig, phase: SimPhase,
         dx, dy = ant.heading.vector
         tx, ty = x + dx, y + dy
         edge = not grid.in_bounds(tx, ty)
-        if edge or grid.kind.item(ty, tx) == PatchKind.WALL:
+        if edge or grid.kind.item(ty, tx) == _WALL:
             # An open grid edge counts as hitting the world boundary.
             blocked = True
             ant.pain_pending = True

@@ -123,10 +123,35 @@ class CircuitConfig:
 
 @dataclass(frozen=True)
 class StimulusFrame:
-    """What one world tick presents to the senses."""
+    """What one world tick presents to the senses.
+
+    `code` numbers the 16 possible frames: the smell's place in
+    (None,) + SMELLS, then pain, then reward, from the high bit down.
+    `STIMULI[code]` is the frame itself.
+    """
     smell_ahead: Optional[Color] = None
     pain_contact: bool = False
     reward_contact: bool = False
+    # Derived in __post_init__; equal frames have equal codes.
+    code: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.smell_ahead is not None:
+            _check_smell("smell_ahead", self.smell_ahead)
+        smell = 0 if self.smell_ahead is None else SMELLS.index(self.smell_ahead) + 1
+        object.__setattr__(self, "code", smell << 2 | bool(self.pain_contact) << 1
+                           | bool(self.reward_contact))
+
+
+def _check_smell(name: str, smell):
+    if smell not in SMELLS:
+        raise ValidationError(f"{name} must be a smell "
+                              f"({', '.join(c.value for c in SMELLS)}), not {smell!r}")
+
+
+# Every stimulus frame, indexed by its code.
+STIMULI = tuple(StimulusFrame(smell, pain, reward) for smell in (None,) + SMELLS
+                for pain in (False, True) for reward in (False, True))
 
 
 @dataclass(frozen=True)
@@ -158,12 +183,12 @@ class AntBrain:
     """One network plus its layout, with optional online plasticity.
 
     A brain owns its network exclusively. While learning is off, a run
-    may move the brain's core state into the run's transition table for
-    its weight set (`table.share_table`); its world ticks are then
-    lookups until `leave_table` loads the core back into the network.
-    Meanwhile the actuators, and so the energy counter, and the clock
-    stay current in the network after every world tick. The brains of
-    one run share that table and nothing else.
+    may move the brain's state into the run's transition table for its
+    weight set (`table.share_table`): the brain then holds two interned
+    ids, one for its core and one for its four actuators, and its world
+    ticks are lookups until `leave_table` loads both states back into
+    the network. Meanwhile only the network's clock stays current. The
+    brains of one run share that table and nothing else.
     """
 
     def __init__(self, circuit_cfg: CircuitConfig = CircuitConfig(),
@@ -239,10 +264,11 @@ class AntBrain:
         self._arrivals: dict[int, list[int]] = {}
         if kickstart:
             net.inject_pulse(layout.kickstart, cfg.sense_amplitude)
-        # While `table` is set, the core state is the key of that table's
-        # `row`; `net` keeps the actuators and the clock current.
+        # While `table` is set, the core and actuator states are that
+        # table's `row` and `act_id`; `net` keeps only the clock current.
         self.table = None
         self.row = None
+        self.act_id = None
 
     def sense(self, frame: StimulusFrame):
         """Inject suprathreshold pulses for everything the frame reports."""
@@ -370,6 +396,7 @@ class ConditioningSchedule:
     trial_gap: int = 60
 
     def __post_init__(self):
+        _check_smell("smell", self.smell)
         if self.unconditioned not in ("pain", "reward"):
             raise ValidationError("unconditioned stimulus must be 'pain' or 'reward'")
         if self.pairings < 0:

@@ -11,31 +11,35 @@ one run and are never shared between runs.
 
 The four actuator neurons (both motors, both pheromone neurons) feed no
 other neuron, so the rest of the network, the core, runs the same
-whatever they hold, and the table keys on the core alone. The energy
-counter is an actuator that integrates pacemaker pulses over hundreds
-of world ticks and seldom returns to an earlier potential; in the key
-it would make a new state of most world ticks. Instead each transition
-records the pulse sum every actuator receives on each brain tick, and a
-brain in a table runs the actuators of its own network through those
-sums (`snn.run_cell`), so they stay current after every world tick.
+whatever they hold. The table therefore interns two kinds of state
+apart: core states, whose key is every core neuron and every pulse in
+flight, and actuator states, the (potential, dead-time counter) of all
+four actuators. A tabled brain holds one id of each, and a world tick
+is two integer lookups. The energy counter integrates pacemaker pulses
+over hundreds of world ticks, so it adds actuator states but no core
+states. A core state under one stimulus code is a slot; each slot
+records the pulse sum every actuator receives on each brain tick, so a
+new (actuator state, slot) pair runs only the four actuators
+(`snn.run_cell`), and a new slot steps the brain's own network once.
 """
 
 from __future__ import annotations
 
+import struct
 from array import array
 from typing import Optional
 
-from .circuit import SMELLS, ActuatorFrame, AntBrain, StimulusFrame
+from .circuit import ActuatorFrame, AntBrain, StimulusFrame
 from .snn import SpikeEvent, run_cell
 
-# Core states one table may hold. A brain whose transition is new while
-# its table is full leaves the table and is stepped, so outputs never
-# depend on this bound.
+# States of each kind, core and actuator, one table may hold. A brain
+# whose transition needs a new state of a full kind leaves the table and
+# is stepped, so outputs never depend on this bound.
 MAX_TABLE_STATES = 4096
 
-# Smell ahead, as the two high bits of a 4-bit stimulus code whose low
-# bits are pain and reward.
-_SMELL_CODES = (None,) + SMELLS
+# An actuator state, its key and its record at once: the four potentials
+# as float bits, so that -0.0 and 0.0 differ, then the four counters.
+_ACTUATOR_STATE = struct.Struct("4d4q")
 
 
 class TransitionTable:
@@ -44,13 +48,16 @@ class TransitionTable:
     A transition spans the brain's own `brain_steps_per_world_tick`,
     the same record a stepped brain reads.
 
-    `_rows` maps each core key (`Network.state_key` of every neuron but
-    the actuators) to its row: the key and 16 slots, one per stimulus
-    code. A slot holds the transition, or None while unknown: the next
-    row and, per actuator, its neuron id, the pulse sum due on each
-    brain tick, and the (potential, counter, fired) it ends with when it
-    starts open at rest. A new transition is computed once, by the real
-    `sense`, `step` and `actuate` of the brain that meets it.
+    A tabled brain holds `row`, the id of its core state, and `act_id`,
+    the id of its actuator state; `leave` loads both into its network.
+    Slot `row << 4 | code` is that core state under a stimulus code;
+    once known, `_slots` holds its next row and the pulse sum due to each
+    actuator on each brain tick. `_moves[slot]` maps each actuator state
+    met in that slot to the next row, the next actuator state and the
+    actuator frame. A new slot is computed once, by the real `sense` and
+    `step` of the brain that meets it, and a new move by `run_cell`.
+    Moves are kept per slot because slots are few and actuator states
+    many.
     """
 
     def __init__(self, brain: AntBrain):
@@ -58,84 +65,110 @@ class TransitionTable:
         self.actuators = (layout.motor_forward, layout.motor_rotate,
                           layout.pheromone_positive, layout.pheromone_negative)
         self.core = [n for n in range(len(brain.net.states)) if n not in self.actuators]
+        self.params = [brain.net.params[n] for n in self.actuators]
+        self.steps = brain.circuit_cfg.brain_steps_per_world_tick
         # The actuator frame for each set of fired actuators (bit j for
         # actuator j), folded by the real `actuate`.
         self._frames = tuple(brain.actuate([SpikeEvent(n, 0) for j, n in
                                             enumerate(self.actuators) if mask >> j & 1])
                              for mask in range(16))
-        self._rows: dict[tuple[bytes, tuple[int, ...]], tuple] = {}
+        # Core states: id by key, key by id, and 16 slots and their moves
+        # per id.
+        self._row_ids: dict[tuple[bytes, tuple[int, ...]], int] = {}
+        self._rows: list[tuple[bytes, tuple[int, ...]]] = []
+        self._slots: list[Optional[tuple]] = []
+        self._moves: list[dict[int, tuple[int, int, ActuatorFrame]]] = []
+        # Actuator states: id by key, and key by id.
+        self._act_ids: dict[bytes, int] = {}
+        self._acts: list[bytes] = []
 
     def __len__(self) -> int:
         """Core states held."""
         return len(self._rows)
 
-    def _row(self, key) -> Optional[tuple]:
-        """The row of core state `key`; a new row while there is room, else None."""
-        row = self._rows.get(key)
+    def _row(self, key) -> Optional[int]:
+        """The id of core state `key`; a new id while there is room, else None."""
+        row = self._row_ids.get(key)
         if row is None and len(self._rows) < MAX_TABLE_STATES:
-            row = self._rows[key] = (key, [None] * 16)
+            row = self._row_ids[key] = len(self._rows)
+            self._rows.append(key)
+            self._slots += [None] * 16
+            self._moves += [{} for _ in range(16)]
         return row
 
+    def _act(self, potentials, counters) -> Optional[int]:
+        """The id of the actuator state with these potentials and
+        counters; a new id while there is room, else None."""
+        key = _ACTUATOR_STATE.pack(*potentials, *counters)
+        act_id = self._act_ids.get(key)
+        if act_id is None and len(self._acts) < MAX_TABLE_STATES:
+            act_id = self._act_ids[key] = len(self._acts)
+            self._acts.append(key)
+        return act_id
+
     def leave(self, brain: AntBrain):
-        """Load `brain`'s core state back into its network."""
-        brain.net.load_state(brain.row[0], self.core)
-        brain.table = brain.row = None
+        """Load `brain`'s core and actuator states back into its network."""
+        net = brain.net
+        net.load_state(self._rows[brain.row], self.core)
+        state = _ACTUATOR_STATE.unpack(self._acts[brain.act_id])
+        for n, u, remaining in zip(self.actuators, state[:4], state[4:]):
+            net.states[n].membrane_potential = u
+            net.states[n].refractory_remaining = remaining
+        brain.table = brain.row = brain.act_id = None
 
     def advance(self, brain: AntBrain, frame: StimulusFrame) -> Optional[ActuatorFrame]:
         """One world tick of `brain` under `frame`: its actuator frame, or
-        None, with the brain untouched, when the transition is new and
-        the table is full."""
-        code = (_SMELL_CODES.index(frame.smell_ahead) << 2
-                | frame.pain_contact << 1 | frame.reward_contact)
-        slots = brain.row[1]
-        slot = slots[code]
-        if slot is None:
-            if len(self._rows) >= MAX_TABLE_STATES:
+        None, with the brain's ids and clock unchanged, when the
+        transition needs a new state and the table is full."""
+        slot = brain.row << 4 | frame.code
+        move = self._moves[slot].get(brain.act_id)
+        if move is None:
+            move = self._learn(brain, frame, slot)
+            if move is None:
                 return None
-            return self._compute(brain, frame, slots, code)
-        brain.row, plans = slot
-        net = brain.net
-        states, params_of = net.states, net.params
-        fired = 0
-        for j, (n, pulses, at_rest) in enumerate(plans):
-            state = states[n]
-            params = params_of[n]
-            # From rest, the first decay gives the same bits for 0.0
-            # and -0.0, so `==` suffices to reuse the outcome from rest.
-            if state.refractory_remaining or state.membrane_potential != params.resting_potential:
-                state.membrane_potential, state.refractory_remaining, spiked = run_cell(
-                    state.membrane_potential, state.refractory_remaining, params, pulses)
-            else:
-                state.membrane_potential, state.refractory_remaining, spiked = at_rest
-            if spiked:
-                fired |= 1 << j
-        net.current_tick += brain.circuit_cfg.brain_steps_per_world_tick
-        return self._frames[fired]
+        brain.row, brain.act_id, act = move
+        brain.net.current_tick += self.steps
+        return act
 
-    def _compute(self, brain: AntBrain, frame: StimulusFrame, slots, code: int) -> ActuatorFrame:
-        """Step `brain` itself through a new transition and record it."""
-        net = brain.net
-        net.load_state(brain.row[0], self.core)
-        brain.sense(frame)
-        due: list[list[Optional[float]]] = [[] for _ in self.actuators]
-        events: list[SpikeEvent] = []
-        for _ in range(brain.circuit_cfg.brain_steps_per_world_tick):
-            events.extend(brain.step())
-            for pulses, n in zip(due, self.actuators):
-                pulses.append(net.incoming.get(n))
-        # Room for one more state was checked by the caller.
-        row = self._row(net.state_key(self.core))
-        slots[code] = row, tuple(
-            (n, tuple(pulses), run_cell(net.params[n].resting_potential, 0, net.params[n], pulses))
-            for n, pulses in zip(self.actuators, due))
-        brain.row = row
-        return brain.actuate(events)
+    def _learn(self, brain: AntBrain, frame: StimulusFrame, slot: int) -> Optional[tuple]:
+        """Compute and record the move of `brain`'s actuator state
+        through `slot`, and the slot itself when it is new."""
+        if self._slots[slot] is None:
+            net = brain.net
+            net.load_state(self._rows[brain.row], self.core)
+            brain.sense(frame)
+            due: list[list[Optional[float]]] = [[] for _ in self.actuators]
+            for _ in range(self.steps):
+                brain.step()
+                for pulses, n in zip(due, self.actuators):
+                    pulses.append(net.incoming.get(n))
+            row = self._row(net.state_key(self.core))
+            # The network only computed the slot: the clock goes back, and
+            # the brain's state stays its two ids until `leave` loads them.
+            net.current_tick -= self.steps
+            if row is None:
+                return None
+            self._slots[slot] = row, tuple(map(tuple, due))
+        row, due = self._slots[slot]
+        state = _ACTUATOR_STATE.unpack(self._acts[brain.act_id])
+        potentials, counters, fired = [], [], 0
+        for j, (u, remaining, params, pulses) in enumerate(
+                zip(state[:4], state[4:], self.params, due)):
+            u, remaining, spiked = run_cell(u, remaining, params, pulses)
+            potentials.append(u)
+            counters.append(remaining)
+            fired |= spiked << j
+        act_id = self._act(potentials, counters)
+        if act_id is None:
+            return None
+        move = self._moves[slot][brain.act_id] = row, act_id, self._frames[fired]
+        return move
 
 
 def share_table(tables: dict[bytes, TransitionTable], brain: AntBrain):
     """Move `brain` into the table for its plastic weights in `tables`
-    (made there when missing), unless it is learning, or its core state
-    is new and that table is full. Learning must stay off until
+    (made there when missing), unless it is learning, or its state is
+    new and that table is full. Learning must stay off until
     `brain.leave_table()`."""
     if brain.learning:
         return
@@ -143,6 +176,9 @@ def share_table(tables: dict[bytes, TransitionTable], brain: AntBrain):
     table = tables.get(weights)
     if table is None:
         table = tables[weights] = TransitionTable(brain)
+    states = [brain.net.states[n] for n in table.actuators]
     row = table._row(brain.net.state_key(table.core))
-    if row is not None:
-        brain.table, brain.row = table, row
+    act_id = table._act([state.membrane_potential for state in states],
+                        [state.refractory_remaining for state in states])
+    if row is not None and act_id is not None:
+        brain.table, brain.row, brain.act_id = table, row, act_id

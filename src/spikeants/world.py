@@ -41,8 +41,11 @@ _COLOR_RULE = (
     ((Color.GREEN, Color.GREEN), (Color.GREEN, Color.GREEN)),  # FOOD
 )
 COLORS = tuple(Color)
-_COLOR_INDEX = np.array([[[COLORS.index(c) for c in by_pos] for by_pos in by_neg]
-                         for by_neg in _COLOR_RULE], dtype=np.uint8)
+# The same rule as indices into COLORS: nested tuples for one cell, an
+# array for the whole grid.
+_COLOR_CODES = tuple(tuple(tuple(COLORS.index(c) for c in by_pos) for by_pos in by_neg)
+                     for by_neg in _COLOR_RULE)
+_COLOR_INDEX = np.array(_COLOR_CODES, dtype=np.uint8)
 
 
 @dataclass(frozen=True)
@@ -100,8 +103,14 @@ class Grid:
     def effective_color_at(self, x: int, y: int) -> Color:
         """Stimulus color one cell presents, by the rule in `_COLOR_RULE`."""
         self._check(x, y)
+        return COLORS[self.color_index(x, y)]
+
+    def color_index(self, x: int, y: int) -> int:
+        """`effective_color_at` as an index into `COLORS`, without the
+        bounds check: (x, y) must lie on the grid, since a negative
+        coordinate would wrap to the far edge."""
         eps = self.clear_threshold
-        return _COLOR_RULE[self.kind.item(y, x)][self.negative.item(y, x) >= eps][
+        return _COLOR_CODES[self.kind.item(y, x)][self.negative.item(y, x) >= eps][
             self.positive.item(y, x) >= eps]
 
     def effective_colors(self) -> np.ndarray:

@@ -11,7 +11,13 @@ from spikeants.agents import (
     perceive,
     step_ant,
 )
-from spikeants.circuit import ActuatorFrame, AntBrain, trained_reference_weights
+from spikeants.circuit import (
+    STIMULI,
+    ActuatorFrame,
+    AntBrain,
+    StimulusFrame,
+    trained_reference_weights,
+)
 from spikeants.world import Color, Grid, PatchKind, PheromoneField
 
 CFG = AntConfig()
@@ -85,6 +91,39 @@ class TestPerceive:
         g.deposit(6, 5, PheromoneField.POSITIVE, 1.0)
         ant = scripted_ant((5, 5), Heading.EAST, [])
         assert perceive(g, ant).smell_ahead is Color.GREEN
+
+
+    @settings(max_examples=50)
+    @given(st.data())
+    def test_the_prebuilt_frame_follows_the_color_rule(self, data):
+        """On random grids, every pose gets the prebuilt frame equal to
+        the one the color rule gives cell by cell."""
+        eps = 0.05
+        w, h = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        g = Grid(w, h, clear_threshold=eps)
+        levels = st.sampled_from([0.0, eps, 1.0])
+        for y in range(h):
+            for x in range(w):
+                g.kind[y, x] = data.draw(st.sampled_from(list(PatchKind)))
+                g.negative[y, x] = data.draw(levels)
+                g.positive[y, x] = data.draw(levels)
+        for y in range(h):
+            for x in range(w):
+                for heading in Heading:
+                    ant = scripted_ant((x, y), heading, [],
+                                       pain_pending=data.draw(st.booleans()))
+                    dx, dy = heading.vector
+                    smell = None
+                    if g.in_bounds(x + dx, y + dy):
+                        smell = g.effective_color_at(x + dx, y + dy)
+                    want = StimulusFrame(
+                        smell_ahead=None if smell is Color.BLACK else smell,
+                        pain_contact=(g.effective_color_at(x, y) in (Color.WHITE, Color.RED)
+                                      or ant.pain_pending),
+                        reward_contact=g.kind[y, x] == PatchKind.FOOD)
+                    frame = perceive(g, ant)
+                    assert frame == want
+                    assert frame is STIMULI[want.code]
 
 
 class TestMovementRules:

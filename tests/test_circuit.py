@@ -14,6 +14,7 @@ from spikeants.circuit import (
     CircuitConfig,
     ConditioningSchedule,
     SMELLS,
+    STIMULI,
     StimulusFrame,
     format_weights,
     parse_weights,
@@ -230,6 +231,41 @@ class TestEnergyCounter:
         control_next = next(t for t in control_spikes if t > reward_tick)
         test_next = next(t for t in np_spikes if t > reward_tick)
         assert test_next - control_next >= cycle
+
+
+class TestStimulusFrames:
+    def test_each_prebuilt_frame_has_its_index_as_code(self):
+        assert len(STIMULI) == 16
+        assert [frame.code for frame in STIMULI] == list(range(16))
+
+    def test_hand_built_frames_equal_the_prebuilt_ones(self):
+        """Codes written out bit by bit (smell, pain, reward), so a
+        reordered `Color` or `SMELLS` fails here."""
+        by_hand = {
+            0b0000: StimulusFrame(),
+            0b0001: StimulusFrame(reward_contact=True),
+            0b0010: StimulusFrame(pain_contact=True),
+            0b0100: StimulusFrame(smell_ahead=Color.WHITE),
+            0b1000: StimulusFrame(smell_ahead=Color.RED),
+            0b1100: StimulusFrame(smell_ahead=Color.GREEN),
+            0b1011: StimulusFrame(Color.RED, pain_contact=True, reward_contact=True),
+            0b1111: StimulusFrame(Color.GREEN, pain_contact=True, reward_contact=True),
+        }
+        for code, frame in by_hand.items():
+            assert frame.code == code
+            assert STIMULI[code] == frame
+            assert (STIMULI[code].smell_ahead, STIMULI[code].pain_contact,
+                    STIMULI[code].reward_contact) == (frame.smell_ahead, frame.pain_contact,
+                                                      frame.reward_contact)
+
+    @pytest.mark.parametrize("smell", [Color.BLACK, "green", 0])
+    def test_a_frame_rejects_what_is_not_a_smell(self, smell):
+        with pytest.raises(ValidationError, match=f"smell_ahead must be a smell .*{smell!r}"):
+            StimulusFrame(smell_ahead=smell)
+
+    def test_a_schedule_rejects_what_is_not_a_smell(self):
+        with pytest.raises(ValidationError, match="smell must be a smell .*BLACK"):
+            ConditioningSchedule(Color.BLACK, "pain", 1)
 
 
 class TestSense:

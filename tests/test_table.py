@@ -1,11 +1,13 @@
+import copy
 import random
 from dataclasses import replace
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spikeants import table
+from spikeants import circuit, table
 from spikeants.circuit import (
     MOTOR_FORWARD,
     MOTOR_ROTATE,
@@ -17,9 +19,7 @@ from spikeants.circuit import (
 )
 from spikeants.plasticity import StdpConfig
 
-# The 16 stimulus frames: smell ahead (none or one of three) x pain x reward.
-STIMULI = [StimulusFrame(smell, pain, reward) for smell in (None,) + SMELLS
-           for pain in (False, True) for reward in (False, True)]
+STIMULI = list(circuit.STIMULI)
 PLASTIC_KEYS = [(smell, motor) for smell in SMELLS for motor in (MOTOR_FORWARD, MOTOR_ROTATE)]
 
 
@@ -28,18 +28,23 @@ def full_state(brain):
     return net.current_tick, net.state_key(range(len(net.states)))
 
 
-def actuator_states(brain):
-    layout = brain.layout
-    return [brain.net.states[n] for n in (layout.motor_forward, layout.motor_rotate,
-                                          layout.pheromone_positive, layout.pheromone_negative)]
+def state_on_leaving(brain):
+    """The full state `brain` would leave its table with; the brain
+    itself stays in the table. A shallow copy shares the network, which
+    a tabled brain only reads for its clock."""
+    probe = copy.copy(brain)
+    probe.leave_table()
+    return full_state(probe)
 
 
-def assert_table_matches_stepping(weights, steps, frames, cfg=CircuitConfig()):
+def assert_table_matches_stepping(weights, steps, frames, cfg=CircuitConfig(), left=None):
     """Two brains in one table and one stepped brain, all fresh and
     kickstarted, see the same frames: every world tick gives the same
-    actuator frame and leaves the same actuator states in each network,
-    and after leaving the table the networks are equal. The second
-    table brain follows the first, so its ticks are all lookups.
+    actuator frame, and the state each tabled brain would leave with
+    equals the stepped brain's full network state. After leaving the
+    table the networks are equal. The second table brain follows the
+    first, so its ticks are all lookups. When `left` is given, it says
+    whether the tabled brains left their full table before the end.
     Returns the table."""
     cfg = replace(cfg, brain_steps_per_world_tick=steps)
     stepped, *tabled = [AntBrain(cfg) for _ in range(3)]
@@ -53,7 +58,9 @@ def assert_table_matches_stepping(weights, steps, frames, cfg=CircuitConfig()):
         want = stepped.world_tick(frame)
         assert [brain.world_tick(frame) for brain in tabled] == [want, want]
         for brain in tabled:
-            assert actuator_states(brain) == actuator_states(stepped)
+            assert state_on_leaving(brain) == full_state(stepped)
+    if left is not None:
+        assert [brain.table is None for brain in tabled] == [left, left]
     for brain in tabled:
         brain.leave_table()
         assert brain.table is None
@@ -76,6 +83,7 @@ class TestTransitionTable:
         with mock.patch.object(table, "MAX_TABLE_STATES", bound):
             held = assert_table_matches_stepping(weights, steps, frames)
         assert len(held) <= bound
+        assert len(held._acts) <= bound
 
     def test_long_counters_and_delays(self):
         """A nociceptor dead time of 300 ticks and pacemaker delays of
@@ -91,12 +99,44 @@ class TestTransitionTable:
 
     def test_the_energy_counter_adds_no_states(self):
         """The energy counter passes through new potentials for hundreds
-        of world ticks, and feeds no neuron: it runs beside the table,
-        so a long varied run holds only a few core states."""
+        of world ticks, and feeds no neuron. It does add actuator states,
+        but those are interned apart from the core, so a long varied run
+        holds only a few core states."""
         rng = random.Random(7)
         frames = [rng.choice(STIMULI) for _ in range(1500)]
         held = assert_table_matches_stepping(trained_reference_weights(), 10, frames)
         assert len(held) <= 16
+        assert len(held._acts) > 100
+
+    def test_the_energy_counter_fires_through_the_table(self):
+        """Reward-free stretches let the counter reach threshold, so the
+        negative pheromone it drives comes out of lookups too."""
+        frames = ([StimulusFrame()] * 45 + [StimulusFrame(reward_contact=True)]) * 4
+        probe = AntBrain()
+        probe.set_weights(trained_reference_weights())
+        assert sum(probe.world_tick(frame).emit_negative_pheromone for frame in frames) >= 4
+        assert_table_matches_stepping(trained_reference_weights(), 10, frames)
+
+    @pytest.mark.parametrize("cfg, steps, full", [
+        # A slow energy counter (long np_tau, 150 pulses to fire) makes a
+        # new actuator state of every world tick in a 150-tick cycle,
+        # while the core cycles through two states.
+        (CircuitConfig(np_tau=10000.0, np_pulse_count=150), 10, "actuators"),
+        # A 600-tick pacemaker loop holds a new pulse delay on every world
+        # tick, while both actuators it reaches fire on its pulse and fall
+        # back to rest (one pulse fires the counter).
+        (CircuitConfig(pacemaker_period=600, np_pulse_count=1, np_tau=1.0), 12, "core"),
+    ])
+    def test_a_full_kind_of_state_sends_brains_back_to_stepping(self, cfg, steps, full):
+        """With room for 8 states of each kind, one kind fills first; the
+        brains leave the table and still match stepping."""
+        frames = [StimulusFrame()] * 40 + STIMULI * 3
+        with mock.patch.object(table, "MAX_TABLE_STATES", 8):
+            held = assert_table_matches_stepping(trained_reference_weights(), steps, frames,
+                                                 cfg, left=True)
+        sizes = {"core": len(held), "actuators": len(held._acts)}
+        assert sizes.pop(full) == 8
+        assert sizes.popitem()[1] < 8
 
     def test_actuators_feed_no_neuron(self):
         """The table runs the actuators apart from the core, which is

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spikeants.agents import Ant, Heading
@@ -68,14 +68,28 @@ def cells(g):
     return [(x, y) for y in range(g.height) for x in range(g.width)]
 
 
+def every_case_grid():
+    """One cell per kind, per pheromone (none, exactly at the threshold)
+    and per field: walls and food under both pheromones included."""
+    g = Grid(4, 4, clear_threshold=EPS)
+    for x, kind in enumerate(PatchKind):
+        for y in range(4):
+            g.kind[y, x] = kind
+            g.negative[y, x] = EPS * (y >> 1)
+            g.positive[y, x] = EPS * (y & 1)
+    return g
+
+
 class TestColorRule:
     @given(small_grids())
+    @example(every_case_grid())
     def test_cell_and_grid_lookups_follow_the_priority(self, g):
         colors = g.effective_colors()
         for x, y in cells(g):
             want = documented_color(g.kind[y, x], g.negative[y, x], g.positive[y, x], EPS)
             assert g.effective_color_at(x, y) is want
             assert COLORS[colors[y, x]] is want
+            assert g.color_index(x, y) == colors[y, x]
 
     @settings(deadline=None)
     @given(st.data())
