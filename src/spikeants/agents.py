@@ -80,7 +80,6 @@ class AntConfig:
 
 @dataclass
 class Ant:
-    id: int
     position: tuple[int, int]
     heading: Heading
     brain: AntBrain
@@ -94,19 +93,6 @@ class Ant:
             self.initial_position = self.position
         if self.initial_heading is None:
             self.initial_heading = self.heading
-
-
-@dataclass(frozen=True)
-class AntEvents:
-    """What one ant did during one world tick."""
-    moved: bool = False
-    blocked: bool = False
-    rotated: bool = False
-    ate: int = 0
-    pain: bool = False
-    deposited_positive: bool = False
-    deposited_negative: bool = False
-    boundary_reset: bool = False
 
 
 def perceive(grid: Grid, ant: Ant) -> StimulusFrame:
@@ -129,9 +115,11 @@ def perceive(grid: Grid, ant: Ant) -> StimulusFrame:
 
 
 def step_ant(grid: Grid, ant: Ant, cfg: AntConfig, phase: SimPhase,
-             pheromone_enabled: bool = True) -> AntEvents:
-    """Advance one ant by one world tick.
+             pheromone_enabled: bool = True) -> tuple[int, bool, bool]:
+    """Advance one ant by one world tick; returns (ate, pain, reset).
 
+    `ate` is the food units eaten, `pain` whether the ant sensed pain
+    this tick and `reset` whether it was put back at its spawn pose.
     The phase decides what training changes: in a training phase the ant
     lays no pheromone, whatever `pheromone_enabled` says, and touching a
     boundary puts it back at its spawn pose.
@@ -150,10 +138,9 @@ def step_ant(grid: Grid, ant: Ant, cfg: AntConfig, phase: SimPhase,
         ate = 1
         ant.positive_deposit_remaining = cfg.positive_deposit_ticks
 
-    moved = blocked = rotated = reset = False
+    reset = False
     if act.rotate:
         ant.heading = ant.heading.turned(cfg.rotate_direction)
-        rotated = True
     elif act.move_forward:
         x, y = ant.position
         dx, dy = ant.heading.vector
@@ -161,12 +148,10 @@ def step_ant(grid: Grid, ant: Ant, cfg: AntConfig, phase: SimPhase,
         edge = not grid.in_bounds(tx, ty)
         if edge or grid.kind.item(ty, tx) == _WALL:
             # An open grid edge counts as hitting the world boundary.
-            blocked = True
             ant.pain_pending = True
             reset = training and (edge or grid.is_boundary(tx, ty))
         else:
             ant.position = (tx, ty)
-            moved = True
 
     # Positive pheromone is released while the post-food countdown runs;
     # negative pheromone follows the energy-counter neuron directly.
@@ -175,18 +160,16 @@ def step_ant(grid: Grid, ant: Ant, cfg: AntConfig, phase: SimPhase,
     counting_down = ant.positive_deposit_remaining > 0
     if counting_down:
         ant.positive_deposit_remaining -= 1
-    deposit = pheromone_enabled and not training
-    dep_pos = deposit and counting_down
-    dep_neg = deposit and act.emit_negative_pheromone
     x, y = ant.position
-    if dep_pos:
-        grid.deposit(x, y, PheromoneField.POSITIVE, cfg.deposit_amount_positive)
-    if dep_neg:
-        grid.deposit(x, y, PheromoneField.NEGATIVE, cfg.deposit_amount_negative)
+    if pheromone_enabled and not training:
+        if counting_down:
+            grid.deposit(x, y, PheromoneField.POSITIVE, cfg.deposit_amount_positive)
+        if act.emit_negative_pheromone:
+            grid.deposit(x, y, PheromoneField.NEGATIVE, cfg.deposit_amount_negative)
 
-    if training and grid.is_boundary(*ant.position):
+    if training and grid.is_boundary(x, y):
         reset = True
-        if grid.effective_color_at(*ant.position) in _HARMFUL:
+        if _PAIN_BITS[grid.color_index(x, y)]:
             # Touching a harmful boundary still has to reach the senses
             # even though the pose snaps back before the next perceive.
             ant.pain_pending = True
@@ -196,6 +179,4 @@ def step_ant(grid: Grid, ant: Ant, cfg: AntConfig, phase: SimPhase,
         ant.position = ant.initial_position
         ant.heading = ant.initial_heading
 
-    return AntEvents(moved=moved, blocked=blocked, rotated=rotated, ate=ate,
-                     pain=frame.pain_contact, deposited_positive=dep_pos,
-                     deposited_negative=dep_neg, boundary_reset=reset)
+    return ate, frame.pain_contact, reset

@@ -97,10 +97,16 @@ def _cmd_run(args) -> int:
     frame_hook = None
     if args.frames_dir:
         frames = Path(args.frames_dir)
-        frames.mkdir(parents=True, exist_ok=True)
+        # Fail now on a path that cannot be a directory, but create it only
+        # once the run has started, so a run that fails first leaves nothing.
+        nearest = next(p for p in (frames, *frames.parents) if p.exists())
+        if not nearest.is_dir():
+            raise CliError(f"cannot create {frames}: {nearest} is not a directory")
         every = args.frame_every
 
         def frame_hook(tick, grid, ants):
+            if tick == 1:
+                frames.mkdir(parents=True, exist_ok=True)
             if tick % every == 0:
                 (frames / f"frame_{tick:08d}.ppm").write_bytes(
                     render_snapshot(grid, ants))

@@ -1,10 +1,10 @@
 """Top-level simulation loop: phases, determinism and metrics.
 
-Within one world tick the ants step in ascending id order (world
-mutations land in that order), then both pheromone fields evaporate
-once, then the metrics row is sampled. The seeded generator is consumed
-only while placing randomly spawned ants before tick 0, so the whole
-run is a pure function of (seed, config, scenario).
+Within one world tick the ants step in spawn order (world mutations
+land in that order), then both pheromone fields evaporate once, then
+the metrics row is sampled. The seeded generator is consumed only while
+placing randomly spawned ants before tick 0, so the whole run is a pure
+function of (seed, config, scenario).
 """
 
 from __future__ import annotations
@@ -124,12 +124,9 @@ def build_ants(scenario: Scenario, cfg: SimConfig, grid: Grid,
         heading = CLOCKWISE[int(rng.integers(4))]
         poses.append((x, y, heading))
 
-    ants = []
-    for i, (x, y, heading) in enumerate(poses):
-        brain = AntBrain(cfg.circuit, cfg.stdp, learning=learning, kickstart=True)
-        ants.append(Ant(id=i, position=(x, y), heading=heading, brain=brain,
-                        initial_position=(x, y), initial_heading=heading))
-    return ants
+    return [Ant(position=(x, y), heading=heading,
+                brain=AntBrain(cfg.circuit, cfg.stdp, learning=learning, kickstart=True))
+            for x, y, heading in poses]
 
 
 def _execute(cfg: SimConfig, scenario: Scenario,
@@ -150,9 +147,7 @@ def _execute(cfg: SimConfig, scenario: Scenario,
 
     metrics = Metrics(seed=cfg.seed, config_digest=config_hash(cfg),
                       initial_food=grid.total_food())
-    harm_total = 0
-    reset_total = 0
-    tick = 0
+    food_total = harm_total = reset_total = tick = 0
     # Built afresh for every run, so a run never sees another's states.
     tables: dict[bytes, TransitionTable] = {}
     for phase, phase_ticks in schedule:
@@ -163,18 +158,17 @@ def _execute(cfg: SimConfig, scenario: Scenario,
         for _ in range(phase_ticks):
             tick += 1
             for ant in ants:
-                ev = step_ant(grid, ant, cfg.ant, phase, cfg.pheromone_enabled)
-                if ev.pain:
-                    harm_total += 1
-                if ev.boundary_reset:
-                    reset_total += 1
-                metrics.food_consumed += ev.ate
+                ate, pain, reset = step_ant(grid, ant, cfg.ant, phase, cfg.pheromone_enabled)
+                food_total += ate
+                harm_total += pain
+                reset_total += reset
             grid.evaporate_step(cfg.evaporation)
             metrics.sample(tick, grid, harm_total, reset_total)
             if frame_hook is not None:
                 frame_hook(tick, grid, ants)
         for ant in ants:
             ant.brain.leave_table()
+    metrics.food_consumed = food_total
     return metrics, ants
 
 

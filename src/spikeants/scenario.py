@@ -77,6 +77,7 @@ _HEADER_KEYS = ("width", "height", "food_quantity", "random_ants")
 def parse_scenario(text: str) -> Scenario:
     lines = text.splitlines()
     header: dict[str, int] = {}
+    header_line: dict[str, int] = {}
     headings: dict[int, Heading] = {}
     body_start = None
     for i, line in enumerate(lines):
@@ -112,6 +113,7 @@ def parse_scenario(text: str) -> Scenario:
             header[key] = int(parts[1])
         except ValueError:
             raise ScenarioError(f"bad integer '{parts[1]}' for '{key}'", line=i + 1)
+        header_line[key] = i + 1
     if body_start is None:
         raise ScenarioError("missing 'map' line")
     for key in ("width", "height"):
@@ -159,6 +161,12 @@ def parse_scenario(text: str) -> Scenario:
     extras = set(headings) - set(range(len(spawns)))
     if extras:
         raise ScenarioError(f"heading given for nonexistent spawn {min(extras)}")
+    # Grid.food is int64, and so is the total a run reports.
+    food_cells = max(sum(row.count("F") for row in rows), 1)
+    if food_quantity * food_cells > np.iinfo(np.int64).max:
+        raise ScenarioError(f"food_quantity {food_quantity} is too large: {food_cells} "
+                            "food cell(s) must hold at most 2**63 - 1 units in all",
+                            line=header_line["food_quantity"])
 
     return Scenario(width=width, height=height, food_quantity=food_quantity,
                     rows=tuple(rows), spawns=tuple(spawns),

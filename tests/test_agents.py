@@ -52,8 +52,7 @@ class ScriptedBrain:
 
 
 def scripted_ant(position, heading, frames, **kw):
-    return Ant(id=0, position=position, heading=heading,
-               brain=ScriptedBrain(frames), **kw)
+    return Ant(position=position, heading=heading, brain=ScriptedBrain(frames), **kw)
 
 
 class TestPerceive:
@@ -130,8 +129,8 @@ class TestMovementRules:
     def test_move_advances_one_cell(self):
         g = walled_grid()
         ant = scripted_ant((5, 5), Heading.NORTH, [ActuatorFrame(move_forward=True)])
-        ev = step_ant(g, ant, CFG, SimPhase.FORAGING)
-        assert ev.moved and ant.position == (5, 4)
+        step_ant(g, ant, CFG, SimPhase.FORAGING)
+        assert ant.position == (5, 4) and ant.heading is Heading.NORTH
 
     def test_rotation_steps_heading_right(self):
         g = walled_grid()
@@ -153,12 +152,11 @@ class TestMovementRules:
     def test_wall_blocks_and_registers_collision(self):
         g = walled_grid()
         ant = scripted_ant((10, 5), Heading.EAST, [ActuatorFrame(move_forward=True)])
-        ev = step_ant(g, ant, CFG, SimPhase.FORAGING)
-        assert ev.blocked and not ev.moved
+        assert step_ant(g, ant, CFG, SimPhase.FORAGING) == (0, False, False)
         assert ant.position == (10, 5)
         assert ant.pain_pending
-        ev2 = step_ant(g, ant, CFG, SimPhase.FORAGING)
-        assert ev2.pain  # the collision reaches the senses one tick later
+        _, pain, _ = step_ant(g, ant, CFG, SimPhase.FORAGING)
+        assert pain  # the collision reaches the senses one tick later
 
     @given(st.lists(st.tuples(st.booleans(), st.booleans()), min_size=1, max_size=80),
            st.sampled_from(list(Heading)))
@@ -176,7 +174,7 @@ class TestMovementRules:
 
     def test_never_on_wall_with_real_brains(self):
         g = walled_grid(9, 9)
-        ant = Ant(id=0, position=(4, 4), heading=Heading.WEST, brain=AntBrain())
+        ant = Ant(position=(4, 4), heading=Heading.WEST, brain=AntBrain())
         ant.brain.set_weights(trained_reference_weights())
         for _ in range(300):
             step_ant(g, ant, CFG, SimPhase.FORAGING)
@@ -189,8 +187,7 @@ class TestDepositPolicy:
         g = walled_grid()
         ant = scripted_ant((5, 5), Heading.EAST,
                            [ActuatorFrame(emit_negative_pheromone=True)])
-        ev = step_ant(g, ant, CFG, SimPhase.FORAGING)
-        assert (ev.deposited_positive, ev.deposited_negative) == (False, True)
+        step_ant(g, ant, CFG, SimPhase.FORAGING)
         assert ant.positive_deposit_remaining == 0
         assert g.negative[5, 5] == CFG.deposit_amount_negative
         assert np.count_nonzero(g.negative) == 1 and not g.positive.any()
@@ -198,9 +195,13 @@ class TestDepositPolicy:
     def test_countdown_emits_exactly_t_pos_deposits(self):
         g = walled_grid()
         ant = scripted_ant((5, 5), Heading.EAST, [], positive_deposit_remaining=5)
-        emitted = sum(step_ant(g, ant, CFG, SimPhase.FORAGING).deposited_positive
-                      for _ in range(10))
-        assert emitted == 5 and ant.positive_deposit_remaining == 0
+        laid = []
+        for _ in range(10):
+            before = g.positive[5, 5]
+            step_ant(g, ant, CFG, SimPhase.FORAGING)
+            laid.append(g.positive[5, 5] > before)
+        assert laid == [True] * 5 + [False] * 5
+        assert ant.positive_deposit_remaining == 0
         assert g.positive[5, 5] == 5 * CFG.deposit_amount_positive
         assert np.count_nonzero(g.positive) == 1 and not g.negative.any()
 
@@ -211,16 +212,14 @@ class TestDepositPolicy:
         ant = scripted_ant((5, 5), Heading.EAST,
                            [ActuatorFrame(emit_negative_pheromone=True)],
                            positive_deposit_remaining=3)
-        ev = step_ant(g, ant, CFG, phase, pheromone_enabled=True)
-        assert (ev.deposited_positive, ev.deposited_negative) == (deposits, deposits)
+        step_ant(g, ant, CFG, phase, pheromone_enabled=True)
         assert (g.positive.any(), g.negative.any()) == (deposits, deposits)
         assert ant.positive_deposit_remaining == 2
 
     def test_no_events_no_deposits(self):
         g = walled_grid()
         ant = scripted_ant((5, 5), Heading.EAST, [ActuatorFrame()])
-        ev = step_ant(g, ant, CFG, SimPhase.FORAGING)
-        assert not ev.deposited_positive and not ev.deposited_negative
+        step_ant(g, ant, CFG, SimPhase.FORAGING)
         assert ant.positive_deposit_remaining == 0
         assert not g.positive.any() and not g.negative.any()
 
@@ -228,7 +227,7 @@ class TestDepositPolicy:
 class TestEmbodiedBehaviour:
     def test_untrained_ant_advances_one_cell_per_pacemaker_period(self):
         g = walled_grid()
-        ant = Ant(id=0, position=(2, 5), heading=Heading.EAST, brain=AntBrain())
+        ant = Ant(position=(2, 5), heading=Heading.EAST, brain=AntBrain())
         positions = [ant.position]
         for _ in range(5):
             step_ant(g, ant, CFG, SimPhase.FORAGING)
@@ -238,24 +237,24 @@ class TestEmbodiedBehaviour:
     def test_trained_ant_turns_before_red_cell(self):
         g = walled_grid()
         g.set_kind(5, 5, PatchKind.HARM)
-        ant = Ant(id=0, position=(4, 5), heading=Heading.EAST, brain=AntBrain())
+        ant = Ant(position=(4, 5), heading=Heading.EAST, brain=AntBrain())
         ant.brain.set_weights(trained_reference_weights())
-        ev = step_ant(g, ant, CFG, SimPhase.FORAGING)
-        assert ev.rotated and not ev.moved
+        step_ant(g, ant, CFG, SimPhase.FORAGING)
+        assert ant.heading is Heading.SOUTH
         assert ant.position == (4, 5)
 
     def test_food_contact_eats_and_deposits_on_following_cells(self):
         g = walled_grid()
         g.set_kind(6, 5, PatchKind.FOOD, 50)
         cfg = AntConfig(positive_deposit_ticks=5)
-        ant = Ant(id=0, position=(4, 5), heading=Heading.EAST, brain=AntBrain())
+        ant = Ant(position=(4, 5), heading=Heading.EAST, brain=AntBrain())
         ant.brain.set_weights(trained_reference_weights())
         eaten = 0
         deposits = []
         for tick in range(9):
-            ev = step_ant(g, ant, cfg, SimPhase.FORAGING)
-            eaten += ev.ate
-            if ev.deposited_positive:
+            laid = g.positive.sum()
+            eaten += step_ant(g, ant, cfg, SimPhase.FORAGING)[0]
+            if g.positive.sum() > laid:
                 deposits.append(tick)
         assert eaten == 1
         assert g.food[5, 6] == 49
@@ -266,7 +265,7 @@ class TestEmbodiedBehaviour:
         # Untrained ant heading at a wall: collide, feel pain, reflex-turn,
         # and keep moving. It must not wedge in place forever.
         g = walled_grid()
-        ant = Ant(id=0, position=(9, 5), heading=Heading.EAST, brain=AntBrain())
+        ant = Ant(position=(9, 5), heading=Heading.EAST, brain=AntBrain())
         visited = set()
         for _ in range(60):
             step_ant(g, ant, CFG, SimPhase.FORAGING)
@@ -280,8 +279,8 @@ class TestTrainingReposition:
         ant = scripted_ant((1, 4), Heading.WEST,
                            [ActuatorFrame(move_forward=True)] * 3,
                            initial_position=(4, 4), initial_heading=Heading.SOUTH)
-        ev = step_ant(g, ant, CFG, SimPhase.TRAINING)
-        assert ev.boundary_reset
+        _, _, reset = step_ant(g, ant, CFG, SimPhase.TRAINING)
+        assert reset
         assert ant.position == (4, 4)
         assert ant.heading is Heading.SOUTH
 
@@ -292,32 +291,88 @@ class TestTrainingReposition:
                            initial_position=(4, 4), initial_heading=Heading.NORTH)
         resets = 0
         for _ in range(6):
-            ev = step_ant(g, ant, CFG, SimPhase.TRAINING)
-            resets += ev.boundary_reset
+            resets += step_ant(g, ant, CFG, SimPhase.TRAINING)[2]
         assert resets >= 1
         assert ant.position[1] >= 1
 
     def test_no_reset_outside_training(self):
         g = Grid(9, 9)
         ant = scripted_ant((1, 4), Heading.WEST, [ActuatorFrame(move_forward=True)])
-        ev = step_ant(g, ant, CFG, SimPhase.FORAGING)
-        assert not ev.boundary_reset
+        _, _, reset = step_ant(g, ant, CFG, SimPhase.FORAGING)
+        assert not reset
         assert ant.position == (0, 4)
 
     def test_reposition_preserves_brain_state(self):
         # Two real-brain ants see identical stimuli; one gets repositioned.
         g = Grid(11, 11)
-        boundary_ant = Ant(id=0, position=(0, 5), heading=Heading.WEST,
+        boundary_ant = Ant(position=(0, 5), heading=Heading.WEST,
                            brain=AntBrain(), initial_position=(5, 5),
                            initial_heading=Heading.WEST)
-        control_ant = Ant(id=1, position=(5, 5), heading=Heading.WEST,
+        control_ant = Ant(position=(5, 5), heading=Heading.WEST,
                           brain=AntBrain(), initial_position=(5, 5),
                           initial_heading=Heading.WEST)
-        ev = step_ant(g, boundary_ant, CFG, SimPhase.TRAINING)
+        _, _, reset = step_ant(g, boundary_ant, CFG, SimPhase.TRAINING)
         step_ant(g, control_ant, CFG, SimPhase.FORAGING)
-        assert ev.boundary_reset
+        assert reset
         assert boundary_ant.position == (5, 5)
         b = [s.membrane_potential for s in boundary_ant.brain.net.states]
         c = [s.membrane_potential for s in control_ant.brain.net.states]
         assert b == c
         assert boundary_ant.brain.weights() == control_ant.brain.weights()
+
+
+class TestAntTickCounts:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_counts_match_the_world(self, data):
+        """On a small arena ringed by walls and harm cells, one scripted
+        ant-tick returns what the world shows: the food the grid lost, the
+        pain sensed at the pose before the step, and a reset exactly when
+        a training ant's pose snapped back to its spawn. Pheromone grows
+        only at the ant's final cell, only while foraging with pheromone on."""
+        w, h = data.draw(st.integers(3, 6)), data.draw(st.integers(3, 6))
+        g = Grid(w, h)
+        levels = st.sampled_from([0.0, g.clear_threshold, 1.0])
+        for y in range(h):
+            for x in range(w):
+                kinds = ([PatchKind.WALL, PatchKind.HARM] if g.is_boundary(x, y)
+                         else list(PatchKind))
+                kind = data.draw(st.sampled_from(kinds))
+                g.set_kind(x, y, kind, data.draw(st.integers(1, 3))
+                           if kind is PatchKind.FOOD else 0)
+                g.negative[y, x] = data.draw(levels)
+                g.positive[y, x] = data.draw(levels)
+        x, y = data.draw(st.tuples(st.integers(1, w - 2), st.integers(1, h - 2)))
+        if g.kind[y, x] == PatchKind.WALL:
+            g.set_kind(x, y, PatchKind.EMPTY)
+        heading = data.draw(st.sampled_from(list(Heading)))
+        # Facing the other way, the spawn pose is none a step can reach.
+        spawn = (data.draw(st.tuples(st.integers(1, w - 2), st.integers(1, h - 2))),
+                 heading.turned("right").turned("right"))
+        act = ActuatorFrame(*(data.draw(st.booleans()) for _ in range(4)))
+        countdown = data.draw(st.integers(0, 3))
+        ant = scripted_ant((x, y), heading, [act], initial_position=spawn[0],
+                           initial_heading=spawn[1], positive_deposit_remaining=countdown,
+                           pain_pending=data.draw(st.booleans()))
+        cfg = AntConfig(rotate_direction=data.draw(st.sampled_from(["right", "left"])))
+        phase = data.draw(st.sampled_from(list(SimPhase)))
+        pheromone = data.draw(st.booleans())
+
+        food, pos, neg = g.food.sum(), g.positive.copy(), g.negative.copy()
+        sensed = perceive(g, ant).pain_contact
+        ate, pain, reset = step_ant(g, ant, cfg, phase, pheromone)
+
+        assert ate == food - g.food.sum()
+        assert pain == sensed
+        training = phase is SimPhase.TRAINING
+        assert reset == (training and (ant.position, ant.heading) == spawn)
+        if reset:
+            assert ant.pain_pending  # every boundary cell here is harmful
+        fx, fy = ant.position
+        laying = pheromone and not training
+        for field, before, lays in ((g.positive, pos, countdown > 0 or ate),
+                                    (g.negative, neg, act.emit_negative_pheromone)):
+            grown = field > before
+            assert grown[fy, fx] == (laying and bool(lays))
+            grown[fy, fx] = False
+            assert not grown.any() and (field >= before).all()

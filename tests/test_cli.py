@@ -275,7 +275,10 @@ class TestOutputPaths:
         assert main([*argv, "--scenario", str(arena)]) == 1
         assert capsys.readouterr().err == f"error: cannot write {missing}: no such directory\n"
 
-    def test_frames_dir_that_is_a_file(self, arena, tmp_path, capsys):
+    def test_frames_dir_that_is_a_file(self, arena, tmp_path, capsys, monkeypatch):
+        def no_tick(*args, **kwargs):
+            raise AssertionError("an ant stepped")
+        monkeypatch.setattr(engine, "step_ant", no_tick)
         blocker = tmp_path / "frames"
         blocker.write_text("not a directory")
         out = tmp_path / "out.csv"
@@ -286,6 +289,24 @@ class TestOutputPaths:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(blocker) in err
         assert not out.exists()
+
+    def test_frames_dir_not_created_when_the_run_fails_first(self, tmp_path, capsys):
+        scen = tmp_path / "open.txt"
+        scen.write_text("width 3\nheight 3\nmap\n...\n...\n...\n")
+        frames = tmp_path / "frames" / "run"
+        code = main(["run", "--scenario", str(scen), "--out-csv", str(tmp_path / "out.csv"),
+                     "--frames-dir", str(frames), "--ticks", "5"])
+        assert code == 1
+        assert capsys.readouterr().err == \
+            "error: foraging scenarios must be enclosed by walls\n"
+        assert not (tmp_path / "frames").exists()
+
+    def test_frames_dir_created_when_the_run_starts(self, arena, tmp_path):
+        frames = tmp_path / "frames" / "run"
+        code = main(["run", "--scenario", str(arena), "--out-csv", str(tmp_path / "out.csv"),
+                     "--frames-dir", str(frames), "--ticks", "5"])
+        assert code == 0
+        assert frames.is_dir() and not any(frames.iterdir())
 
 
 class TestFlagConflicts:

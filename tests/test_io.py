@@ -191,6 +191,22 @@ class TestParseScenario:
         with pytest.raises(ValueError, match="food_quantity"):
             replace(parse_scenario(SMALL), food_quantity=0).build_grid()
 
+    @pytest.mark.parametrize("quantity, row", [(10 ** 20, "#.#"),
+                                               (2 ** 63 - 1, "FFF")],
+                             ids=["beyond_int64", "total_beyond_int64"])
+    def test_oversized_food_quantity_rejected(self, quantity, row):
+        """A quantity whose food total would not fit the int64 food array
+        fails at its line, instead of an OverflowError in build_grid or a
+        total that wraps."""
+        text = f"width 3\nheight 1\nfood_quantity {quantity}\nmap\n{row}\n"
+        with pytest.raises(ScenarioError, match=r"^food_quantity .*\(line 3\)$"):
+            parse_scenario(text)
+
+    def test_largest_food_total_is_exact(self):
+        quantity = (2 ** 63 - 1) // 3
+        text = f"width 3\nheight 1\nfood_quantity {quantity}\nmap\nFFF\n"
+        assert parse_scenario(text).build_grid().total_food() == 3 * quantity
+
     def test_round_trip_reference_scenarios(self):
         for name in ("training", "foraging"):
             s = reference_scenario(name)
@@ -314,8 +330,7 @@ class TestRender:
 
     def test_ants_drawn_on_top(self):
         grid = parse_scenario("width 2\nheight 1\nmap\n..\n").build_grid()
-        ant = Ant(id=0, position=(1, 0), heading=Heading.NORTH,
-                  brain=AntBrain(kickstart=False))
+        ant = Ant(position=(1, 0), heading=Heading.NORTH, brain=AntBrain(kickstart=False))
         pixels = render_snapshot(grid, [ant]).split(b"255\n", 1)[1]
         assert pixels[3:6] == bytes((64, 64, 255))
 

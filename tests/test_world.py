@@ -96,9 +96,8 @@ class TestColorRule:
     def test_render_paints_cell_colors_with_ants_on_top(self, data):
         g = data.draw(small_grids())
         brain = AntBrain(kickstart=False)
-        ants = [Ant(id=i, position=p, heading=Heading.NORTH, brain=brain)
-                for i, p in enumerate(data.draw(st.lists(st.sampled_from(cells(g)),
-                                                         max_size=3)))]
+        ants = [Ant(position=p, heading=Heading.NORTH, brain=brain)
+                for p in data.draw(st.lists(st.sampled_from(cells(g)), max_size=3))]
         pixels = render_snapshot(g, ants).split(b"255\n", 1)[1]
         on_ant = {ant.position for ant in ants}
         for i, (x, y) in enumerate(cells(g)):
