@@ -46,8 +46,9 @@ class Metrics:
     def sample(self, tick: int, grid: Grid, harm_total: int, reset_total: int):
         self.ticks.append(tick)
         self.total_food.append(grid.total_food())
-        self.neg_cells.append(grid.negative_cell_count())
-        self.pos_cells.append(grid.positive_cell_count())
+        neg, pos = grid.marked_cell_counts()
+        self.neg_cells.append(neg)
+        self.pos_cells.append(pos)
         self.harm_contacts.append(harm_total)
         self.boundary_resets.append(reset_total)
 

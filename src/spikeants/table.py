@@ -1,26 +1,27 @@
 """Transition tables: non-learning brains stepped by lookup.
 
 While learning is off, a brain is a fixed machine. What it does in one
-world tick depends only on its network state and on which of 16
-stimulus frames it senses (smell ahead: none, white, red or green;
-pain; reward). A run therefore keeps one table per plastic-weight set,
-computes each (state, frame) transition once and looks it up after
-that, the way Hashlife memoises cellular-automaton blocks (Gosper 1984,
-Physica D 10:75). A lookup is exact by construction. Tables belong to
-one run and are never shared between runs.
+world tick depends only on its network state and on the stimulus frame
+it senses (`circuit.STIMULI`, numbered by `StimulusFrame.code`). A run
+therefore keeps one table per plastic-weight set, computes each
+(state, frame) transition once and looks it up after that, the way
+Hashlife memoises cellular-automaton blocks (Gosper 1984, Physica D
+10:75). A lookup is exact by construction. Tables belong to one run and
+are never shared between runs.
 
-The four actuator neurons (both motors, both pheromone neurons) feed no
+The actuator neurons (both motors, both pheromone neurons) feed no
 other neuron, so the rest of the network, the core, runs the same
 whatever they hold. The table therefore interns two kinds of state
 apart: core states, whose key is every core neuron and every pulse in
-flight, and actuator states, the (potential, dead-time counter) of all
-four actuators. A tabled brain holds one id of each, and a world tick
-is two integer lookups. The energy counter integrates pacemaker pulses
-over hundreds of world ticks, so it adds actuator states but no core
-states. A core state under one stimulus code is a slot; each slot
-records the pulse sum every actuator receives on each brain tick, so a
-new (actuator state, slot) pair runs only the four actuators
-(`snn.run_cell`), and a new slot steps the brain's own network once.
+flight, and actuator states, the (potential, dead-time counter) of
+every actuator. A tabled brain holds one id of each, and a world tick
+is one lookup keyed by (core id, stimulus code, actuator id). The
+energy counter integrates pacemaker pulses over hundreds of world
+ticks, so it adds actuator states but no core states. A core state
+under one stimulus code is a slot; each slot records the pulse sum
+every actuator receives on each brain tick, so a new (slot, actuator
+state) move runs only the actuators (`snn.run_cell`), and a new slot
+steps the brain's own network once.
 """
 
 from __future__ import annotations
@@ -37,9 +38,15 @@ from .snn import SpikeEvent, run_cell
 # is stepped, so outputs never depend on this bound.
 MAX_TABLE_STATES = 4096
 
-# An actuator state, its key and its record at once: the four potentials
-# as float bits, so that -0.0 and 0.0 differ, then the four counters.
-_ACTUATOR_STATE = struct.Struct("4d4q")
+
+def _intern(ids: dict, keys: list, key) -> Optional[int]:
+    """The id of `key`, which `keys[id]` holds; a new id while there is
+    room, else None."""
+    i = ids.get(key)
+    if i is None and len(keys) < MAX_TABLE_STATES:
+        i = ids[key] = len(keys)
+        keys.append(key)
+    return i
 
 
 class TransitionTable:
@@ -50,14 +57,12 @@ class TransitionTable:
 
     A tabled brain holds `row`, the id of its core state, and `act_id`,
     the id of its actuator state; `leave` loads both into its network.
-    Slot `row << 4 | code` is that core state under a stimulus code;
-    once known, `_slots` holds its next row and the pulse sum due to each
-    actuator on each brain tick. `_moves[slot]` maps each actuator state
-    met in that slot to the next row, the next actuator state and the
-    actuator frame. A new slot is computed once, by the real `sense` and
-    `step` of the brain that meets it, and a new move by `run_cell`.
-    Moves are kept per slot because slots are few and actuator states
-    many.
+    `_slots[row, code]` holds the next row of that core state under a
+    stimulus code and the pulse sum due to each actuator on each brain
+    tick. `_moves[row, code, act_id]` holds the next row, the next
+    actuator state and the actuator frame. A new slot is computed once,
+    by the real `sense` and `step` of the brain that meets it, and a new
+    move by `run_cell`.
     """
 
     def __init__(self, brain: AntBrain):
@@ -67,51 +72,39 @@ class TransitionTable:
         self.core = [n for n in range(len(brain.net.states)) if n not in self.actuators]
         self.params = [brain.net.params[n] for n in self.actuators]
         self.steps = brain.circuit_cfg.brain_steps_per_world_tick
+        n = len(self.actuators)
+        # An actuator state, its key and its record at once: the
+        # potentials as float bits, so that -0.0 and 0.0 differ, then the
+        # dead-time counters.
+        self._record = struct.Struct(f"{n}d{n}q")
         # The actuator frame for each set of fired actuators (bit j for
         # actuator j), folded by the real `actuate`.
-        self._frames = tuple(brain.actuate([SpikeEvent(n, 0) for j, n in
+        self._frames = tuple(brain.actuate([SpikeEvent(a, 0) for j, a in
                                             enumerate(self.actuators) if mask >> j & 1])
-                             for mask in range(16))
-        # Core states: id by key, key by id, and 16 slots and their moves
-        # per id.
+                             for mask in range(1 << n))
+        # Core and actuator states: id by key, and key by id.
         self._row_ids: dict[tuple[bytes, tuple[int, ...]], int] = {}
         self._rows: list[tuple[bytes, tuple[int, ...]]] = []
-        self._slots: list[Optional[tuple]] = []
-        self._moves: list[dict[int, tuple[int, int, ActuatorFrame]]] = []
-        # Actuator states: id by key, and key by id.
         self._act_ids: dict[bytes, int] = {}
         self._acts: list[bytes] = []
+        self._slots: dict[tuple[int, int], tuple] = {}
+        self._moves: dict[tuple[int, int, int], tuple[int, int, ActuatorFrame]] = {}
 
     def __len__(self) -> int:
         """Core states held."""
         return len(self._rows)
 
-    def _row(self, key) -> Optional[int]:
-        """The id of core state `key`; a new id while there is room, else None."""
-        row = self._row_ids.get(key)
-        if row is None and len(self._rows) < MAX_TABLE_STATES:
-            row = self._row_ids[key] = len(self._rows)
-            self._rows.append(key)
-            self._slots += [None] * 16
-            self._moves += [{} for _ in range(16)]
-        return row
-
-    def _act(self, potentials, counters) -> Optional[int]:
-        """The id of the actuator state with these potentials and
-        counters; a new id while there is room, else None."""
-        key = _ACTUATOR_STATE.pack(*potentials, *counters)
-        act_id = self._act_ids.get(key)
-        if act_id is None and len(self._acts) < MAX_TABLE_STATES:
-            act_id = self._act_ids[key] = len(self._acts)
-            self._acts.append(key)
-        return act_id
+    def _actuator_state(self, act_id: int):
+        """The potentials and the counters of actuator state `act_id`."""
+        state = self._record.unpack(self._acts[act_id])
+        n = len(self.actuators)
+        return state[:n], state[n:]
 
     def leave(self, brain: AntBrain):
         """Load `brain`'s core and actuator states back into its network."""
         net = brain.net
         net.load_state(self._rows[brain.row], self.core)
-        state = _ACTUATOR_STATE.unpack(self._acts[brain.act_id])
-        for n, u, remaining in zip(self.actuators, state[:4], state[4:]):
+        for n, u, remaining in zip(self.actuators, *self._actuator_state(brain.act_id)):
             net.states[n].membrane_potential = u
             net.states[n].refractory_remaining = remaining
         brain.table = brain.row = brain.act_id = None
@@ -120,20 +113,20 @@ class TransitionTable:
         """One world tick of `brain` under `frame`: its actuator frame, or
         None, with the brain's ids and clock unchanged, when the
         transition needs a new state and the table is full."""
-        slot = brain.row << 4 | frame.code
-        move = self._moves[slot].get(brain.act_id)
+        move = self._moves.get((brain.row, frame.code, brain.act_id))
         if move is None:
-            move = self._learn(brain, frame, slot)
+            move = self._learn(brain, frame)
             if move is None:
                 return None
         brain.row, brain.act_id, act = move
         brain.net.current_tick += self.steps
         return act
 
-    def _learn(self, brain: AntBrain, frame: StimulusFrame, slot: int) -> Optional[tuple]:
-        """Compute and record the move of `brain`'s actuator state
-        through `slot`, and the slot itself when it is new."""
-        if self._slots[slot] is None:
+    def _learn(self, brain: AntBrain, frame: StimulusFrame) -> Optional[tuple]:
+        """Compute and record the move of `brain` under `frame`, and its
+        slot when that is new."""
+        slot = brain.row, frame.code
+        if slot not in self._slots:
             net = brain.net
             net.load_state(self._rows[brain.row], self.core)
             brain.sense(frame)
@@ -142,7 +135,7 @@ class TransitionTable:
                 brain.step()
                 for pulses, n in zip(due, self.actuators):
                     pulses.append(net.incoming.get(n))
-            row = self._row(net.state_key(self.core))
+            row = _intern(self._row_ids, self._rows, net.state_key(self.core))
             # The network only computed the slot: the clock goes back, and
             # the brain's state stays its two ids until `leave` loads them.
             net.current_tick -= self.steps
@@ -150,18 +143,17 @@ class TransitionTable:
                 return None
             self._slots[slot] = row, tuple(map(tuple, due))
         row, due = self._slots[slot]
-        state = _ACTUATOR_STATE.unpack(self._acts[brain.act_id])
         potentials, counters, fired = [], [], 0
         for j, (u, remaining, params, pulses) in enumerate(
-                zip(state[:4], state[4:], self.params, due)):
+                zip(*self._actuator_state(brain.act_id), self.params, due)):
             u, remaining, spiked = run_cell(u, remaining, params, pulses)
             potentials.append(u)
             counters.append(remaining)
             fired |= spiked << j
-        act_id = self._act(potentials, counters)
+        act_id = _intern(self._act_ids, self._acts, self._record.pack(*potentials, *counters))
         if act_id is None:
             return None
-        move = self._moves[slot][brain.act_id] = row, act_id, self._frames[fired]
+        move = self._moves[slot + (brain.act_id,)] = row, act_id, self._frames[fired]
         return move
 
 
@@ -177,8 +169,9 @@ def share_table(tables: dict[bytes, TransitionTable], brain: AntBrain):
     if table is None:
         table = tables[weights] = TransitionTable(brain)
     states = [brain.net.states[n] for n in table.actuators]
-    row = table._row(brain.net.state_key(table.core))
-    act_id = table._act([state.membrane_potential for state in states],
-                        [state.refractory_remaining for state in states])
+    row = _intern(table._row_ids, table._rows, brain.net.state_key(table.core))
+    act_id = _intern(table._act_ids, table._acts, table._record.pack(
+        *[state.membrane_potential for state in states],
+        *[state.refractory_remaining for state in states]))
     if row is not None and act_id is not None:
         brain.table, brain.row, brain.act_id = table, row, act_id

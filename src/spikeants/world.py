@@ -132,8 +132,8 @@ class Grid:
         Attempts on wall cells are ignored.
         """
         self._check(x, y)
-        if amount < 0:
-            raise ValueError("deposit amount must be non-negative")
+        if not 0 <= amount < math.inf:
+            raise ValueError("deposit amount must be finite and non-negative")
         if self.kind.item(y, x) == PatchKind.WALL:
             return
         if fieldkind is PheromoneField.POSITIVE:
@@ -142,10 +142,11 @@ class Grid:
             self.negative[y, x] += amount
 
     def evaporate_step(self, cfg: EvaporationConfig):
-        """One tick of multiplicative decay; faint residues snap to zero."""
+        """One tick of multiplicative decay at `cfg`'s rates; residues
+        below the grid's own `clear_threshold` snap to zero."""
         self.positive *= (1.0 - cfg.rho_positive)
         self.negative *= (1.0 - cfg.rho_negative)
-        eps = cfg.clear_threshold
+        eps = self.clear_threshold
         # Both fields are finite and non-negative, so scaling by the
         # keep-mask clears exactly the faint cells.
         self.positive *= self.positive >= eps
@@ -174,15 +175,13 @@ class Grid:
 
     # -- metrics helpers ---------------------------------------------------
 
-    def negative_cell_count(self) -> int:
-        """Empty-ground cells currently masked red by negative pheromone."""
-        return int(np.count_nonzero((self.kind == PatchKind.EMPTY.value)
-                                    & (self.negative >= self.clear_threshold)))
-
-    def positive_cell_count(self) -> int:
-        """Empty-ground cells currently presented green by positive pheromone."""
-        return int(np.count_nonzero((self.kind == PatchKind.EMPTY.value)
-                                    & (self.positive >= self.clear_threshold)))
+    def marked_cell_counts(self) -> tuple[int, int]:
+        """Empty-ground cells currently masked red by negative pheromone,
+        and those presented green by positive pheromone."""
+        empty = self.kind == PatchKind.EMPTY.value
+        eps = self.clear_threshold
+        return (int(np.count_nonzero(empty & (self.negative >= eps))),
+                int(np.count_nonzero(empty & (self.positive >= eps))))
 
     def empty_cell_count(self) -> int:
         return int((self.kind == PatchKind.EMPTY.value).sum())

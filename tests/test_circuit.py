@@ -267,6 +267,15 @@ class TestStimulusFrames:
         with pytest.raises(ValidationError, match="smell must be a smell .*BLACK"):
             ConditioningSchedule(Color.BLACK, "pain", 1)
 
+    @pytest.mark.parametrize("args, message", [
+        (("fear", 1), "unconditioned stimulus must be 'pain' or 'reward'"),
+        (("pain", -1), "pairings must be non-negative"),
+        (("pain", 1, 2, 0), "trial_gap must be positive"),
+    ], ids=["unconditioned_fear", "pairings_negative", "trial_gap_zero"])
+    def test_a_schedule_rejects_bad_values(self, args, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            ConditioningSchedule(Color.WHITE, *args)
+
 
 class TestSense:
     def test_smell_routes_to_matching_receptor_only(self):
@@ -447,6 +456,23 @@ class TestWeightFiles:
             parse_weights("white forward\n")
         with pytest.raises(ValidationError, match="unknown smell"):
             parse_weights("mauve forward 0.5\n")
+
+    @pytest.mark.parametrize("line, message", [
+        ("black forward 0.5", "'black' is not a smell"),
+        ("white spin 0.5", "unknown motor 'spin'"),
+        ("white forward x", "bad number 'x'"),
+    ], ids=["smell_black", "motor_spin", "value_x"])
+    def test_bad_fields_rejected(self, line, message):
+        with pytest.raises(ValidationError, match=f"^weight file line 1: {message}$"):
+            parse_weights(line + "\n")
+
+    def test_weight_outside_bounds_rejected(self):
+        brain = AntBrain(kickstart=False)
+        weights = trained_reference_weights()
+        weights[(Color.WHITE, MOTOR_FORWARD)] = 5.0
+        with pytest.raises(ValidationError,
+                           match=r"^weight for white->forward outside \[w_min, w_max\]$"):
+            brain.set_weights(weights)
 
     def test_duplicate_line_rejected(self):
         text = format_weights(trained_reference_weights()) + "red rotate 0.0\n"

@@ -188,6 +188,11 @@ class TestRunTraining:
         weights, _ = run_training(small_cfg(world_ticks=1), scenario)
         assert all(w == pytest.approx(0.1) for w in weights.values())
 
+    def test_requires_harmful_patches(self):
+        text = "width 4\nheight 3\nfood_quantity 5\nrandom_ants 1\nmap\n....\n.F..\n....\n"
+        with pytest.raises(SimulationError, match="no harmful patches"):
+            run_training(small_cfg(), parse_scenario(text))
+
     def test_requires_reward_patches(self):
         text = TRAIN_ARENA.replace("FF", "..").replace("food_quantity 50\n", "")
         with pytest.raises(SimulationError, match="no reward patches"):

@@ -131,6 +131,19 @@ class TestParseScenario:
         with pytest.raises(ScenarioError, match="missing 'map'"):
             parse_scenario("width 3\nheight 1\n")
 
+    @pytest.mark.parametrize("header, message", [
+        ("width 0\nheight 1", "'width' must be positive"),
+        ("width 3\nheight 1\nfood_quantity 0", "food_quantity must be positive"),
+        ("width 3\nheight 1\nrandom_ants -1", "random_ants must be non-negative"),
+        ("width 3\nheight 1\nheading 0 N", "heading given for nonexistent spawn 0"),
+    ], ids=["width_zero", "food_quantity_zero", "random_ants_negative", "heading_without_spawn"])
+    def test_bad_header_value_rejected(self, header, message):
+        with pytest.raises(ScenarioError, match=f"^{message}$"):
+            parse_scenario(header + "\nmap\n###\n")
+
+    def test_trailing_blank_lines_accepted(self):
+        assert parse_scenario("width 3\nheight 1\nmap\n###\n\n\n").rows == ("###",)
+
     @settings(max_examples=200, deadline=None)
     @given(scenario_texts())
     @example(SMALL)
@@ -275,13 +288,21 @@ class TestConfigFile:
         "stdp_tau_minus = 1e308",
         "circuit_np_pulse_count = 185",
         "ant_brain_steps = 0",
+        "world_ticks = 0",
+        "n_ants = -1",
+        "phase_schedule = foraging:0",
+        "ant_positive_deposit_ticks = -1",
+        "circuit_np_pulse_count = 0",
+        "stdp_w_min = -1",
     ], ids=["evap_rho_negative", "neuron_threshold", "neuron_refractory_ticks",
             "circuit_np_tau", "circuit_nociceptor_refractory", "neuron_rest_nan",
             "ant_deposit_amount_positive_nan", "circuit_reflex_weight_nan",
             "circuit_reflex_weight_negative", "circuit_sense_amplitude_negative",
             "circuit_drive_weight_inf", "stdp_w_max_inf", "evap_clear_threshold_inf",
             "seed_negative", "stdp_tau_plus_overflow", "stdp_tau_minus_overflow",
-            "circuit_np_pulse_count_unreachable", "ant_brain_steps"])
+            "circuit_np_pulse_count_unreachable", "ant_brain_steps", "world_ticks_zero",
+            "n_ants_negative", "phase_schedule_zero_ticks", "ant_positive_deposit_ticks_negative",
+            "circuit_np_pulse_count_zero", "stdp_w_min_negative"])
     def test_invalid_domain_value_rejected(self, line):
         key = line.split()[0]
         with pytest.raises(ConfigError, match=f"^{key} "):

@@ -111,6 +111,10 @@ class TestDecay:
     def test_exact_at_zero_elapsed(self):
         assert decay(0.73, DEFAULT, 0) == 0.73
 
+    def test_negative_elapsed_rejected(self):
+        with pytest.raises(ValidationError, match="^elapsed must be non-negative$"):
+            decay(0.73, DEFAULT, -1)
+
     def test_open_phase_matches_closed_form(self):
         # Per-tick multiplication in step() vs the closed form.
         for tau, u0, ticks in [(5.0, 0.9, 40), (17.3, -0.4, 200), (2.0, 0.5, 25)]:

@@ -137,6 +137,13 @@ class TestEffectiveColor:
         assert a is b
 
 
+class TestGrid:
+    @pytest.mark.parametrize("width, height", [(0, 3), (3, 0)])
+    def test_empty_dimension_rejected(self, width, height):
+        with pytest.raises(ValueError, match="^grid dimensions must be positive$"):
+            Grid(width, height)
+
+
 class TestDeposit:
     def test_additive_accumulation(self):
         g = Grid(5, 5)
@@ -160,6 +167,14 @@ class TestDeposit:
         with pytest.raises(ValueError):
             g.deposit(9, 0, PheromoneField.POSITIVE, 1.0)
 
+    @pytest.mark.parametrize("field", list(PheromoneField))
+    @pytest.mark.parametrize("amount", [math.nan, math.inf, -1.0])
+    def test_bad_amount_rejected(self, field, amount):
+        g = Grid(5, 5)
+        with pytest.raises(ValueError, match="^deposit amount must be finite and non-negative$"):
+            g.deposit(1, 1, field, amount)
+        assert not g.positive.any() and not g.negative.any()
+
 
 class TestEvaporation:
     def test_single_step_arithmetic(self):
@@ -176,7 +191,7 @@ class TestEvaporation:
                                 clear_threshold=0.5)
         expected_steps = math.ceil(math.log(0.005) / math.log(0.9))
         assert expected_steps == 51
-        g = Grid(3, 3)
+        g = Grid(3, 3, clear_threshold=0.5)
         g.deposit(1, 1, PheromoneField.NEGATIVE, 100.0)
         steps = 0
         while g.negative[1, 1] > 0.0:
@@ -184,6 +199,21 @@ class TestEvaporation:
             steps += 1
             assert steps < 200
         assert steps == expected_steps
+
+    def test_the_grid_threshold_clears(self):
+        """Evaporation takes only its rates from the config; it clears at
+        the grid's own threshold, the one the color rule reads."""
+        cfg = EvaporationConfig(rho_positive=0.1, rho_negative=0.1, clear_threshold=0.5)
+        g = Grid(3, 1, clear_threshold=EPS)
+        g.deposit(0, 0, PheromoneField.NEGATIVE, 0.4)
+        g.deposit(1, 0, PheromoneField.POSITIVE, 0.4)
+        g.deposit(2, 0, PheromoneField.NEGATIVE, EPS)
+        g.evaporate_step(cfg)
+        assert g.negative[0, 0] == pytest.approx(0.36) and g.positive[0, 1] == pytest.approx(0.36)
+        assert g.negative[0, 2] == 0.0
+        assert g.marked_cell_counts() == (1, 1)
+        assert [g.effective_color_at(x, 0) for x in range(3)] == [Color.RED, Color.GREEN,
+                                                                  Color.BLACK]
 
     def test_zero_stays_zero(self):
         g = Grid(3, 3)
@@ -280,19 +310,20 @@ class TestFood:
 
 
 class TestCounts:
-    def test_negative_cell_count_tracks_visible_marks(self):
+    def test_marked_cell_counts_track_visible_marks(self):
         g = Grid(5, 5, clear_threshold=EPS)
-        assert g.negative_cell_count() == 0
+        assert g.marked_cell_counts() == (0, 0)
         g.deposit(1, 1, PheromoneField.NEGATIVE, 1.0)
         g.deposit(2, 2, PheromoneField.NEGATIVE, EPS / 2)  # below threshold
-        assert g.negative_cell_count() == 1
-        assert g.negative_cell_count() <= g.empty_cell_count()
+        g.deposit(3, 3, PheromoneField.POSITIVE, EPS)
+        assert g.marked_cell_counts() == (1, 1)
+        assert g.marked_cell_counts()[0] <= g.empty_cell_count()
 
     @settings(max_examples=100, deadline=None)
     @given(small_grids())
     def test_counts_match_summed_masks(self, g):
         empty = g.kind == PatchKind.EMPTY.value
-        for count, values in ((g.negative_cell_count(), g.negative),
-                              (g.positive_cell_count(), g.positive)):
-            assert type(count) is int
-            assert count == int((empty & (values >= EPS)).sum())
+        counts = g.marked_cell_counts()
+        assert [type(count) for count in counts] == [int, int]
+        assert counts == (int((empty & (g.negative >= EPS)).sum()),
+                          int((empty & (g.positive >= EPS)).sum()))
