@@ -134,7 +134,7 @@ def step_ant(grid: Grid, ant: Ant, cfg: AntConfig, phase: SimPhase,
     # post-move cell would leave contacted food permanently uneaten.
     ate = 0
     if frame.reward_contact and act.emit_positive_pheromone:
-        grid.consume_food(*ant.position, 1)
+        grid.consume_food(*ant.position)
         ate = 1
         ant.positive_deposit_remaining = cfg.positive_deposit_ticks
 

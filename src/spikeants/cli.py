@@ -46,9 +46,7 @@ def _read(path: str) -> str:
 
 
 def _load_config(args) -> SimConfig:
-    cfg = SimConfig()
-    if getattr(args, "config", None):
-        cfg = parse_config(_read(args.config), base=cfg)
+    cfg = parse_config(_read(args.config)) if getattr(args, "config", None) else SimConfig()
     if getattr(args, "seed", None) is not None:
         cfg = replace(cfg, seed=args.seed)
     if getattr(args, "ticks", None) is not None:

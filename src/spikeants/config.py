@@ -118,9 +118,9 @@ _KEYS: dict[str, tuple[Optional[str], str, Callable[[str], Any]]] = {
 _KEY_OF_FIELD = {attr: key for key, (_, attr, _) in _KEYS.items()}
 
 
-def parse_config(text: str, base: Optional[SimConfig] = None) -> SimConfig:
-    """Parse config text into a SimConfig, layered over `base`."""
-    cfg = base if base is not None else SimConfig()
+def parse_config(text: str) -> SimConfig:
+    """Parse config text into a SimConfig, layered over the defaults."""
+    cfg = SimConfig()
     # Sections apply in this fixed order, the top level last, which
     # fixes the error reported for a config with several bad keys.
     sections: dict[Optional[str], dict[str, Any]] = {

@@ -71,12 +71,12 @@ class Metrics:
             "config_hash": self.config_digest,
             "ticks": len(self.ticks),
             "initial_total_food": self.initial_food,
-            "final_total_food": self.total_food[-1] if self.ticks else self.initial_food,
+            "final_total_food": self.total_food[-1],
             "food_consumed": self.food_consumed,
-            "final_neg_cells": self.neg_cells[-1] if self.ticks else 0,
-            "final_pos_cells": self.pos_cells[-1] if self.ticks else 0,
-            "harm_contacts": self.harm_contacts[-1] if self.ticks else 0,
-            "boundary_resets": self.boundary_resets[-1] if self.ticks else 0,
+            "final_neg_cells": self.neg_cells[-1],
+            "final_pos_cells": self.pos_cells[-1],
+            "harm_contacts": self.harm_contacts[-1],
+            "boundary_resets": self.boundary_resets[-1],
         }
 
 

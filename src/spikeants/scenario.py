@@ -142,21 +142,22 @@ def parse_scenario(text: str) -> Scenario:
         if len(raw) != width:
             raise ScenarioError(f"row has {len(raw)} cells, expected {width}",
                                 line=line_no)
-        cells = []
-        for x, ch in enumerate(raw):
-            if ch not in CHAR_TO_KIND:
-                raise ScenarioError(f"unknown cell character '{ch}'",
+        # Spawns left of the first unknown character are checked first,
+        # so a row with two faults reports the leftmost.
+        unknown = set(raw).difference(CHAR_TO_KIND)
+        end = min(map(raw.index, unknown)) if unknown else width
+        x = raw.find("A", 0, end)
+        while x >= 0:
+            idx = len(spawns)
+            if idx not in headings:
+                raise ScenarioError(f"missing heading for spawn {idx}",
                                     line=line_no, column=x + 1)
-            if ch == "A":
-                idx = len(spawns)
-                if idx not in headings:
-                    raise ScenarioError(f"missing heading for spawn {idx}",
-                                        line=line_no, column=x + 1)
-                spawns.append((x, y, headings[idx]))
-                cells.append(".")
-            else:
-                cells.append(ch)
-        rows.append("".join(cells))
+            spawns.append((x, y, headings[idx]))
+            x = raw.find("A", x + 1, end)
+        if unknown:
+            raise ScenarioError(f"unknown cell character '{raw[end]}'",
+                                line=line_no, column=end + 1)
+        rows.append(raw.replace("A", "."))
 
     extras = set(headings) - set(range(len(spawns)))
     if extras:
@@ -192,10 +193,8 @@ def serialize_scenario(scenario: Scenario) -> str:
     for idx, (_, _, heading) in enumerate(scenario.spawns):
         lines.append(f"heading {idx} {heading.value}")
     lines.append("map")
-    spawn_cells = {(x, y): i for i, (x, y, _) in enumerate(scenario.spawns)}
-    for y, row in enumerate(scenario.rows):
-        out = []
-        for x, ch in enumerate(row):
-            out.append("A" if (x, y) in spawn_cells else ch)
-        lines.append("".join(out))
+    cells = [list(row) for row in scenario.rows]
+    for x, y, _ in scenario.spawns:
+        cells[y][x] = "A"
+    lines.extend(map("".join, cells))
     return "\n".join(lines) + "\n"

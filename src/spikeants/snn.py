@@ -2,7 +2,7 @@
 
 Neurons are two-state finite-state machines (open / absolute-refractory)
 holding a single membrane potential that decays exponentially toward a
-resting value. Synapses carry a non-negative weight, an excitatory or
+resting value. Synapses carry a finite non-negative weight, an excitatory or
 inhibitory sign, and an integer transmission delay of at least one tick,
 so a spike can never influence the tick it was emitted on.
 """
@@ -149,23 +149,25 @@ class Network:
         self._check_id(post)
         if delay < 1:
             raise ValidationError("delay must be >= 1")
-        if weight < 0:
-            raise ValidationError("weight must be non-negative")
+        if not 0 <= weight < math.inf:
+            raise ValidationError("weight must be finite and non-negative")
         syn = Synapse(pre=pre, post=post, weight=weight, sign=sign,
                       delay=delay, plastic=plastic)
         self.synapses.append(syn)
         self._outgoing[pre].append(syn)
         return len(self.synapses) - 1
 
-    def inject_pulse(self, neuron: int, amplitude: float, sign: Sign = Sign.EXCITATORY):
-        """Schedule an external pulse for delivery on the next tick.
+    def inject_pulse(self, neuron: int, amplitude: float):
+        """Schedule an external pulse for delivery on the next tick; a
+        negative `amplitude` is inhibitory.
 
         Models an intracellular electrode: the pulse bypasses every
         synapse and lands directly on the target's membrane.
         """
         self._check_id(neuron)
-        signed = amplitude if sign is Sign.EXCITATORY else -amplitude
-        self.pending_pulses.setdefault(self.current_tick + 1, []).append((neuron, signed))
+        if not -math.inf < amplitude < math.inf:
+            raise ValidationError("pulse amplitude must be finite")
+        self.pending_pulses.setdefault(self.current_tick + 1, []).append((neuron, amplitude))
 
     def step(self) -> list[SpikeEvent]:
         """Advance the whole network by one tick.

@@ -90,10 +90,6 @@ class TransitionTable:
         self._slots: dict[tuple[int, int], tuple] = {}
         self._moves: dict[tuple[int, int, int], tuple[int, int, ActuatorFrame]] = {}
 
-    def __len__(self) -> int:
-        """Core states held."""
-        return len(self._rows)
-
     def _actuator_state(self, act_id: int):
         """The potentials and the counters of actuator state `act_id`."""
         state = self._record.unpack(self._acts[act_id])

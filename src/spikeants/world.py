@@ -74,6 +74,8 @@ class Grid:
                  clear_threshold: float = EvaporationConfig.clear_threshold):
         if width < 1 or height < 1:
             raise ValueError("grid dimensions must be positive")
+        if not 0 < clear_threshold < math.inf:
+            raise ValueError("clear_threshold must be positive and finite")
         self.width = width
         self.height = height
         self.clear_threshold = clear_threshold
@@ -154,8 +156,8 @@ class Grid:
 
     # -- food ------------------------------------------------------------
 
-    def consume_food(self, x: int, y: int, bite: int = 1) -> int:
-        """Take up to `bite` units; exhausted patches turn empty.
+    def consume_food(self, x: int, y: int) -> int:
+        """Take one unit; a patch whose last unit is taken turns empty.
 
         Returns the remaining quantity; a non-food patch is a no-op
         returning 0.
@@ -163,8 +165,7 @@ class Grid:
         self._check(x, y)
         if self.kind.item(y, x) != PatchKind.FOOD:
             return 0
-        q = int(self.food[y, x])
-        q -= min(bite, q)
+        q = int(self.food[y, x]) - 1
         self.food[y, x] = q
         if q == 0:
             self.kind[y, x] = int(PatchKind.EMPTY)

@@ -446,6 +446,12 @@ class TestWeightFiles:
         text = format_weights(brain.weights())
         assert parse_weights(text) == brain.weights()
 
+    def test_blank_lines_skipped(self):
+        weights = trained_reference_weights()
+        assert parse_weights("\n" + format_weights(weights).replace("\n", "\n  \n")) == weights
+        with pytest.raises(ValidationError, match="^weight file line 3: "):
+            parse_weights("\n\nwhite forward\n")
+
     def test_missing_entry_rejected(self):
         text = "white forward 0.5\n"
         with pytest.raises(ValidationError, match="missing entries"):

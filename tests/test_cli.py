@@ -227,6 +227,15 @@ class TestTrainCommand:
         assert len(weights) == 6
         assert csv.read_text().count("\n") == 1201
 
+    def test_train_writes_json_summary(self, train_arena, tmp_path):
+        js = tmp_path / "train.json"
+        assert main(["train", "--scenario", str(train_arena), "--out-weights",
+                     str(tmp_path / "w.txt"), "--out-json", str(js),
+                     "--ticks", "40", "--seed", "3"]) == 0
+        summary = json.loads(js.read_text())
+        assert summary["seed"] == 3
+        assert summary["ticks"] == 40
+
     def test_trained_weights_feed_run(self, train_arena, arena, tmp_path):
         wfile = tmp_path / "weights.txt"
         main(["train", "--scenario", str(train_arena), "--out-weights",

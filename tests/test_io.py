@@ -112,6 +112,14 @@ class TestParseScenario:
                            match=r"missing heading for spawn 0 \(line 4, column 2\)"):
             parse_scenario(text)
 
+    @pytest.mark.parametrize("row, message", [
+        ("#A?#", r"missing heading for spawn 0 \(line 4, column 2\)"),
+        ("#?A#", r"unknown cell character '\?' \(line 4, column 2\)"),
+    ], ids=["spawn_first", "unknown_first"])
+    def test_leftmost_fault_in_a_row_reported(self, row, message):
+        with pytest.raises(ScenarioError, match=f"^{message}$"):
+            parse_scenario(f"width 4\nheight 1\nmap\n{row}\n")
+
     def test_duplicate_heading_rejected(self):
         text = "width 3\nheight 1\nheading 0 N\nheading 0 E\nmap\n#A#\n"
         with pytest.raises(ScenarioError, match=r"duplicate heading for spawn 0 \(line 4\)"):
@@ -294,6 +302,8 @@ class TestConfigFile:
         "ant_positive_deposit_ticks = -1",
         "circuit_np_pulse_count = 0",
         "stdp_w_min = -1",
+        "ant_rotate_direction = up",
+        "circuit_plastic_init_fraction = 1",
     ], ids=["evap_rho_negative", "neuron_threshold", "neuron_refractory_ticks",
             "circuit_np_tau", "circuit_nociceptor_refractory", "neuron_rest_nan",
             "ant_deposit_amount_positive_nan", "circuit_reflex_weight_nan",
@@ -302,7 +312,8 @@ class TestConfigFile:
             "seed_negative", "stdp_tau_plus_overflow", "stdp_tau_minus_overflow",
             "circuit_np_pulse_count_unreachable", "ant_brain_steps", "world_ticks_zero",
             "n_ants_negative", "phase_schedule_zero_ticks", "ant_positive_deposit_ticks_negative",
-            "circuit_np_pulse_count_zero", "stdp_w_min_negative"])
+            "circuit_np_pulse_count_zero", "stdp_w_min_negative",
+            "ant_rotate_direction_up", "circuit_plastic_init_fraction_one"])
     def test_invalid_domain_value_rejected(self, line):
         key = line.split()[0]
         with pytest.raises(ConfigError, match=f"^{key} "):

@@ -79,6 +79,13 @@ class TestConnect:
         with pytest.raises(ValidationError):
             net.connect(0, 1, -0.1, Sign.EXCITATORY, 1)
 
+    @pytest.mark.parametrize("weight", [math.nan, math.inf])
+    def test_non_finite_weight_rejected(self, weight):
+        net = make_net(2)
+        with pytest.raises(ValidationError, match="^weight must be finite and non-negative$"):
+            net.connect(0, 1, weight, Sign.EXCITATORY, 1)
+        assert net.synapses == []
+
     def test_connect_leaves_membranes_alone(self):
         net = make_net(2)
         net.connect(0, 1, 0.5, Sign.EXCITATORY, 1)
@@ -92,9 +99,16 @@ class TestPsp:
         net.inject_pulse(0, 0.5)
         net.step()
         assert net.states[0].membrane_potential == 0.5
-        net.inject_pulse(0, 1.0, Sign.INHIBITORY)
+        net.inject_pulse(0, -1.0)
         net.step()
         assert net.states[0].membrane_potential == -0.5
+
+    @pytest.mark.parametrize("amplitude", [math.nan, math.inf, -math.inf])
+    def test_non_finite_amplitude_rejected(self, amplitude):
+        net = make_net(1)
+        with pytest.raises(ValidationError, match="^pulse amplitude must be finite$"):
+            net.inject_pulse(0, amplitude)
+        assert net.pending_pulses == {}
 
 
 class TestDecay:
@@ -250,8 +264,7 @@ def run_package_net(net, injections, ticks):
     spikes = []
     for t in range(1, ticks + 1):
         for nid, amp in by_tick.get(t, ()):
-            sign = Sign.EXCITATORY if amp >= 0 else Sign.INHIBITORY
-            net.inject_pulse(nid, abs(amp), sign)
+            net.inject_pulse(nid, amp)
         spikes.extend((ev.neuron, ev.tick) for ev in net.step())
     return spikes
 
@@ -326,8 +339,7 @@ class TestStateKey:
             spikes = []
             for t in range(first, last + 1):
                 for nid, amp in by_tick.get(t, ()):
-                    sign = Sign.EXCITATORY if amp >= 0 else Sign.INHIBITORY
-                    net.inject_pulse(nid, abs(amp), sign)
+                    net.inject_pulse(nid, amp)
                 spikes.extend((ev.neuron, ev.tick - offset) for ev in net.step())
             return spikes
 

@@ -82,7 +82,7 @@ class TestTransitionTable:
         a new transition and are stepped from there."""
         with mock.patch.object(table, "MAX_TABLE_STATES", bound):
             held = assert_table_matches_stepping(weights, steps, frames)
-        assert len(held) <= bound
+        assert len(held._rows) <= bound
         assert len(held._acts) <= bound
 
     def test_long_counters_and_delays(self):
@@ -105,7 +105,7 @@ class TestTransitionTable:
         rng = random.Random(7)
         frames = [rng.choice(STIMULI) for _ in range(1500)]
         held = assert_table_matches_stepping(trained_reference_weights(), 10, frames)
-        assert len(held) <= 16
+        assert len(held._rows) <= 16
         assert len(held._acts) > 100
 
     def test_the_energy_counter_fires_through_the_table(self):
@@ -134,7 +134,7 @@ class TestTransitionTable:
         with mock.patch.object(table, "MAX_TABLE_STATES", 8):
             held = assert_table_matches_stepping(trained_reference_weights(), steps, frames,
                                                  cfg, left=True)
-        sizes = {"core": len(held), "actuators": len(held._acts)}
+        sizes = {"core": len(held._rows), "actuators": len(held._acts)}
         assert sizes.pop(full) == 8
         assert sizes.popitem()[1] < 8
 

@@ -143,6 +143,11 @@ class TestGrid:
         with pytest.raises(ValueError, match="^grid dimensions must be positive$"):
             Grid(width, height)
 
+    @pytest.mark.parametrize("threshold", [math.nan, -1.0, 0.0, math.inf])
+    def test_bad_clear_threshold_rejected(self, threshold):
+        with pytest.raises(ValueError, match="^clear_threshold must be positive and finite$"):
+            Grid(3, 3, clear_threshold=threshold)
+
 
 class TestDeposit:
     def test_additive_accumulation(self):
@@ -267,19 +272,19 @@ class TestFood:
     def test_bite_reduces_quantity(self):
         g = Grid(3, 3)
         g.set_kind(1, 1, PatchKind.FOOD, 5)
-        assert g.consume_food(1, 1, 1) == 4
+        assert g.consume_food(1, 1) == 4
         assert g.effective_color_at(1, 1) is Color.GREEN
 
     def test_exhaustion_turns_empty(self):
         g = Grid(3, 3)
         g.set_kind(1, 1, PatchKind.FOOD, 1)
-        assert g.consume_food(1, 1, 1) == 0
+        assert g.consume_food(1, 1) == 0
         assert g.kind[1, 1] == PatchKind.EMPTY
         assert g.effective_color_at(1, 1) is Color.BLACK
 
     def test_non_food_noop(self):
         g = Grid(3, 3)
-        assert g.consume_food(1, 1, 1) == 0
+        assert g.consume_food(1, 1) == 0
         assert g.kind[1, 1] == PatchKind.EMPTY
 
     def test_total_food(self):
@@ -288,7 +293,8 @@ class TestFood:
         g.set_kind(1, 1, PatchKind.FOOD, 10)
         g.set_kind(3, 3, PatchKind.FOOD, 10)
         assert g.total_food() == 20
-        g.consume_food(1, 1, 3)
+        for _ in range(3):
+            g.consume_food(1, 1)
         assert g.total_food() == 17
 
     def test_total_food_monotone_under_consumption(self):
@@ -296,7 +302,7 @@ class TestFood:
         g.set_kind(2, 2, PatchKind.FOOD, 4)
         last = g.total_food()
         for _ in range(6):
-            g.consume_food(2, 2, 1)
+            g.consume_food(2, 2)
             cur = g.total_food()
             assert cur <= last
             last = cur
