@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional, Sequence
 
 from .plasticity import StdpConfig, on_post_spike, on_pre_spike
-from .snn import Network, NeuronParams, Sign, SpikeEvent, ValidationError
+from .snn import Network, NeuronParams, SpikeEvent, ValidationError
 from .world import Color
 
 MOTOR_FORWARD = "forward"
@@ -217,8 +217,7 @@ class AntBrain:
         w_fix = cfg.reflex_weight
         # Each receptor drives exactly one afferent.
         for smell in SMELLS:
-            net.connect(layout.olfactory_receptors[smell], layout.afferents[smell],
-                        w_fix, Sign.EXCITATORY, 1)
+            net.connect(layout.olfactory_receptors[smell], layout.afferents[smell], w_fix, 1)
 
         # Conditionable pathways, initialized plastic_init_fraction of the
         # way from w_min to w_max (at the defaults too weak to move
@@ -231,29 +230,26 @@ class AntBrain:
             pre = layout.afferents[smell]
             for motor, post in ((MOTOR_FORWARD, layout.motor_forward),
                                 (MOTOR_ROTATE, layout.motor_rotate)):
-                sid = net.connect(pre, post, w_init, Sign.EXCITATORY, 1, plastic=True)
+                sid = net.connect(pre, post, w_init, 1, plastic=True)
                 layout.plastic_synapses[(smell, motor)] = sid
                 self._plastic_in.setdefault(post, []).append(sid)
                 self._plastic_out.setdefault(pre, []).append(sid)
 
-        excite, inhibit = Sign.EXCITATORY, Sign.INHIBITORY
         half = cfg.pacemaker_period // 2
-        for pre, post, weight, sign, delay in (
+        for pre, post, weight, delay in (
                 # Unconditioned reflexes.
-                (layout.nociceptor, layout.motor_rotate, w_fix, excite, 1),
-                (layout.reward_sensor, layout.motor_forward, w_fix, excite, 1),
-                (layout.reward_sensor, layout.pheromone_positive, w_fix, excite, 1),
+                (layout.nociceptor, layout.motor_rotate, w_fix, 1),
+                (layout.reward_sensor, layout.motor_forward, w_fix, 1),
+                (layout.reward_sensor, layout.pheromone_positive, w_fix, 1),
                 # Pacemaker loop; the two delays sum to the configured period.
-                (layout.pacemaker_a, layout.pacemaker_b, w_fix, excite, half),
-                (layout.pacemaker_b, layout.pacemaker_a, w_fix, excite,
-                 cfg.pacemaker_period - half),
-                (layout.kickstart, layout.pacemaker_a, w_fix, excite, 1),
-                (layout.pacemaker_a, layout.motor_forward, cfg.drive_weight, excite, 1),
+                (layout.pacemaker_a, layout.pacemaker_b, w_fix, half),
+                (layout.pacemaker_b, layout.pacemaker_a, w_fix, cfg.pacemaker_period - half),
+                (layout.kickstart, layout.pacemaker_a, w_fix, 1),
+                (layout.pacemaker_a, layout.motor_forward, cfg.drive_weight, 1),
                 # Energy-consumption counter, which reward inhibits.
-                (layout.pacemaker_a, layout.pheromone_negative, cfg.counter_weight, excite, 1),
-                (layout.reward_sensor, layout.pheromone_negative, cfg.np_inhibit_weight,
-                 inhibit, 1)):
-            net.connect(pre, post, weight, sign, delay)
+                (layout.pacemaker_a, layout.pheromone_negative, cfg.counter_weight, 1),
+                (layout.reward_sensor, layout.pheromone_negative, -cfg.np_inhibit_weight, 1)):
+            net.connect(pre, post, weight, delay)
 
         # Recent firing ticks per plastic post neuron and, per plastic
         # synapse, the arrival ticks its post membrane actually integrated.
@@ -322,10 +318,7 @@ class AntBrain:
             ticks.popleft()
 
     def step_ticks(self, n: int) -> list[SpikeEvent]:
-        events: list[SpikeEvent] = []
-        for _ in range(n):
-            events.extend(self.step())
-        return events
+        return [ev for _ in range(n) for ev in self.step()]
 
     def actuate(self, events: Iterable[SpikeEvent]) -> ActuatorFrame:
         """Fold spike events into motor/pheromone commands.
@@ -450,10 +443,9 @@ def _run_trial(brain: AntBrain, sched: ConditioningSchedule):
 # -- flat text weight files ------------------------------------------------
 
 def format_weights(mapping: dict[tuple[Color, str], float]) -> str:
-    lines = []
-    for (smell, motor) in sorted(mapping, key=lambda k: (k[0].value, k[1])):
-        lines.append(f"{smell.value} {motor} {mapping[(smell, motor)]!r}")
-    return "\n".join(lines) + "\n"
+    keys = sorted(mapping, key=lambda k: (k[0].value, k[1]))
+    return "\n".join(f"{smell.value} {motor} {mapping[(smell, motor)]!r}"
+                     for smell, motor in keys) + "\n"
 
 
 def parse_weights(text: str) -> dict[tuple[Color, str], float]:

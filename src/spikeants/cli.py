@@ -94,13 +94,7 @@ def _cmd_run(args) -> int:
     weights = _load_weights(args, cfg)
     frame_hook = None
     if args.frames_dir:
-        frames = Path(args.frames_dir)
-        # Fail now on a path that cannot be a directory, but create it only
-        # once the run has started, so a run that fails first leaves nothing.
-        nearest = next(p for p in (frames, *frames.parents) if p.exists())
-        if not nearest.is_dir():
-            raise CliError(f"cannot create {frames}: {nearest} is not a directory")
-        every = args.frame_every
+        frames, every = Path(args.frames_dir), args.frame_every
 
         def frame_hook(tick, grid, ants):
             if tick == 1:
@@ -219,14 +213,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_outputs(args):
+    """Fail before anything runs on an unwritable output or on two outputs at one path."""
+    seen: dict[Path, str] = {}
+    for dest, path in vars(args).items():
+        if not path or not (dest in ("out", "frames_dir") or dest.startswith("out_")):
+            continue
+        target, flag = Path(path), "--" + dest.replace("_", "-")
+        if dest == "frames_dir":
+            # Created only once the run starts: a run that fails first leaves nothing.
+            nearest = next(p for p in (target, *target.parents) if p.exists())
+            if not nearest.is_dir():
+                raise CliError(f"cannot create {path}: {nearest} is not a directory")
+        elif not target.parent.is_dir():
+            raise CliError(f"cannot write {path}: no such directory")
+        elif target.is_dir():
+            raise CliError(f"cannot write {path}: it is a directory")
+        other = seen.setdefault(target.resolve(), flag)
+        if other != flag:
+            raise CliError(f"{other} and {flag} both write {path}")
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # Every --out-* file must lie in an existing directory: check before any run.
-        for dest, path in vars(args).items():
-            if dest.startswith("out_") and path and not Path(path).parent.is_dir():
-                raise CliError(f"cannot write {path}: no such directory")
+        _check_outputs(args)
         return args.func(args)
     except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -58,12 +58,9 @@ class Metrics:
         return np.repeat(self.ticks, np.diff(self.boundary_resets, prepend=0)).tolist()
 
     def to_csv_text(self) -> str:
-        lines = [self.CSV_HEADER]
-        for i in range(len(self.ticks)):
-            lines.append(f"{self.ticks[i]},{self.total_food[i]},{self.neg_cells[i]},"
-                         f"{self.pos_cells[i]},{self.harm_contacts[i]},"
-                         f"{self.boundary_resets[i]}")
-        return "\n".join(lines) + "\n"
+        rows = zip(self.ticks, self.total_food, self.neg_cells, self.pos_cells,
+                   self.harm_contacts, self.boundary_resets)
+        return "\n".join([self.CSV_HEADER, *(",".join(map(str, row)) for row in rows)]) + "\n"
 
     def summary(self) -> dict:
         return {

@@ -65,10 +65,8 @@ class Scenario:
         return grid
 
     def boundary_is_walled(self) -> bool:
-        top = set(self.rows[0])
-        bottom = set(self.rows[-1])
-        sides = {row[0] for row in self.rows} | {row[-1] for row in self.rows}
-        return (top | bottom | sides) == {"#"}
+        sides = {cell for row in self.rows for cell in (row[0], row[-1])}
+        return (set(self.rows[0]) | set(self.rows[-1]) | sides) == {"#"}
 
 
 _HEADER_KEYS = ("width", "height", "food_quantity", "random_ants")

@@ -2,9 +2,9 @@
 
 Neurons are two-state finite-state machines (open / absolute-refractory)
 holding a single membrane potential that decays exponentially toward a
-resting value. Synapses carry a finite non-negative weight, an excitatory or
-inhibitory sign, and an integer transmission delay of at least one tick,
-so a spike can never influence the tick it was emitted on.
+resting value. Synapses carry a finite signed weight, negative meaning
+inhibitory, and an integer transmission delay of at least one tick, so a
+spike can never influence the tick it was emitted on.
 """
 
 from __future__ import annotations
@@ -25,11 +25,6 @@ class NeuronPhase(Enum):
     REFRACTORY = "absolute_refractory"
 
 
-class Sign(Enum):
-    EXCITATORY = 1
-    INHIBITORY = -1
-
-
 class SpikeEvent(NamedTuple):
     neuron: int
     tick: int
@@ -46,6 +41,9 @@ class NeuronParams:
     decay_time_constant: float = 5.0
 
     def __post_init__(self):
+        for name in ("resting_potential", "firing_threshold", "refractory_potential"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite")
         if not self.firing_threshold > self.resting_potential:
             raise ValidationError("firing_threshold must exceed resting_potential")
         if not self.refractory_potential <= self.resting_potential:
@@ -74,7 +72,6 @@ class Synapse:
     pre: int
     post: int
     weight: float
-    sign: Sign
     delay: int
     plastic: bool = False
 
@@ -142,17 +139,20 @@ class Network:
         self._outgoing.append([])
         return len(self.params) - 1
 
-    def connect(self, pre: int, post: int, weight: float, sign: Sign,
-                delay: int, plastic: bool = False) -> int:
-        """Append a synapse; returns its id. No membrane is touched."""
+    def connect(self, pre: int, post: int, weight: float, delay: int,
+                plastic: bool = False) -> int:
+        """Append a synapse; returns its id. No membrane is touched. A
+        negative `weight` is inhibitory; a plastic one may not be, since
+        STDP clamps it into the non-negative [w_min, w_max]."""
         self._check_id(pre)
         self._check_id(post)
         if delay < 1:
             raise ValidationError("delay must be >= 1")
-        if not 0 <= weight < math.inf:
-            raise ValidationError("weight must be finite and non-negative")
-        syn = Synapse(pre=pre, post=post, weight=weight, sign=sign,
-                      delay=delay, plastic=plastic)
+        if not -math.inf < weight < math.inf:
+            raise ValidationError("weight must be finite")
+        if plastic and weight < 0:
+            raise ValidationError("a plastic weight must be non-negative")
+        syn = Synapse(pre=pre, post=post, weight=weight, delay=delay, plastic=plastic)
         self.synapses.append(syn)
         self._outgoing[pre].append(syn)
         return len(self.synapses) - 1
@@ -204,8 +204,8 @@ class Network:
                 state.membrane_potential = p.refractory_potential
                 state.refractory_remaining = p.refractory_duration
                 for syn in self._outgoing[i]:
-                    amp = -syn.weight if syn.sign is Sign.INHIBITORY else syn.weight
-                    self.pending_pulses.setdefault(t + syn.delay, []).append((syn.post, amp))
+                    self.pending_pulses.setdefault(t + syn.delay, []).append(
+                        (syn.post, syn.weight))
             else:
                 state.membrane_potential = u
         return events

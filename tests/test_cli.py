@@ -284,6 +284,31 @@ class TestOutputPaths:
         assert main([*argv, "--scenario", str(arena)]) == 1
         assert capsys.readouterr().err == f"error: cannot write {missing}: no such directory\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        (["train", "--out-weights", "{dir}"], "cannot write {dir}: it is a directory"),
+        (["run", "--out-csv", "{tmp}/o.csv", "--out-json", "{dir}"],
+         "cannot write {dir}: it is a directory"),
+        (["train", "--out-weights", "{tmp}/a.txt", "--out-csv", "{tmp}/a.txt"],
+         "--out-weights and --out-csv both write {tmp}/a.txt"),
+        (["compare", "--out-on", "{tmp}/x.csv", "--out-off", "{tmp}/./x.csv"],
+         "--out-on and --out-off both write {tmp}/./x.csv"),
+        (["run", "--out-csv", "{tmp}/d", "--frames-dir", "{tmp}/d"],
+         "--out-csv and --frames-dir both write {tmp}/d"),
+    ], ids=["train_into_dir", "json_into_dir", "train_same_file", "compare_same_file",
+            "csv_is_frames_dir"])
+    def test_unwritable_outputs_fail_before_running(self, arena, tmp_path, capsys,
+                                                    monkeypatch, argv, message):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started")
+        for name in ("run", "run_training", "compare"):
+            monkeypatch.setattr(cli, name, no_run)
+        (tmp_path / "dir").mkdir()
+        fill = dict(tmp=tmp_path, dir=tmp_path / "dir")
+        argv = [a.format(**fill) for a in argv]
+        assert main([*argv, "--scenario", str(arena)]) == 1
+        assert capsys.readouterr().err == f"error: {message.format(**fill)}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["arena.txt", "dir"]
+
     def test_frames_dir_that_is_a_file(self, arena, tmp_path, capsys, monkeypatch):
         def no_tick(*args, **kwargs):
             raise AssertionError("an ant stepped")

@@ -12,15 +12,14 @@ from spikeants.plasticity import (
     on_pre_spike,
     stdp_window,
 )
-from spikeants.snn import Sign, Synapse
+from spikeants.snn import Synapse
 
 CFG = StdpConfig(a_plus=0.1, a_minus=0.1, tau_plus=10.0, tau_minus=10.0,
                  w_min=0.0, w_max=1.0)
 
 
 def plastic(weight=0.5):
-    return Synapse(pre=0, post=1, weight=weight, sign=Sign.EXCITATORY,
-                   delay=1, plastic=True)
+    return Synapse(pre=0, post=1, weight=weight, delay=1, plastic=True)
 
 
 class TestWindow:
@@ -99,7 +98,7 @@ class TestOnPostSpike:
         assert on_post_spike(plastic(0.999), arrivals, 91, CFG) == CFG.w_max
 
     def test_non_plastic_rejected(self):
-        syn = Synapse(0, 1, 0.5, Sign.EXCITATORY, 1, plastic=False)
+        syn = Synapse(0, 1, 0.5, 1, plastic=False)
         with pytest.raises(PlasticityError):
             on_post_spike(syn, [], 10, CFG)
 

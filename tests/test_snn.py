@@ -12,7 +12,6 @@ from spikeants.snn import (
     NeuronParams,
     NeuronPhase,
     NeuronState,
-    Sign,
     ValidationError,
     decay,
     run_cell,
@@ -49,6 +48,13 @@ class TestCreateNeuron:
         with pytest.raises(ValidationError, match="firing_threshold must exceed resting_potential"):
             NeuronParams(resting_potential=0.0, firing_threshold=0.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["resting_potential", "firing_threshold",
+                                      "refractory_potential"])
+    def test_non_finite_potential_rejected(self, name, value):
+        with pytest.raises(ValidationError, match=f"^{name} must be finite$"):
+            NeuronParams(**{name: value})
+
     def test_other_invariants(self):
         with pytest.raises(ValidationError):
             NeuronParams(refractory_potential=0.5)
@@ -61,34 +67,44 @@ class TestCreateNeuron:
 class TestConnect:
     def test_sequential_synapse_ids(self):
         net = make_net(2)
-        assert net.connect(0, 1, 0.5, Sign.EXCITATORY, 1) == 0
-        assert net.connect(1, 0, 0.5, Sign.EXCITATORY, 1) == 1
+        assert net.connect(0, 1, 0.5, 1) == 0
+        assert net.connect(1, 0, 0.5, 1) == 1
 
     def test_unknown_neuron(self):
         net = make_net(1)
         with pytest.raises(ValidationError, match="unknown neuron"):
-            net.connect(0, 99, 0.5, Sign.EXCITATORY, 1)
+            net.connect(0, 99, 0.5, 1)
 
     def test_zero_delay_rejected(self):
         net = make_net(2)
         with pytest.raises(ValidationError, match="delay must be >= 1"):
-            net.connect(0, 1, 0.5, Sign.EXCITATORY, 0)
+            net.connect(0, 1, 0.5, 0)
 
-    def test_negative_weight_rejected(self):
+    def test_negative_fixed_weight_delivers_its_negative(self):
+        net = make_net(2, NO_DECAY)
+        net.connect(0, 1, -0.1, 1)
+        net.inject_pulse(0, 2.0)
+        net.step()  # neuron 0 spikes
+        net.step()
+        assert net.incoming == {1: -0.1}
+        assert net.states[1].membrane_potential == -0.1
+
+    def test_negative_plastic_weight_rejected(self):
         net = make_net(2)
-        with pytest.raises(ValidationError):
-            net.connect(0, 1, -0.1, Sign.EXCITATORY, 1)
+        with pytest.raises(ValidationError, match="^a plastic weight must be non-negative$"):
+            net.connect(0, 1, -0.1, 1, plastic=True)
+        assert net.synapses == []
 
     @pytest.mark.parametrize("weight", [math.nan, math.inf])
     def test_non_finite_weight_rejected(self, weight):
         net = make_net(2)
-        with pytest.raises(ValidationError, match="^weight must be finite and non-negative$"):
-            net.connect(0, 1, weight, Sign.EXCITATORY, 1)
+        with pytest.raises(ValidationError, match="^weight must be finite$"):
+            net.connect(0, 1, weight, 1)
         assert net.synapses == []
 
     def test_connect_leaves_membranes_alone(self):
         net = make_net(2)
-        net.connect(0, 1, 0.5, Sign.EXCITATORY, 1)
+        net.connect(0, 1, 0.5, 1)
         assert all(s.membrane_potential == 0.0 for s in net.states)
 
 
@@ -181,7 +197,7 @@ class TestInjectAndStep:
 
     def test_delay_contract(self):
         net = make_net(2, NO_DECAY)
-        net.connect(0, 1, 0.5, Sign.EXCITATORY, 3)
+        net.connect(0, 1, 0.5, 3)
         net.inject_pulse(0, 2.0)
         net.step()  # tick 1: neuron 0 spikes
         net.step()  # tick 2
@@ -210,7 +226,7 @@ class TestInjectAndStep:
 
     def test_pending_pulses_strictly_future_after_step(self):
         net = make_net(2)
-        net.connect(0, 1, 0.5, Sign.EXCITATORY, 2)
+        net.connect(0, 1, 0.5, 2)
         net.inject_pulse(0, 2.0)
         for _ in range(5):
             net.step()
@@ -252,8 +268,7 @@ def build_package_net(neurons, synapses):
             refractory_potential=p["refr_pot"], refractory_duration=p["refr_ticks"],
             decay_time_constant=p["tau"]))
     for (pre, post, weight, sign, delay) in synapses:
-        net.connect(pre, post, weight,
-                    Sign.EXCITATORY if sign > 0 else Sign.INHIBITORY, delay)
+        net.connect(pre, post, sign * weight, delay)
     return net
 
 
@@ -282,13 +297,28 @@ class TestOracleEquivalence:
         assert len(got) > 50  # the drive actually produced activity
 
     def test_random_networks_match_reference(self):
-        rng = random.Random(20240811)
-        for _ in range(25):
-            neurons, synapses, injections = random_topology(rng)
-            expected = simulate(neurons, synapses, injections, 1000)
-            net = build_package_net(neurons, synapses)
-            got = run_package_net(net, injections, 1000)
-            assert got == expected
+        assert_random_networks_match_reference(inhibitory_share=0.0)
+
+    def test_random_signed_injections_match_reference(self):
+        """`random_topology` draws only positive injections; this negates
+        a seeded share of them, so inhibitory injections meet the oracle."""
+        assert_random_networks_match_reference(inhibitory_share=0.3)
+
+
+def assert_random_networks_match_reference(inhibitory_share):
+    rng = random.Random(20240811)
+    flips = random.Random(20261018)
+    negated = 0
+    for _ in range(25):
+        neurons, synapses, injections = random_topology(rng)
+        signs = [-1.0 if flips.random() < inhibitory_share else 1.0 for _ in injections]
+        negated += signs.count(-1.0)
+        injections = [(t, nid, sign * amp) for (t, nid, amp), sign in zip(injections, signs)]
+        expected = simulate(neurons, synapses, injections, 1000)
+        net = build_package_net(neurons, synapses)
+        got = run_package_net(net, injections, 1000)
+        assert got == expected
+    assert (negated > 0) == (inhibitory_share > 0)
 
 
 class TestDeterminismAndRelabeling:
@@ -378,7 +408,7 @@ class TestStateKey:
         counters plus every pending pulse; loading it touches no other
         neuron."""
         original = make_net(3)
-        original.connect(0, 2, 0.7, Sign.EXCITATORY, 3)
+        original.connect(0, 2, 0.7, 3)
         original.inject_pulse(0, 2.0)
         original.inject_pulse(1, 0.4)
         original.step()
