@@ -9,13 +9,12 @@ the following world tick (standing on a red cell hurts directly).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
 from .circuit import SMELLS, STIMULI, AntBrain, StimulusFrame
-from .world import COLORS, Color, Grid, PatchKind, PheromoneField
+from .world import COLORS, Color, Grid, PatchKind, PheromoneField, check_deposit_amount
 
 
 class Heading(Enum):
@@ -72,8 +71,7 @@ class AntConfig:
         if self.positive_deposit_ticks < 0:
             raise ValueError("positive_deposit_ticks must be non-negative")
         for name in ("deposit_amount_positive", "deposit_amount_negative"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and non-negative")
+            check_deposit_amount(getattr(self, name), name)
         if self.rotate_direction not in ("right", "left"):
             raise ValueError("rotate_direction must be 'right' or 'left'")
 

@@ -214,7 +214,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_outputs(args):
-    """Fail before anything runs on an unwritable output or on two outputs at one path."""
+    """Fail before anything runs on an unwritable output, on two outputs at
+    one path, or on an output at the path of an input file."""
+    # "@name" scenarios are bundled, not read from a file.
+    inputs = {Path(path).resolve(): "--" + dest for dest in ("config", "weights", "scenario")
+              if (path := getattr(args, dest, None))
+              and not (dest == "scenario" and path.startswith("@"))}
     seen: dict[Path, str] = {}
     for dest, path in vars(args).items():
         if not path or not (dest in ("out", "frames_dir") or dest.startswith("out_")):
@@ -229,7 +234,10 @@ def _check_outputs(args):
             raise CliError(f"cannot write {path}: no such directory")
         elif target.is_dir():
             raise CliError(f"cannot write {path}: it is a directory")
-        other = seen.setdefault(target.resolve(), flag)
+        resolved = target.resolve()
+        if resolved in inputs:
+            raise CliError(f"{flag} would overwrite the {inputs[resolved]} file {path}")
+        other = seen.setdefault(resolved, flag)
         if other != flag:
             raise CliError(f"{other} and {flag} both write {path}")
 

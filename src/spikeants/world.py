@@ -23,6 +23,9 @@ class PatchKind(IntEnum):
     FOOD = 3
 
 
+_EMPTY = PatchKind.EMPTY.value
+
+
 class PheromoneField(Enum):
     POSITIVE = "positive"
     NEGATIVE = "negative"
@@ -48,6 +51,17 @@ _COLOR_CODES = tuple(tuple(tuple(COLORS.index(c) for c in by_pos) for by_pos in 
 _COLOR_INDEX = np.array(_COLOR_CODES, dtype=np.uint8)
 
 
+def check_deposit_amount(amount: float, name: str = "deposit amount"):
+    """The range of one pheromone deposit, `name` naming it in the error."""
+    if not 0 <= amount < math.inf:
+        raise ValueError(f"{name} must be finite and non-negative")
+
+
+def _check_clear_threshold(threshold: float):
+    if not 0 < threshold < math.inf:
+        raise ValueError("clear_threshold must be positive and finite")
+
+
 @dataclass(frozen=True)
 class EvaporationConfig:
     rho_positive: float = 0.03
@@ -58,8 +72,69 @@ class EvaporationConfig:
         for name in ("rho_positive", "rho_negative"):
             if not 0.0 < getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must lie in (0, 1)")
-        if not 0 < self.clear_threshold < math.inf:
-            raise ValueError("clear_threshold must be positive and finite")
+        _check_clear_threshold(self.clear_threshold)
+
+
+_NO_CELLS = np.empty(0, dtype=np.intp)
+
+
+class _Marks:
+    """The flat indices of one pheromone field's non-zero cells.
+
+    `cells` holds the survivors of the last evaporation, each at or
+    above the clear threshold; `pending` the cells a deposit has moved
+    from 0.0 since, which may lie below it. Each non-zero cell is in
+    exactly one of them, once, so every cell outside both is 0.0.
+    """
+
+    __slots__ = ("flat", "cells", "pending")
+
+    def __init__(self, field: np.ndarray):
+        self.flat = field.reshape(-1)  # a view: writes land in `field`
+        self.cells = _NO_CELLS
+        self.pending: list[int] = []
+
+    def add(self, i: int, amount: float):
+        old = self.flat.item(i)
+        self.flat[i] = old + amount
+        if old == 0.0 and amount:
+            self.pending.append(i)
+
+    def zero(self, i: int):
+        if self.flat.item(i) != 0.0:
+            self.flat[i] = 0.0
+            if i in self.pending:
+                self.pending.remove(i)
+            else:
+                self.cells = self.cells[self.cells != i]
+
+    def decay(self, scale: float, eps: float):
+        """The dense rule, `field *= scale` then `field *= field >= eps`,
+        on the indexed cells only: 0.0 maps to 0.0 under both. The field
+        is finite and non-negative, so scaling by the keep-mask clears
+        exactly the faint cells."""
+        cells = self.cells
+        if self.pending:
+            cells = np.concatenate((cells, self.pending))
+            self.pending.clear()
+        if cells.size:
+            values = self.flat[cells] * scale
+            keep = values >= eps
+            values *= keep
+            self.flat[cells] = values
+            cells = cells[keep]
+        self.cells = cells
+
+    def count_empty(self, kind: np.ndarray, eps: float) -> int:
+        """Indexed cells at or above `eps` whose kind is EMPTY."""
+        # Survivors are at or above `eps`; only pending cells need the test.
+        if self.pending:
+            cells = np.concatenate((self.cells, self.pending))
+            return int(np.count_nonzero((kind.take(cells) == _EMPTY)
+                                        & (self.flat[cells] >= eps)))
+        if not self.cells.size:
+            return 0
+        return int(np.count_nonzero(kind.take(self.cells) == _EMPTY))
 
 
 class Grid:
@@ -68,14 +143,19 @@ class Grid:
     Cell addressing is (x, y) with x the column and y the row; storage is
     row-major numpy. One writer per grid within a tick; snapshots taken
     between ticks may be shared freely.
+
+    The `positive` and `negative` arrays are read freely but written only
+    through `deposit`, `set_kind` and `evaporate_step`. Each field keeps
+    an index of its non-zero cells, so evaporation and the census visit
+    only those; a value written into the arrays directly is not indexed,
+    and neither decays nor is counted.
     """
 
     def __init__(self, width: int, height: int,
                  clear_threshold: float = EvaporationConfig.clear_threshold):
         if width < 1 or height < 1:
             raise ValueError("grid dimensions must be positive")
-        if not 0 < clear_threshold < math.inf:
-            raise ValueError("clear_threshold must be positive and finite")
+        _check_clear_threshold(clear_threshold)
         self.width = width
         self.height = height
         self.clear_threshold = clear_threshold
@@ -83,6 +163,8 @@ class Grid:
         self.food = np.zeros((height, width), dtype=np.int64)
         self.positive = np.zeros((height, width), dtype=np.float64)
         self.negative = np.zeros((height, width), dtype=np.float64)
+        self._positive = _Marks(self.positive)
+        self._negative = _Marks(self.negative)
 
     # -- cell access ---------------------------------------------------
 
@@ -99,8 +181,9 @@ class Grid:
         self.kind[y, x] = int(kind)
         self.food[y, x] = food_quantity
         if kind is PatchKind.WALL:
-            self.positive[y, x] = 0.0
-            self.negative[y, x] = 0.0
+            i = y * self.width + x
+            self._positive.zero(i)
+            self._negative.zero(i)
 
     def effective_color_at(self, x: int, y: int) -> Color:
         """Stimulus color one cell presents, by the rule in `_COLOR_RULE`."""
@@ -134,25 +217,17 @@ class Grid:
         Attempts on wall cells are ignored.
         """
         self._check(x, y)
-        if not 0 <= amount < math.inf:
-            raise ValueError("deposit amount must be finite and non-negative")
+        check_deposit_amount(amount)
         if self.kind.item(y, x) == PatchKind.WALL:
             return
-        if fieldkind is PheromoneField.POSITIVE:
-            self.positive[y, x] += amount
-        else:
-            self.negative[y, x] += amount
+        marks = self._positive if fieldkind is PheromoneField.POSITIVE else self._negative
+        marks.add(y * self.width + x, amount)
 
     def evaporate_step(self, cfg: EvaporationConfig):
         """One tick of multiplicative decay at `cfg`'s rates; residues
         below the grid's own `clear_threshold` snap to zero."""
-        self.positive *= (1.0 - cfg.rho_positive)
-        self.negative *= (1.0 - cfg.rho_negative)
-        eps = self.clear_threshold
-        # Both fields are finite and non-negative, so scaling by the
-        # keep-mask clears exactly the faint cells.
-        self.positive *= self.positive >= eps
-        self.negative *= self.negative >= eps
+        self._positive.decay(1.0 - cfg.rho_positive, self.clear_threshold)
+        self._negative.decay(1.0 - cfg.rho_negative, self.clear_threshold)
 
     # -- food ------------------------------------------------------------
 
@@ -179,10 +254,9 @@ class Grid:
     def marked_cell_counts(self) -> tuple[int, int]:
         """Empty-ground cells currently masked red by negative pheromone,
         and those presented green by positive pheromone."""
-        empty = self.kind == PatchKind.EMPTY.value
         eps = self.clear_threshold
-        return (int(np.count_nonzero(empty & (self.negative >= eps))),
-                int(np.count_nonzero(empty & (self.positive >= eps))))
+        return (self._negative.count_empty(self.kind, eps),
+                self._positive.count_empty(self.kind, eps))
 
     def empty_cell_count(self) -> int:
         return int((self.kind == PatchKind.EMPTY.value).sum())

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from spikeants import cli, engine
-from spikeants.circuit import parse_weights
+from spikeants.circuit import format_weights, parse_weights, trained_reference_weights
 from spikeants.cli import main
 from spikeants.config import parse_config
 
@@ -341,6 +341,38 @@ class TestOutputPaths:
                      "--frames-dir", str(frames), "--ticks", "5"])
         assert code == 0
         assert frames.is_dir() and not any(frames.iterdir())
+
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "--scenario", "{arena}", "--weights", "{w}", "--out-csv", "{w}"],
+         "--out-csv would overwrite the --weights file {w}"),
+        (["compare", "--scenario", "{arena}", "--weights", "{w}", "--out-on", "{tmp}/on.csv",
+          "--out-off", "{tmp}/./w.txt"],
+         "--out-off would overwrite the --weights file {tmp}/./w.txt"),
+        (["run", "--scenario", "{arena}", "--config", "{c}", "--out-csv", "{c}"],
+         "--out-csv would overwrite the --config file {c}"),
+        (["train", "--scenario", "{arena}", "--config", "{c}", "--out-weights", "{c}"],
+         "--out-weights would overwrite the --config file {c}"),
+        (["run", "--scenario", "{arena}", "--out-csv", "{tmp}/o.csv", "--out-json", "{arena}"],
+         "--out-json would overwrite the --scenario file {arena}"),
+        (["render", "--scenario", "{arena}", "--out", "{arena}"],
+         "--out would overwrite the --scenario file {arena}"),
+    ], ids=["run_weights", "compare_weights", "run_config", "train_config", "run_scenario",
+            "render_scenario"])
+    def test_output_over_an_input_fails_before_running(self, arena, tmp_path, capsys,
+                                                       monkeypatch, argv, message):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started")
+        for name in ("run", "run_training", "compare", "render_snapshot"):
+            monkeypatch.setattr(cli, name, no_run)
+        inputs = {"w": tmp_path / "w.txt", "c": tmp_path / "c.txt", "arena": arena}
+        inputs["w"].write_text(format_weights(trained_reference_weights()))
+        inputs["c"].write_text("seed = 3\n")
+        before = {p: p.read_bytes() for p in inputs.values()}
+        fill = dict(inputs, tmp=tmp_path)
+        assert main([a.format(**fill) for a in argv]) == 1
+        assert capsys.readouterr().err == f"error: {message.format(**fill)}\n"
+        assert {p: p.read_bytes() for p in inputs.values()} == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["arena.txt", "c.txt", "w.txt"]
 
 
 class TestFlagConflicts:

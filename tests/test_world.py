@@ -53,14 +53,23 @@ AROUND_EPS = st.one_of(
 
 
 @st.composite
-def small_grids(draw):
+def small_grids(draw, deposited=False):
+    """Random kinds and pheromone levels; `deposited` lays the levels
+    through `Grid.deposit` (exact on a fresh cell) before the kinds are
+    written, so the grid's index of marked cells holds them."""
     w, h = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     g = Grid(w, h, clear_threshold=EPS)
     for y in range(h):
         for x in range(w):
-            g.kind[y, x] = draw(st.sampled_from(list(PatchKind)))
-            g.negative[y, x] = draw(AROUND_EPS)
-            g.positive[y, x] = draw(AROUND_EPS)
+            kind = draw(st.sampled_from(list(PatchKind)))
+            neg, pos = draw(AROUND_EPS), draw(AROUND_EPS)
+            if deposited:
+                g.deposit(x, y, PheromoneField.NEGATIVE, neg)
+                g.deposit(x, y, PheromoneField.POSITIVE, pos)
+            else:
+                g.negative[y, x] = neg
+                g.positive[y, x] = pos
+            g.kind[y, x] = kind
     return g
 
 
@@ -248,8 +257,9 @@ class TestEvaporation:
         cells, gives the same bits on finite non-negative fields."""
         cfg = EvaporationConfig(clear_threshold=EPS)
         g = Grid(len(levels), 1, clear_threshold=EPS)
-        g.positive[0, :] = [pos for pos, _ in levels]
-        g.negative[0, :] = [neg for _, neg in levels]
+        for x, (pos, neg) in enumerate(levels):
+            g.deposit(x, 0, PheromoneField.POSITIVE, pos)
+            g.deposit(x, 0, PheromoneField.NEGATIVE, neg)
         want = {}
         for name, rho in (("positive", cfg.rho_positive), ("negative", cfg.rho_negative)):
             field = getattr(g, name) * (1.0 - rho)
@@ -326,10 +336,81 @@ class TestCounts:
         assert g.marked_cell_counts()[0] <= g.empty_cell_count()
 
     @settings(max_examples=100, deadline=None)
-    @given(small_grids())
+    @given(small_grids(deposited=True))
     def test_counts_match_summed_masks(self, g):
         empty = g.kind == PatchKind.EMPTY.value
         counts = g.marked_cell_counts()
         assert [type(count) for count in counts] == [int, int]
         assert counts == (int((empty & (g.negative >= EPS)).sum()),
                           int((empty & (g.positive >= EPS)).sum()))
+
+
+class DenseGrid:
+    """The pheromone rules written out over whole arrays, with no index of
+    marked cells: the reference the grid's fields must match bit for bit."""
+
+    def __init__(self, width, height):
+        self.kind = np.full((height, width), PatchKind.EMPTY.value, dtype=np.uint8)
+        self.fields = {field: np.zeros((height, width)) for field in PheromoneField}
+
+    def deposit(self, x, y, field, amount):
+        if self.kind[y, x] != PatchKind.WALL:
+            self.fields[field][y, x] += amount
+
+    def set_kind(self, x, y, kind):
+        self.kind[y, x] = kind
+        if kind is PatchKind.WALL:
+            for values in self.fields.values():
+                values[y, x] = 0.0
+
+    def evaporate_step(self, cfg):
+        for field, rho in ((PheromoneField.POSITIVE, cfg.rho_positive),
+                           (PheromoneField.NEGATIVE, cfg.rho_negative)):
+            values = self.fields[field]
+            values *= 1.0 - rho
+            values[values < EPS] = 0.0
+
+    def marked_cell_counts(self):
+        empty = self.kind == PatchKind.EMPTY.value
+        return tuple(int(np.count_nonzero(empty & (self.fields[field] >= EPS)))
+                     for field in (PheromoneField.NEGATIVE, PheromoneField.POSITIVE))
+
+
+SPARSE_W, SPARSE_H = 3, 2
+SPARSE_CELLS = st.tuples(st.integers(0, SPARSE_W - 1), st.integers(0, SPARSE_H - 1))
+FIELD_OPS = st.lists(st.one_of(
+    st.tuples(st.just("deposit"), SPARSE_CELLS, st.sampled_from(list(PheromoneField)),
+              st.one_of(AROUND_EPS, st.just(1e300), st.floats(0.0, 1e300))),
+    st.tuples(st.just("set_kind"), SPARSE_CELLS, st.sampled_from(list(PatchKind))),
+    st.tuples(st.just("evaporate_step"))), max_size=40)
+WALL_AND_BACK = [("deposit", (1, 1), PheromoneField.NEGATIVE, 1.0), ("evaporate_step",),
+                 ("set_kind", (1, 1), PatchKind.WALL), ("set_kind", (1, 1), PatchKind.EMPTY),
+                 ("deposit", (1, 1), PheromoneField.NEGATIVE, 1.0), ("evaporate_step",)]
+
+
+class TestSparseFields:
+    @settings(max_examples=300, deadline=None)
+    @given(FIELD_OPS, st.sampled_from([EvaporationConfig(clear_threshold=EPS),
+                                       EvaporationConfig(0.5, 0.9, EPS)]))
+    @example(WALL_AND_BACK, EvaporationConfig(clear_threshold=EPS))
+    @example([("deposit", (0, 0), PheromoneField.POSITIVE, EPS / 2)], EvaporationConfig())
+    def test_matches_the_dense_rules(self, ops, cfg):
+        """Random deposits, kind changes and evaporations leave the same
+        bits and the same census as the whole-array rules, after every
+        operation: an indexed cell is never lost or counted twice."""
+        g, ref = Grid(SPARSE_W, SPARSE_H, clear_threshold=EPS), DenseGrid(SPARSE_W, SPARSE_H)
+        for name, *args in ops:
+            if name == "deposit":
+                (x, y), field, amount = args
+                g.deposit(x, y, field, amount)
+                ref.deposit(x, y, field, amount)
+            elif name == "set_kind":
+                (x, y), kind = args
+                g.set_kind(x, y, kind, int(kind is PatchKind.FOOD))
+                ref.set_kind(x, y, kind)
+            else:
+                g.evaporate_step(cfg)
+                ref.evaporate_step(cfg)
+            assert g.positive.tobytes() == ref.fields[PheromoneField.POSITIVE].tobytes()
+            assert g.negative.tobytes() == ref.fields[PheromoneField.NEGATIVE].tobytes()
+            assert g.marked_cell_counts() == ref.marked_cell_counts()
