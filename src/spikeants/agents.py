@@ -14,7 +14,7 @@ from enum import Enum
 from typing import Optional
 
 from .circuit import SMELLS, STIMULI, AntBrain, StimulusFrame
-from .world import COLORS, Color, Grid, PatchKind, PheromoneField, check_deposit_amount
+from .world import SENSES, Color, Grid, PatchKind, PheromoneField, check_deposit_amount
 
 
 class Heading(Enum):
@@ -40,16 +40,17 @@ class Heading(Enum):
 CLOCKWISE = tuple(Heading)
 # Colors that hurt an ant standing on them.
 _HARMFUL = (Color.WHITE, Color.RED)
-# The stimulus code bits a color, as its index into COLORS, sets ahead
-# of the ant (smell) and under it (pain).
-_SMELL_BITS = tuple(StimulusFrame(smell_ahead=c if c in SMELLS else None).code for c in COLORS)
+# Stimulus code bits by a cell's sense byte (`Grid.sense`, unpacked by
+# SENSES): the smell the cell gives off ahead of an ant, and the pain
+# and reward it gives the ant standing on it (a positively marked trail
+# does not feed). `_BLOCKS` tells the cells an ant cannot enter.
+_SMELL_BITS = tuple(StimulusFrame(smell_ahead=c if c in SMELLS else None).code
+                    for _, c in SENSES)
+_UNDERFOOT_BITS = tuple(StimulusFrame(pain_contact=c in _HARMFUL,
+                                      reward_contact=k is PatchKind.FOOD).code
+                        for k, c in SENSES)
 _PAIN_BIT = StimulusFrame(pain_contact=True).code
-_PAIN_BITS = tuple(_PAIN_BIT if c in _HARMFUL else 0 for c in COLORS)
-_REWARD_BIT = StimulusFrame(reward_contact=True).code
-# Enum members used on every ant-tick are bound once, since looking them
-# up through their class is slow.
-_FOOD = int(PatchKind.FOOD)
-_WALL = int(PatchKind.WALL)
+_BLOCKS = tuple(k is PatchKind.WALL for k, _ in SENSES)
 
 
 class SimPhase(Enum):
@@ -57,6 +58,7 @@ class SimPhase(Enum):
     FORAGING = "foraging"
 
 
+# Bound once, since looking an enum member up through its class is slow.
 _TRAINING = SimPhase.TRAINING
 
 
@@ -103,12 +105,13 @@ def perceive(grid: Grid, ant: Ant) -> StimulusFrame:
     x, y = ant.position
     dx, dy = ant.heading.vector
     fx, fy = x + dx, y + dy
+    width, sense = grid.width, grid.sense
     # The ant's own cell is on the grid; the cell ahead may not be.
-    code = _PAIN_BIT if ant.pain_pending else _PAIN_BITS[grid.color_index(x, y)]
-    if grid.in_bounds(fx, fy):
-        code |= _SMELL_BITS[grid.color_index(fx, fy)]
-    if grid.kind.item(y, x) == _FOOD:
-        code |= _REWARD_BIT
+    code = _UNDERFOOT_BITS[sense[y * width + x]]
+    if ant.pain_pending:
+        code |= _PAIN_BIT
+    if 0 <= fx < width and 0 <= fy < grid.height:
+        code |= _SMELL_BITS[sense[fy * width + fx]]
     return STIMULI[code]
 
 
@@ -143,8 +146,9 @@ def step_ant(grid: Grid, ant: Ant, cfg: AntConfig, phase: SimPhase,
         x, y = ant.position
         dx, dy = ant.heading.vector
         tx, ty = x + dx, y + dy
-        edge = not grid.in_bounds(tx, ty)
-        if edge or grid.kind.item(ty, tx) == _WALL:
+        width = grid.width
+        edge = not (0 <= tx < width and 0 <= ty < grid.height)
+        if edge or _BLOCKS[grid.sense[ty * width + tx]]:
             # An open grid edge counts as hitting the world boundary.
             ant.pain_pending = True
             reset = training and (edge or grid.is_boundary(tx, ty))
@@ -167,7 +171,7 @@ def step_ant(grid: Grid, ant: Ant, cfg: AntConfig, phase: SimPhase,
 
     if training and grid.is_boundary(x, y):
         reset = True
-        if _PAIN_BITS[grid.color_index(x, y)]:
+        if _UNDERFOOT_BITS[grid.sense[y * grid.width + x]] & _PAIN_BIT:
             # Touching a harmful boundary still has to reach the senses
             # even though the pose snaps back before the next perceive.
             ant.pain_pending = True

@@ -71,9 +71,6 @@ class CircuitConfig:
         for name in ("membrane_tau", "np_tau"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValidationError(f"{name} must be positive and finite")
-        for name in ("resting_potential", "firing_threshold", "refractory_potential"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValidationError(f"{name} must be finite")
         for name in ("brain_steps_per_world_tick", "refractory_ticks", "nociceptor_refractory"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be at least 1 tick")
@@ -86,8 +83,8 @@ class CircuitConfig:
             raise ValidationError("plastic_init_fraction must lie in [0, 1)")
         if self.np_pulse_count < 1:
             raise ValidationError("np_pulse_count must be at least 1")
-        # What is left to NeuronParams is the order of the three
-        # potentials, whose field names match this config's.
+        # What is left to NeuronParams is the three potentials, finite
+        # and in order, whose field names match this config's.
         base = NeuronParams(
             resting_potential=self.resting_potential,
             firing_threshold=self.firing_threshold,

@@ -29,9 +29,8 @@ CHAR_TO_KIND = {
     "R": PatchKind.HARM,
     "A": PatchKind.EMPTY,
 }
-# CHAR_TO_KIND indexed by the character's byte value.
-_KIND_OF_BYTE = np.zeros(256, dtype=np.uint8)
-_KIND_OF_BYTE[[ord(ch) for ch in CHAR_TO_KIND]] = list(CHAR_TO_KIND.values())
+# CHAR_TO_KIND as a `bytes.translate` table over the character's byte value.
+_KIND_OF_BYTE = bytes(CHAR_TO_KIND.get(chr(b), 0) for b in range(256))
 
 
 class ScenarioError(ValueError):
@@ -55,14 +54,10 @@ class Scenario:
     random_ants: int = 0
 
     def build_grid(self, clear_threshold: float = EvaporationConfig.clear_threshold) -> Grid:
-        grid = Grid(self.width, self.height, clear_threshold=clear_threshold)
-        cells = np.frombuffer("".join(self.rows).encode("ascii"), dtype=np.uint8)
-        grid.kind[:] = _KIND_OF_BYTE[cells].reshape(self.height, self.width)
-        food = grid.kind == PatchKind.FOOD.value
-        if self.food_quantity < 1 and food.any():
-            raise ValueError("food_quantity must be positive exactly for food patches")
-        grid.food[food] = self.food_quantity
-        return grid
+        kinds = np.frombuffer("".join(self.rows).encode("ascii").translate(_KIND_OF_BYTE),
+                              dtype=np.uint8)
+        return Grid.from_kinds(kinds.reshape(self.height, self.width), self.food_quantity,
+                               clear_threshold=clear_threshold)
 
     def boundary_is_walled(self) -> bool:
         sides = {cell for row in self.rows for cell in (row[0], row[-1])}

@@ -24,6 +24,8 @@ class PatchKind(IntEnum):
 
 
 _EMPTY = PatchKind.EMPTY.value
+_WALL = PatchKind.WALL.value
+_FOOD = PatchKind.FOOD.value
 
 
 class PheromoneField(Enum):
@@ -44,11 +46,15 @@ _COLOR_RULE = (
     ((Color.GREEN, Color.GREEN), (Color.GREEN, Color.GREEN)),  # FOOD
 )
 COLORS = tuple(Color)
-# The same rule as indices into COLORS: nested tuples for one cell, an
-# array for the whole grid.
-_COLOR_CODES = tuple(tuple(tuple(COLORS.index(c) for c in by_pos) for by_pos in by_neg)
-                     for by_neg in _COLOR_RULE)
-_COLOR_INDEX = np.array(_COLOR_CODES, dtype=np.uint8)
+# A cell's sense byte packs its kind and the color it presents as
+# `kind << 2 | color index`; SENSES[b] unpacks byte b as (kind, color).
+SENSES = tuple((kind, color) for kind in PatchKind for color in COLORS)
+_COLOR_MASK = len(COLORS) - 1
+# _COLOR_RULE as sense bytes, and each kind's byte on a clean cell as a
+# `bytes.translate` table.
+_SENSE_RULE = tuple(tuple(tuple(SENSES.index((kind, c)) for c in by_pos) for by_pos in by_neg)
+                    for kind, by_neg in zip(PatchKind, _COLOR_RULE))
+_CLEAN_SENSE = bytes(by_neg[0][0] for by_neg in _SENSE_RULE).ljust(256, b"\0")
 
 
 def check_deposit_amount(amount: float, name: str = "deposit amount"):
@@ -108,12 +114,13 @@ class _Marks:
             else:
                 self.cells = self.cells[self.cells != i]
 
-    def decay(self, scale: float, eps: float):
+    def decay(self, scale: float, eps: float) -> list[int]:
         """The dense rule, `field *= scale` then `field *= field >= eps`,
         on the indexed cells only: 0.0 maps to 0.0 under both. The field
         is finite and non-negative, so scaling by the keep-mask clears
-        exactly the faint cells."""
+        exactly the faint cells. Returns the cells it cleared."""
         cells = self.cells
+        cleared = []
         if self.pending:
             cells = np.concatenate((cells, self.pending))
             self.pending.clear()
@@ -122,8 +129,12 @@ class _Marks:
             keep = values >= eps
             values *= keep
             self.flat[cells] = values
-            cells = cells[keep]
+            kept = cells[keep]
+            if kept.size < cells.size:
+                cleared = cells[~keep].tolist()
+            cells = kept
         self.cells = cells
+        return cleared
 
     def count_empty(self, kind: np.ndarray, eps: float) -> int:
         """Indexed cells at or above `eps` whose kind is EMPTY."""
@@ -144,11 +155,20 @@ class Grid:
     row-major numpy. One writer per grid within a tick; snapshots taken
     between ticks may be shared freely.
 
-    The `positive` and `negative` arrays are read freely but written only
-    through `deposit`, `set_kind` and `evaporate_step`. Each field keeps
-    an index of its non-zero cells, so evaporation and the census visit
-    only those; a value written into the arrays directly is not indexed,
-    and neither decays nor is counted.
+    The `kind`, `food`, `positive`, `negative` and `sense` arrays are
+    read freely but written only through `from_kinds`, `set_kind`,
+    `consume_food`, `deposit` and `evaporate_step`, which keep three
+    derived records current:
+
+    - each field's index of its non-zero cells, so that evaporation and
+      the census visit only those;
+    - `sense`, one byte per cell, row-major: the cell's kind and the
+      color `_COLOR_RULE` gives it, as `kind << 2 | color index`
+      (unpacked by `SENSES`), so that perceiving a cell is one
+      `bytearray` index;
+    - the food total that `total_food` returns.
+
+    A value written into an array directly updates none of them.
     """
 
     def __init__(self, width: int, height: int,
@@ -165,6 +185,26 @@ class Grid:
         self.negative = np.zeros((height, width), dtype=np.float64)
         self._positive = _Marks(self.positive)
         self._negative = _Marks(self.negative)
+        self.sense = bytearray([_CLEAN_SENSE[_EMPTY]]) * (width * height)
+        self._food_total = 0
+
+    @classmethod
+    def from_kinds(cls, kinds: np.ndarray, food_quantity: int,
+                   clear_threshold: float = EvaporationConfig.clear_threshold) -> Grid:
+        """A grid of these (height, width) kinds with `food_quantity` units
+        on every food cell, and no pheromone."""
+        height, width = kinds.shape
+        grid = cls(width, height, clear_threshold=clear_threshold)
+        food = kinds == _FOOD
+        food_cells = int(np.count_nonzero(food))
+        if food_quantity < 1 and food_cells:
+            raise ValueError("food_quantity must be positive exactly for food patches")
+        grid.kind[:] = kinds
+        grid.food[food] = food_quantity
+        grid._food_total = food_quantity * food_cells
+        # Both fields are zero, so each cell presents its kind's clean color.
+        grid.sense[:] = grid.kind.tobytes().translate(_CLEAN_SENSE)
+        return grid
 
     # -- cell access ---------------------------------------------------
 
@@ -178,12 +218,14 @@ class Grid:
         self._check(x, y)
         if (kind is PatchKind.FOOD) != (food_quantity > 0):
             raise ValueError("food_quantity must be positive exactly for food patches")
+        self._food_total += food_quantity - self.food.item(y, x)
         self.kind[y, x] = int(kind)
         self.food[y, x] = food_quantity
+        i = y * self.width + x
         if kind is PatchKind.WALL:
-            i = y * self.width + x
             self._positive.zero(i)
             self._negative.zero(i)
+        self._recolor(i, kind)
 
     def effective_color_at(self, x: int, y: int) -> Color:
         """Stimulus color one cell presents, by the rule in `_COLOR_RULE`."""
@@ -194,20 +236,19 @@ class Grid:
         """`effective_color_at` as an index into `COLORS`, without the
         bounds check: (x, y) must lie on the grid, since a negative
         coordinate would wrap to the far edge."""
-        eps = self.clear_threshold
-        return _COLOR_CODES[self.kind.item(y, x)][self.negative.item(y, x) >= eps][
-            self.positive.item(y, x) >= eps]
+        return self.sense[y * self.width + x] & _COLOR_MASK
 
     def effective_colors(self) -> np.ndarray:
-        """`_COLOR_RULE` applied to every cell at once.
+        """Every cell's color at once, as a (height, width) array of
+        indices into `COLORS`."""
+        sense = np.frombuffer(self.sense, dtype=np.uint8)
+        return sense.reshape(self.height, self.width) & _COLOR_MASK
 
-        Returns a (height, width) array of indices into `COLORS`.
-        """
+    def _recolor(self, i: int, kind: int):
+        """Apply `_COLOR_RULE` to flat cell i, of this kind, from both fields."""
         eps = self.clear_threshold
-        # Boolean arrays used as indices would select, not index: view
-        # them as 0/1 integers.
-        return _COLOR_INDEX[self.kind, (self.negative >= eps).view(np.uint8),
-                            (self.positive >= eps).view(np.uint8)]
+        self.sense[i] = _SENSE_RULE[kind][self.negative.item(i) >= eps][
+            self.positive.item(i) >= eps]
 
     # -- pheromone dynamics ---------------------------------------------
 
@@ -218,16 +259,24 @@ class Grid:
         """
         self._check(x, y)
         check_deposit_amount(amount)
-        if self.kind.item(y, x) == PatchKind.WALL:
+        i = y * self.width + x
+        kind = self.sense[i] >> 2
+        if kind == _WALL:
             return
         marks = self._positive if fieldkind is PheromoneField.POSITIVE else self._negative
-        marks.add(y * self.width + x, amount)
+        marks.add(i, amount)
+        self._recolor(i, kind)
 
     def evaporate_step(self, cfg: EvaporationConfig):
         """One tick of multiplicative decay at `cfg`'s rates; residues
         below the grid's own `clear_threshold` snap to zero."""
-        self._positive.decay(1.0 - cfg.rho_positive, self.clear_threshold)
-        self._negative.decay(1.0 - cfg.rho_negative, self.clear_threshold)
+        eps = self.clear_threshold
+        cleared = (self._positive.decay(1.0 - cfg.rho_positive, eps)
+                   + self._negative.decay(1.0 - cfg.rho_negative, eps))
+        # Only a cleared cell can change color; the color reads both
+        # fields, so it is recolored once both have decayed.
+        for i in cleared:
+            self._recolor(i, self.sense[i] >> 2)
 
     # -- food ------------------------------------------------------------
 
@@ -238,16 +287,19 @@ class Grid:
         returning 0.
         """
         self._check(x, y)
-        if self.kind.item(y, x) != PatchKind.FOOD:
+        i = y * self.width + x
+        if self.sense[i] >> 2 != _FOOD:
             return 0
-        q = int(self.food[y, x]) - 1
+        q = self.food.item(y, x) - 1
         self.food[y, x] = q
+        self._food_total -= 1
         if q == 0:
-            self.kind[y, x] = int(PatchKind.EMPTY)
+            self.kind[y, x] = _EMPTY
+            self._recolor(i, _EMPTY)
         return q
 
     def total_food(self) -> int:
-        return int(self.food.sum())
+        return self._food_total
 
     # -- metrics helpers ---------------------------------------------------
 

@@ -103,9 +103,11 @@ class TestPerceive:
         levels = st.sampled_from([0.0, eps, 1.0])
         for y in range(h):
             for x in range(w):
-                g.kind[y, x] = data.draw(st.sampled_from(list(PatchKind)))
-                g.negative[y, x] = data.draw(levels)
-                g.positive[y, x] = data.draw(levels)
+                kind = data.draw(st.sampled_from(list(PatchKind)))
+                g.set_kind(x, y, kind, int(kind is PatchKind.FOOD))
+                # Exact on a fresh cell; a wall takes no deposit.
+                g.deposit(x, y, PheromoneField.NEGATIVE, data.draw(levels))
+                g.deposit(x, y, PheromoneField.POSITIVE, data.draw(levels))
         for y in range(h):
             for x in range(w):
                 for heading in Heading:
@@ -340,8 +342,8 @@ class TestAntTickCounts:
                 kind = data.draw(st.sampled_from(kinds))
                 g.set_kind(x, y, kind, data.draw(st.integers(1, 3))
                            if kind is PatchKind.FOOD else 0)
-                g.negative[y, x] = data.draw(levels)
-                g.positive[y, x] = data.draw(levels)
+                g.deposit(x, y, PheromoneField.NEGATIVE, data.draw(levels))
+                g.deposit(x, y, PheromoneField.POSITIVE, data.draw(levels))
         x, y = data.draw(st.tuples(st.integers(1, w - 2), st.integers(1, h - 2)))
         if g.kind[y, x] == PatchKind.WALL:
             g.set_kind(x, y, PatchKind.EMPTY)

@@ -207,6 +207,8 @@ class TestParseScenario:
         got = s.build_grid()
         assert (got.kind == want.kind).all()
         assert (got.food == want.food).all()
+        assert got.sense == want.sense
+        assert got.total_food() == want.total_food()
 
     def test_build_grid_rejects_food_without_quantity(self):
         with pytest.raises(ValueError, match="food_quantity"):

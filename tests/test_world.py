@@ -15,18 +15,19 @@ from spikeants.world import (
     Grid,
     PatchKind,
     PheromoneField,
+    SENSES,
 )
 
 EPS = 0.05
 
 
 def color_of(kind=PatchKind.EMPTY, food=0, pos=0.0, neg=0.0, eps=EPS):
-    """Effective color of the only cell of a 1x1 grid holding this state."""
+    """Effective color of the only cell of a 1x1 grid holding this state;
+    a wall takes no deposit."""
     g = Grid(1, 1, clear_threshold=eps)
-    g.kind[0, 0] = kind
-    g.food[0, 0] = food
-    g.positive[0, 0] = pos
-    g.negative[0, 0] = neg
+    g.set_kind(0, 0, kind, food)
+    g.deposit(0, 0, PheromoneField.POSITIVE, pos)
+    g.deposit(0, 0, PheromoneField.NEGATIVE, neg)
     return g.effective_color_at(0, 0)
 
 
@@ -52,24 +53,25 @@ AROUND_EPS = st.one_of(
     st.floats(min_value=0.0, max_value=2 * EPS))
 
 
+def food_of(kind):
+    """The food units `set_kind` needs for a patch of this kind."""
+    return int(kind is PatchKind.FOOD)
+
+
 @st.composite
-def small_grids(draw, deposited=False):
-    """Random kinds and pheromone levels; `deposited` lays the levels
-    through `Grid.deposit` (exact on a fresh cell) before the kinds are
-    written, so the grid's index of marked cells holds them."""
+def small_grids(draw):
+    """Random kinds and pheromone levels, laid through `Grid.deposit`
+    (exact on a fresh cell) before the kinds are set, so that a wall
+    clears its cell as it would in a run."""
     w, h = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     g = Grid(w, h, clear_threshold=EPS)
     for y in range(h):
         for x in range(w):
             kind = draw(st.sampled_from(list(PatchKind)))
             neg, pos = draw(AROUND_EPS), draw(AROUND_EPS)
-            if deposited:
-                g.deposit(x, y, PheromoneField.NEGATIVE, neg)
-                g.deposit(x, y, PheromoneField.POSITIVE, pos)
-            else:
-                g.negative[y, x] = neg
-                g.positive[y, x] = pos
-            g.kind[y, x] = kind
+            g.deposit(x, y, PheromoneField.NEGATIVE, neg)
+            g.deposit(x, y, PheromoneField.POSITIVE, pos)
+            g.set_kind(x, y, kind, food_of(kind))
     return g
 
 
@@ -79,13 +81,14 @@ def cells(g):
 
 def every_case_grid():
     """One cell per kind, per pheromone (none, exactly at the threshold)
-    and per field: walls and food under both pheromones included."""
+    and per field: food under both pheromones included. A wall takes no
+    deposit, so its column is four clean walls."""
     g = Grid(4, 4, clear_threshold=EPS)
     for x, kind in enumerate(PatchKind):
         for y in range(4):
-            g.kind[y, x] = kind
-            g.negative[y, x] = EPS * (y >> 1)
-            g.positive[y, x] = EPS * (y & 1)
+            g.set_kind(x, y, kind, food_of(kind))
+            g.deposit(x, y, PheromoneField.NEGATIVE, EPS * (y >> 1))
+            g.deposit(x, y, PheromoneField.POSITIVE, EPS * (y & 1))
     return g
 
 
@@ -336,7 +339,7 @@ class TestCounts:
         assert g.marked_cell_counts()[0] <= g.empty_cell_count()
 
     @settings(max_examples=100, deadline=None)
-    @given(small_grids(deposited=True))
+    @given(small_grids())
     def test_counts_match_summed_masks(self, g):
         empty = g.kind == PatchKind.EMPTY.value
         counts = g.marked_cell_counts()
@@ -351,17 +354,25 @@ class DenseGrid:
 
     def __init__(self, width, height):
         self.kind = np.full((height, width), PatchKind.EMPTY.value, dtype=np.uint8)
+        self.food = np.zeros((height, width), dtype=np.int64)
         self.fields = {field: np.zeros((height, width)) for field in PheromoneField}
 
     def deposit(self, x, y, field, amount):
         if self.kind[y, x] != PatchKind.WALL:
             self.fields[field][y, x] += amount
 
-    def set_kind(self, x, y, kind):
+    def set_kind(self, x, y, kind, food):
         self.kind[y, x] = kind
+        self.food[y, x] = food
         if kind is PatchKind.WALL:
             for values in self.fields.values():
                 values[y, x] = 0.0
+
+    def consume_food(self, x, y):
+        if self.kind[y, x] == PatchKind.FOOD:
+            self.food[y, x] -= 1
+            if self.food[y, x] == 0:
+                self.kind[y, x] = PatchKind.EMPTY
 
     def evaporate_step(self, cfg):
         for field, rho in ((PheromoneField.POSITIVE, cfg.rho_positive),
@@ -381,11 +392,18 @@ SPARSE_CELLS = st.tuples(st.integers(0, SPARSE_W - 1), st.integers(0, SPARSE_H -
 FIELD_OPS = st.lists(st.one_of(
     st.tuples(st.just("deposit"), SPARSE_CELLS, st.sampled_from(list(PheromoneField)),
               st.one_of(AROUND_EPS, st.just(1e300), st.floats(0.0, 1e300))),
-    st.tuples(st.just("set_kind"), SPARSE_CELLS, st.sampled_from(list(PatchKind))),
+    st.tuples(st.just("set_kind"), SPARSE_CELLS, st.sampled_from(list(PatchKind)),
+              st.integers(1, 3)),
+    st.tuples(st.just("consume_food"), SPARSE_CELLS),
     st.tuples(st.just("evaporate_step"))), max_size=40)
 WALL_AND_BACK = [("deposit", (1, 1), PheromoneField.NEGATIVE, 1.0), ("evaporate_step",),
-                 ("set_kind", (1, 1), PatchKind.WALL), ("set_kind", (1, 1), PatchKind.EMPTY),
+                 ("set_kind", (1, 1), PatchKind.WALL, 1), ("set_kind", (1, 1), PatchKind.EMPTY, 1),
                  ("deposit", (1, 1), PheromoneField.NEGATIVE, 1.0), ("evaporate_step",)]
+# Marked food is green until its last unit goes, then red.
+EATEN_UNDER_A_MARK = [("set_kind", (0, 0), PatchKind.FOOD, 2),
+                      ("deposit", (0, 0), PheromoneField.NEGATIVE, 1.0),
+                      ("consume_food", (0, 0)), ("consume_food", (0, 0)),
+                      ("consume_food", (0, 0)), ("evaporate_step",)]
 
 
 class TestSparseFields:
@@ -393,11 +411,13 @@ class TestSparseFields:
     @given(FIELD_OPS, st.sampled_from([EvaporationConfig(clear_threshold=EPS),
                                        EvaporationConfig(0.5, 0.9, EPS)]))
     @example(WALL_AND_BACK, EvaporationConfig(clear_threshold=EPS))
+    @example(EATEN_UNDER_A_MARK, EvaporationConfig(0.5, 0.9, EPS))
     @example([("deposit", (0, 0), PheromoneField.POSITIVE, EPS / 2)], EvaporationConfig())
     def test_matches_the_dense_rules(self, ops, cfg):
-        """Random deposits, kind changes and evaporations leave the same
-        bits and the same census as the whole-array rules, after every
-        operation: an indexed cell is never lost or counted twice."""
+        """Random deposits, kind changes, bites and evaporations leave the
+        same bits, census, colors and food total as the whole-array rules,
+        after every operation: an indexed cell is never lost or counted
+        twice, and no write leaves a cell's sense byte stale."""
         g, ref = Grid(SPARSE_W, SPARSE_H, clear_threshold=EPS), DenseGrid(SPARSE_W, SPARSE_H)
         for name, *args in ops:
             if name == "deposit":
@@ -405,12 +425,25 @@ class TestSparseFields:
                 g.deposit(x, y, field, amount)
                 ref.deposit(x, y, field, amount)
             elif name == "set_kind":
-                (x, y), kind = args
-                g.set_kind(x, y, kind, int(kind is PatchKind.FOOD))
-                ref.set_kind(x, y, kind)
+                (x, y), kind, units = args
+                food = units * food_of(kind)
+                g.set_kind(x, y, kind, food)
+                ref.set_kind(x, y, kind, food)
+            elif name == "consume_food":
+                (x, y), = args
+                g.consume_food(x, y)
+                ref.consume_food(x, y)
             else:
                 g.evaporate_step(cfg)
                 ref.evaporate_step(cfg)
             assert g.positive.tobytes() == ref.fields[PheromoneField.POSITIVE].tobytes()
             assert g.negative.tobytes() == ref.fields[PheromoneField.NEGATIVE].tobytes()
             assert g.marked_cell_counts() == ref.marked_cell_counts()
+            colors = g.effective_colors()
+            for x, y in cells(g):
+                want = documented_color(ref.kind[y, x], ref.fields[PheromoneField.NEGATIVE][y, x],
+                                        ref.fields[PheromoneField.POSITIVE][y, x], EPS)
+                assert COLORS[g.color_index(x, y)] is want
+                assert COLORS[colors[y, x]] is want
+                assert SENSES[g.sense[y * SPARSE_W + x]] == (ref.kind[y, x], want)
+            assert g.total_food() == ref.food.sum()
