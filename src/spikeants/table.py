@@ -21,7 +21,12 @@ ticks, so it adds actuator states but no core states. A core state
 under one stimulus code is a slot; each slot records the pulse sum
 every actuator receives on each brain tick, so a new (slot, actuator
 state) move runs only the actuators (`snn.run_cell`), and a new slot
-steps the brain's own network once.
+steps the brain's own network once. The actuators do not feed each
+other either, and only the energy counter, the last of them, keeps
+drifting, so an actuator state is the other three cells' keys plus the
+counter cell's key. Under a slot the moves of each part are run once
+and looked up after that: a new move, most often a new counter
+potential, runs the counter alone.
 """
 
 from __future__ import annotations
@@ -37,6 +42,9 @@ from .snn import SpikeEvent, run_cell
 # whose transition needs a new state of a full kind leaves the table and
 # is stepped, so outputs never depend on this bound.
 MAX_TABLE_STATES = 4096
+# One actuator cell's state and its key at once: the potential as float
+# bits, so that -0.0 and 0.0 differ, then the dead-time counter.
+_CELL = struct.Struct("dq")
 
 
 def _intern(ids: dict, keys: list, key) -> Optional[int]:
@@ -58,11 +66,13 @@ class TransitionTable:
     A tabled brain holds `row`, the id of its core state, and `act_id`,
     the id of its actuator state; `leave` loads both into its network.
     `_slots[row, code]` holds the next row of that core state under a
-    stimulus code and the pulse sum due to each actuator on each brain
-    tick. `_moves[row, code, act_id]` holds the next row, the next
-    actuator state and the actuator frame. A new slot is computed once,
-    by the real `sense` and `step` of the brain that meets it, and a new
-    move by `run_cell`.
+    stimulus code, the pulse sum due to each actuator on each brain
+    tick, and the moves under the slot of the first three actuators'
+    cell keys and of the counter's cell key: the next key, and the
+    part's bits in the actuator frame. `_moves[row, code, act_id]` holds
+    the next row, the next actuator state and the actuator frame. A new
+    slot is computed once, by the real `sense` and `step` of the brain
+    that meets it, and a new part move by `run_cell`.
     """
 
     def __init__(self, brain: AntBrain):
@@ -72,37 +82,28 @@ class TransitionTable:
         self.core = [n for n in range(len(brain.net.states)) if n not in self.actuators]
         self.params = [brain.net.params[n] for n in self.actuators]
         self.steps = brain.circuit_cfg.brain_steps_per_world_tick
-        n = len(self.actuators)
-        # An actuator state, its key and its record at once: the
-        # potentials as float bits, so that -0.0 and 0.0 differ, then the
-        # dead-time counters.
-        self._record = struct.Struct(f"{n}d{n}q")
         # The actuator frame for each set of fired actuators (bit j for
         # actuator j), folded by the real `actuate`.
         self._frames = tuple(brain.actuate([SpikeEvent(a, 0) for j, a in
                                             enumerate(self.actuators) if mask >> j & 1])
-                             for mask in range(1 << n))
-        # Core and actuator states: id by key, and key by id.
+                             for mask in range(1 << len(self.actuators)))
+        # Core and actuator states: id by key, and key by id. An actuator
+        # state's key is (the first three cell keys, the counter's).
         self._row_ids: dict[tuple[bytes, tuple[int, ...]], int] = {}
         self._rows: list[tuple[bytes, tuple[int, ...]]] = []
-        self._act_ids: dict[bytes, int] = {}
-        self._acts: list[bytes] = []
+        self._act_ids: dict[tuple[tuple[bytes, ...], bytes], int] = {}
+        self._acts: list[tuple[tuple[bytes, ...], bytes]] = []
         self._slots: dict[tuple[int, int], tuple] = {}
         self._moves: dict[tuple[int, int, int], tuple[int, int, ActuatorFrame]] = {}
-
-    def _actuator_state(self, act_id: int):
-        """The potentials and the counters of actuator state `act_id`."""
-        state = self._record.unpack(self._acts[act_id])
-        n = len(self.actuators)
-        return state[:n], state[n:]
 
     def leave(self, brain: AntBrain):
         """Load `brain`'s core and actuator states back into its network."""
         net = brain.net
         net.load_state(self._rows[brain.row], self.core)
-        for n, u, remaining in zip(self.actuators, *self._actuator_state(brain.act_id)):
-            net.states[n].membrane_potential = u
-            net.states[n].refractory_remaining = remaining
+        rest, counter = self._acts[brain.act_id]
+        for n, cell in zip(self.actuators, rest + (counter,)):
+            state = net.states[n]
+            state.membrane_potential, state.refractory_remaining = _CELL.unpack(cell)
         brain.table = brain.row = brain.act_id = None
 
     def advance(self, brain: AntBrain, frame: StimulusFrame) -> Optional[ActuatorFrame]:
@@ -122,7 +123,8 @@ class TransitionTable:
         """Compute and record the move of `brain` under `frame`, and its
         slot when that is new."""
         slot = brain.row, frame.code
-        if slot not in self._slots:
+        entry = self._slots.get(slot)
+        if entry is None:
             net = brain.net
             net.load_state(self._rows[brain.row], self.core)
             brain.sense(frame)
@@ -137,19 +139,26 @@ class TransitionTable:
             net.current_tick -= self.steps
             if row is None:
                 return None
-            self._slots[slot] = row, tuple(map(tuple, due))
-        row, due = self._slots[slot]
-        potentials, counters, fired = [], [], 0
-        for j, (u, remaining, params, pulses) in enumerate(
-                zip(*self._actuator_state(brain.act_id), self.params, due)):
-            u, remaining, spiked = run_cell(u, remaining, params, pulses)
-            potentials.append(u)
-            counters.append(remaining)
-            fired |= spiked << j
-        act_id = _intern(self._act_ids, self._acts, self._record.pack(*potentials, *counters))
+            entry = self._slots[slot] = row, tuple(map(tuple, due)), {}, {}
+        row, due, rest_moves, counter_moves = entry
+        rest, counter = self._acts[brain.act_id]
+        step = rest_moves.get(rest)
+        if step is None:
+            cells, fired = [], 0
+            for j, cell in enumerate(rest):
+                u, remaining, spiked = run_cell(*_CELL.unpack(cell), self.params[j], due[j])
+                cells.append(_CELL.pack(u, remaining))
+                fired |= spiked << j
+            step = rest_moves[rest] = tuple(cells), fired
+        count = counter_moves.get(counter)
+        if count is None:
+            u, remaining, spiked = run_cell(*_CELL.unpack(counter), self.params[-1], due[-1])
+            count = counter_moves[counter] = _CELL.pack(u, remaining), spiked << len(rest)
+        act_id = _intern(self._act_ids, self._acts, (step[0], count[0]))
         if act_id is None:
             return None
-        move = self._moves[slot + (brain.act_id,)] = row, act_id, self._frames[fired]
+        move = self._moves[slot + (brain.act_id,)] = (row, act_id,
+                                                      self._frames[step[1] | count[1]])
         return move
 
 
@@ -164,10 +173,10 @@ def share_table(tables: dict[bytes, TransitionTable], brain: AntBrain):
     table = tables.get(weights)
     if table is None:
         table = tables[weights] = TransitionTable(brain)
-    states = [brain.net.states[n] for n in table.actuators]
     row = _intern(table._row_ids, table._rows, brain.net.state_key(table.core))
-    act_id = _intern(table._act_ids, table._acts, table._record.pack(
-        *[state.membrane_potential for state in states],
-        *[state.refractory_remaining for state in states]))
+    states = brain.net.states
+    *rest, counter = [_CELL.pack(states[n].membrane_potential, states[n].refractory_remaining)
+                      for n in table.actuators]
+    act_id = _intern(table._act_ids, table._acts, (tuple(rest), counter))
     if row is not None and act_id is not None:
         brain.table, brain.row, brain.act_id = table, row, act_id

@@ -18,6 +18,7 @@ from spikeants.circuit import (
     trained_reference_weights,
 )
 from spikeants.plasticity import StdpConfig
+from spikeants.snn import run_cell
 
 STIMULI = list(circuit.STIMULI)
 PLASTIC_KEYS = [(smell, motor) for smell in SMELLS for motor in (MOTOR_FORWARD, MOTOR_ROTATE)]
@@ -107,6 +108,25 @@ class TestTransitionTable:
         held = assert_table_matches_stepping(trained_reference_weights(), 10, frames)
         assert len(held._rows) <= 16
         assert len(held._acts) > 100
+
+    def test_a_new_move_runs_only_what_is_new(self):
+        """A new move runs the first three actuators only when their cells
+        are new under its slot, and the energy counter only when its cell
+        is. Over a long run most new moves are a new counter potential,
+        so the cell runs stay well under one per actuator per move."""
+        rng = random.Random(7)
+        frames = [rng.choice(STIMULI) for _ in range(1500)]
+        runs = []
+
+        def counted_run_cell(*args):
+            runs.append(args)
+            return run_cell(*args)
+
+        with mock.patch.object(table, "run_cell", counted_run_cell):
+            held = assert_table_matches_stepping(trained_reference_weights(), 10, frames)
+        assert len(runs) == sum(3 * len(rest) + len(counter)
+                                for _, _, rest, counter in held._slots.values())
+        assert len(runs) < 2 * len(held._moves)
 
     def test_the_energy_counter_fires_through_the_table(self):
         """Reward-free stretches let the counter reach threshold, so the
