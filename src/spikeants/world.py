@@ -25,6 +25,7 @@ class PatchKind(IntEnum):
 
 _EMPTY = PatchKind.EMPTY.value
 _WALL = PatchKind.WALL.value
+_HARM = PatchKind.HARM.value
 _FOOD = PatchKind.FOOD.value
 
 
@@ -46,15 +47,13 @@ _COLOR_RULE = (
     ((Color.GREEN, Color.GREEN), (Color.GREEN, Color.GREEN)),  # FOOD
 )
 COLORS = tuple(Color)
-# A cell's sense byte packs its kind and the color it presents as
-# `kind << 2 | color index`; SENSES[b] unpacks byte b as (kind, color).
-SENSES = tuple((kind, color) for kind in PatchKind for color in COLORS)
-_COLOR_MASK = len(COLORS) - 1
-# _COLOR_RULE as sense bytes, and each kind's byte on a clean cell as a
-# `bytes.translate` table.
-_SENSE_RULE = tuple(tuple(tuple(SENSES.index((kind, c)) for c in by_pos) for by_pos in by_neg)
-                    for kind, by_neg in zip(PatchKind, _COLOR_RULE))
-_CLEAN_SENSE = bytes(by_neg[0][0] for by_neg in _SENSE_RULE).ljust(256, b"\0")
+# A cell's sense byte packs its kind and the two marks `_COLOR_RULE`
+# reads, as `kind << 2 | (negative >= eps) << 1 | (positive >= eps)`;
+# SENSES[b] unpacks byte b as (kind, color), and `_COLOR_OF_SENSE` maps
+# it to the color's index in COLORS as a `bytes.translate` table.
+SENSES = tuple((kind, color) for kind, by_neg in zip(PatchKind, _COLOR_RULE)
+               for by_pos in by_neg for color in by_pos)
+_COLOR_OF_SENSE = bytes(COLORS.index(color) for _, color in SENSES).ljust(256, b"\0")
 
 
 def check_deposit_amount(amount: float, name: str = "deposit amount"):
@@ -136,17 +135,6 @@ class _Marks:
         self.cells = cells
         return cleared
 
-    def count_empty(self, kind: np.ndarray, eps: float) -> int:
-        """Indexed cells at or above `eps` whose kind is EMPTY."""
-        # Survivors are at or above `eps`; only pending cells need the test.
-        if self.pending:
-            cells = np.concatenate((self.cells, self.pending))
-            return int(np.count_nonzero((kind.take(cells) == _EMPTY)
-                                        & (self.flat[cells] >= eps)))
-        if not self.cells.size:
-            return 0
-        return int(np.count_nonzero(kind.take(self.cells) == _EMPTY))
-
 
 class Grid:
     """Rectangular field of patches with vectorized pheromone dynamics.
@@ -155,20 +143,22 @@ class Grid:
     row-major numpy. One writer per grid within a tick; snapshots taken
     between ticks may be shared freely.
 
-    The `kind`, `food`, `positive`, `negative` and `sense` arrays are
-    read freely but written only through `from_kinds`, `set_kind`,
+    The `food`, `positive`, `negative` and `sense` arrays are read
+    freely but written only through `from_kinds`, `set_kind`,
     `consume_food`, `deposit` and `evaporate_step`, which keep three
     derived records current:
 
-    - each field's index of its non-zero cells, so that evaporation and
-      the census visit only those;
+    - each field's index of its non-zero cells, so that evaporation
+      visits only those;
     - `sense`, one byte per cell, row-major: the cell's kind and the
-      color `_COLOR_RULE` gives it, as `kind << 2 | color index`
-      (unpacked by `SENSES`), so that perceiving a cell is one
-      `bytearray` index;
+      two marks `_COLOR_RULE` reads, as `kind << 2 | (negative >= eps)
+      << 1 | (positive >= eps)` (unpacked by `SENSES`), so that
+      perceiving a cell is one `bytearray` index; and its census, the
+      number of cells holding each byte, which the cell counts read;
     - the food total that `total_food` returns.
 
-    A value written into an array directly updates none of them.
+    `kind` is read from the sense bytes, as a read-only array. A value
+    written into an array directly updates none of these records.
     """
 
     def __init__(self, width: int, height: int,
@@ -179,13 +169,13 @@ class Grid:
         self.width = width
         self.height = height
         self.clear_threshold = clear_threshold
-        self.kind = np.full((height, width), int(PatchKind.EMPTY), dtype=np.uint8)
         self.food = np.zeros((height, width), dtype=np.int64)
         self.positive = np.zeros((height, width), dtype=np.float64)
         self.negative = np.zeros((height, width), dtype=np.float64)
         self._positive = _Marks(self.positive)
         self._negative = _Marks(self.negative)
-        self.sense = bytearray([_CLEAN_SENSE[_EMPTY]]) * (width * height)
+        self.sense = bytearray(width * height)  # clean empty ground
+        self._census = [width * height] + [0] * (len(SENSES) - 1)
         self._food_total = 0
 
     @classmethod
@@ -196,14 +186,19 @@ class Grid:
         height, width = kinds.shape
         grid = cls(width, height, clear_threshold=clear_threshold)
         food = kinds == _FOOD
-        food_cells = int(np.count_nonzero(food))
+        # Both fields are zero, so each cell's byte is its kind's alone. A
+        # kind outside PatchKind falls in no bin.
+        census = grid._census
+        for kind in _EMPTY, _WALL, _HARM:
+            census[kind << 2] = int(np.count_nonzero(kinds == kind))
+        census[_FOOD << 2] = food_cells = int(np.count_nonzero(food))
+        if sum(census) != kinds.size:
+            raise ValueError("kinds must be PatchKind values")
         if food_quantity < 1 and food_cells:
             raise ValueError("food_quantity must be positive exactly for food patches")
-        grid.kind[:] = kinds
+        grid.sense[:] = (kinds.astype(np.uint8, copy=False) << 2).tobytes()
         grid.food[food] = food_quantity
         grid._food_total = food_quantity * food_cells
-        # Both fields are zero, so each cell presents its kind's clean color.
-        grid.sense[:] = grid.kind.tobytes().translate(_CLEAN_SENSE)
         return grid
 
     # -- cell access ---------------------------------------------------
@@ -214,12 +209,20 @@ class Grid:
     def is_boundary(self, x: int, y: int) -> bool:
         return x == 0 or y == 0 or x == self.width - 1 or y == self.height - 1
 
+    @property
+    def kind(self) -> np.ndarray:
+        """Each cell's `PatchKind` value, as a read-only (height, width)
+        array read from the sense bytes."""
+        kind = np.frombuffer(self.sense, dtype=np.uint8).reshape(self.height, self.width) >> 2
+        kind.flags.writeable = False
+        return kind
+
     def set_kind(self, x: int, y: int, kind: PatchKind, food_quantity: int = 0):
         self._check(x, y)
+        kind = PatchKind(kind)
         if (kind is PatchKind.FOOD) != (food_quantity > 0):
             raise ValueError("food_quantity must be positive exactly for food patches")
         self._food_total += food_quantity - self.food.item(y, x)
-        self.kind[y, x] = int(kind)
         self.food[y, x] = food_quantity
         i = y * self.width + x
         if kind is PatchKind.WALL:
@@ -230,25 +233,22 @@ class Grid:
     def effective_color_at(self, x: int, y: int) -> Color:
         """Stimulus color one cell presents, by the rule in `_COLOR_RULE`."""
         self._check(x, y)
-        return COLORS[self.color_index(x, y)]
-
-    def color_index(self, x: int, y: int) -> int:
-        """`effective_color_at` as an index into `COLORS`, without the
-        bounds check: (x, y) must lie on the grid, since a negative
-        coordinate would wrap to the far edge."""
-        return self.sense[y * self.width + x] & _COLOR_MASK
+        return SENSES[self.sense[y * self.width + x]][1]
 
     def effective_colors(self) -> np.ndarray:
         """Every cell's color at once, as a (height, width) array of
         indices into `COLORS`."""
-        sense = np.frombuffer(self.sense, dtype=np.uint8)
-        return sense.reshape(self.height, self.width) & _COLOR_MASK
+        colors = np.frombuffer(self.sense.translate(_COLOR_OF_SENSE), dtype=np.uint8)
+        return colors.reshape(self.height, self.width)
 
     def _recolor(self, i: int, kind: int):
-        """Apply `_COLOR_RULE` to flat cell i, of this kind, from both fields."""
+        """Set flat cell i's sense byte from this kind and both fields,
+        moving the cell in the census from its old byte to the new."""
         eps = self.clear_threshold
-        self.sense[i] = _SENSE_RULE[kind][self.negative.item(i) >= eps][
-            self.positive.item(i) >= eps]
+        sense = kind << 2 | (self.negative.item(i) >= eps) << 1 | (self.positive.item(i) >= eps)
+        self._census[self.sense[i]] -= 1
+        self._census[sense] += 1
+        self.sense[i] = sense
 
     # -- pheromone dynamics ---------------------------------------------
 
@@ -294,7 +294,6 @@ class Grid:
         self.food[y, x] = q
         self._food_total -= 1
         if q == 0:
-            self.kind[y, x] = _EMPTY
             self._recolor(i, _EMPTY)
         return q
 
@@ -306,12 +305,12 @@ class Grid:
     def marked_cell_counts(self) -> tuple[int, int]:
         """Empty-ground cells currently masked red by negative pheromone,
         and those presented green by positive pheromone."""
-        eps = self.clear_threshold
-        return (self._negative.count_empty(self.kind, eps),
-                self._positive.count_empty(self.kind, eps))
+        # Empty ground's bytes are 0-3: bit 1 marks negative, bit 0 positive.
+        census = self._census
+        return census[2] + census[3], census[1] + census[3]
 
     def empty_cell_count(self) -> int:
-        return int((self.kind == PatchKind.EMPTY.value).sum())
+        return sum(self._census[:4])  # empty ground's bytes
 
     def _check(self, x: int, y: int):
         if not self.in_bounds(x, y):

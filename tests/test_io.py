@@ -209,6 +209,8 @@ class TestParseScenario:
         assert (got.food == want.food).all()
         assert got.sense == want.sense
         assert got.total_food() == want.total_food()
+        assert got.marked_cell_counts() == want.marked_cell_counts()
+        assert got.empty_cell_count() == want.empty_cell_count()
 
     def test_build_grid_rejects_food_without_quantity(self):
         with pytest.raises(ValueError, match="food_quantity"):

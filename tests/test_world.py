@@ -101,7 +101,6 @@ class TestColorRule:
             want = documented_color(g.kind[y, x], g.negative[y, x], g.positive[y, x], EPS)
             assert g.effective_color_at(x, y) is want
             assert COLORS[colors[y, x]] is want
-            assert g.color_index(x, y) == colors[y, x]
 
     @settings(deadline=None)
     @given(st.data())
@@ -159,6 +158,44 @@ class TestGrid:
     def test_bad_clear_threshold_rejected(self, threshold):
         with pytest.raises(ValueError, match="^clear_threshold must be positive and finite$"):
             Grid(3, 3, clear_threshold=threshold)
+
+    @pytest.mark.parametrize("kind", [7, 4, -1])
+    def test_from_kinds_rejects_a_kind_outside_patchkind(self, kind):
+        with pytest.raises(ValueError, match="^kinds must be PatchKind values$"):
+            Grid.from_kinds(np.array([[kind, 0]]), 1)
+
+    def test_kind_is_read_only(self):
+        g = Grid(2, 1)
+        with pytest.raises(ValueError, match="read-only"):
+            g.kind[0, 1] = PatchKind.WALL
+        assert g.kind.tolist() == [[PatchKind.EMPTY, PatchKind.EMPTY]]
+
+    @pytest.mark.parametrize("kind", [0, 1, 2, 3, 7])
+    def test_set_kind_reads_an_int_as_its_member(self, kind):
+        """A plain int kind sets a marked cell as its `PatchKind` member
+        does, through the next evaporation; one outside `PatchKind` is
+        refused before anything is written."""
+        def marked_grid():
+            g = Grid(2, 1, clear_threshold=EPS)
+            g.deposit(0, 0, PheromoneField.NEGATIVE, 1.0)
+            return g
+
+        def state(g):
+            return (bytes(g.sense), g.food.tobytes(), g.positive.tobytes(), g.negative.tobytes(),
+                    g.marked_cell_counts(), g.empty_cell_count(), g.total_food())
+
+        by_int = marked_grid()
+        if kind == 7:
+            before = state(by_int)
+            with pytest.raises(ValueError):
+                by_int.set_kind(0, 0, kind)
+            assert state(by_int) == before
+            return
+        by_member = marked_grid()
+        for g, k in ((by_int, kind), (by_member, PatchKind(kind))):
+            g.set_kind(0, 0, k, food_of(PatchKind(kind)))
+            g.evaporate_step(EvaporationConfig(clear_threshold=EPS))
+        assert state(by_int) == state(by_member)
 
 
 class TestDeposit:
@@ -439,11 +476,13 @@ class TestSparseFields:
             assert g.positive.tobytes() == ref.fields[PheromoneField.POSITIVE].tobytes()
             assert g.negative.tobytes() == ref.fields[PheromoneField.NEGATIVE].tobytes()
             assert g.marked_cell_counts() == ref.marked_cell_counts()
+            assert (g.kind == ref.kind).all()
+            assert g.empty_cell_count() == np.count_nonzero(ref.kind == PatchKind.EMPTY)
             colors = g.effective_colors()
             for x, y in cells(g):
                 want = documented_color(ref.kind[y, x], ref.fields[PheromoneField.NEGATIVE][y, x],
                                         ref.fields[PheromoneField.POSITIVE][y, x], EPS)
-                assert COLORS[g.color_index(x, y)] is want
+                assert g.effective_color_at(x, y) is want
                 assert COLORS[colors[y, x]] is want
                 assert SENSES[g.sense[y * SPARSE_W + x]] == (ref.kind[y, x], want)
             assert g.total_food() == ref.food.sum()
