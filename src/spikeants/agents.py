@@ -30,14 +30,17 @@ class Heading(Enum):
             "N": (0, -1), "E": (1, 0), "S": (0, 1), "W": (-1, 0)}[letter]
 
     def turned(self, direction: str) -> "Heading":
-        i = CLOCKWISE.index(self)
-        return CLOCKWISE[(i + 1) % 4] if direction == "right" else CLOCKWISE[(i - 1) % 4]
+        return self._right if direction == "right" else self._left
 
 
 # Clockwise from north, in Heading's declaration order. The seeded
 # heading draw in engine.build_ants indexes this tuple too, so reordering
-# Heading changes every seeded run.
+# Heading changes every seeded run. Each member holds its two
+# neighbours, so that a turn is an attribute read.
 CLOCKWISE = tuple(Heading)
+for _heading, _right in zip(CLOCKWISE, CLOCKWISE[1:] + CLOCKWISE[:1]):
+    _heading._right, _right._left = _right, _heading
+del _heading, _right
 # Colors that hurt an ant standing on them.
 _HARMFUL = (Color.WHITE, Color.RED)
 # Stimulus code bits by a cell's sense byte (`Grid.sense`, unpacked by

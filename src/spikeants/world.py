@@ -80,59 +80,53 @@ class EvaporationConfig:
         _check_clear_threshold(self.clear_threshold)
 
 
-_NO_CELLS = np.empty(0, dtype=np.intp)
-
-
 class _Marks:
-    """The flat indices of one pheromone field's non-zero cells.
+    """The flat indices of one pheromone field's non-zero cells: `cells`
+    has a slot per cell, and `cells[:n]` lists each non-zero cell once,
+    in no set order, so every cell outside it is 0.0."""
 
-    `cells` holds the survivors of the last evaporation, each at or
-    above the clear threshold; `pending` the cells a deposit has moved
-    from 0.0 since, which may lie below it. Each non-zero cell is in
-    exactly one of them, once, so every cell outside both is 0.0.
-    """
-
-    __slots__ = ("flat", "cells", "pending")
+    __slots__ = ("flat", "cells", "n")
 
     def __init__(self, field: np.ndarray):
         self.flat = field.reshape(-1)  # a view: writes land in `field`
-        self.cells = _NO_CELLS
-        self.pending: list[int] = []
+        self.cells = np.empty(self.flat.size, dtype=np.intp)
+        self.n = 0
 
     def add(self, i: int, amount: float):
         old = self.flat.item(i)
         self.flat[i] = old + amount
         if old == 0.0 and amount:
-            self.pending.append(i)
+            self.cells[self.n] = i
+            self.n += 1
 
     def zero(self, i: int):
         if self.flat.item(i) != 0.0:
             self.flat[i] = 0.0
-            if i in self.pending:
-                self.pending.remove(i)
-            else:
-                self.cells = self.cells[self.cells != i]
+            cells = self.cells[:self.n]
+            at = np.flatnonzero(cells == i)  # none for a value written directly
+            if at.size:
+                self.n -= 1
+                cells[at[0]] = cells[self.n]
 
     def decay(self, scale: float, eps: float) -> list[int]:
         """The dense rule, `field *= scale` then `field *= field >= eps`,
         on the indexed cells only: 0.0 maps to 0.0 under both. The field
         is finite and non-negative, so scaling by the keep-mask clears
         exactly the faint cells. Returns the cells it cleared."""
-        cells = self.cells
-        cleared = []
-        if self.pending:
-            cells = np.concatenate((cells, self.pending))
-            self.pending.clear()
-        if cells.size:
-            values = self.flat[cells] * scale
-            keep = values >= eps
-            values *= keep
-            self.flat[cells] = values
-            kept = cells[keep]
-            if kept.size < cells.size:
-                cleared = cells[~keep].tolist()
-            cells = kept
-        self.cells = cells
+        n = self.n
+        if not n:
+            return []
+        cells = self.cells[:n]
+        values = self.flat[cells] * scale
+        keep = values >= eps
+        values *= keep
+        self.flat[cells] = values
+        kept = cells[keep]
+        if kept.size == n:
+            return []
+        cleared = cells[~keep].tolist()
+        self.n = kept.size
+        cells[:self.n] = kept
         return cleared
 
 
@@ -148,8 +142,8 @@ class Grid:
     `consume_food`, `deposit` and `evaporate_step`, which keep three
     derived records current:
 
-    - each field's index of its non-zero cells, so that evaporation
-      visits only those;
+    - each field's one index of its non-zero cells, each listed once,
+      so that evaporation visits only those;
     - `sense`, one byte per cell, row-major: the cell's kind and the
       two marks `_COLOR_RULE` reads, as `kind << 2 | (negative >= eps)
       << 1 | (positive >= eps)` (unpacked by `SENSES`), so that

@@ -144,6 +144,16 @@ class TestMovementRules:
         assert seen == [Heading.EAST, Heading.SOUTH, Heading.WEST, Heading.NORTH]
         assert ant.position == (5, 5)
 
+    @pytest.mark.parametrize("heading", list(Heading))
+    def test_turns_come_back_to_the_start(self, heading):
+        """Four right turns, or a right turn then a left one, face the
+        ant the way it started."""
+        turned = heading
+        for _ in range(4):
+            turned = turned.turned("right")
+        assert turned is heading
+        assert heading.turned("right").turned("left") is heading
+
     def test_left_rotation_configurable(self):
         g = walled_grid()
         cfg = AntConfig(rotate_direction="left")

@@ -342,6 +342,9 @@ class TestConfigFile:
     def test_reference_text_is_loadable(self):
         assert parse_config(config_reference_text()) == SimConfig()
 
+    def test_default_hash_is_pinned(self):
+        assert config_hash(SimConfig()) == "9ee337e81afa2645"
+
     def test_hash_sensitive_to_values(self):
         assert config_hash(parse_config("seed = 1\n")) != config_hash(SimConfig())
 

@@ -442,6 +442,16 @@ EATEN_UNDER_A_MARK = [("set_kind", (0, 0), PatchKind.FOOD, 2),
                       ("consume_food", (0, 0)), ("consume_food", (0, 0)),
                       ("consume_food", (0, 0)), ("evaporate_step",)]
 
+# A wall clears a cell marked since the last evaporation, swapping the
+# last indexed cell into its slot; reopened and marked again before the
+# next evaporation, the cell is indexed once.
+WALLED_BEFORE_EVAPORATING = [("deposit", (0, 0), PheromoneField.POSITIVE, 1.0),
+                             ("deposit", (1, 0), PheromoneField.POSITIVE, 1.0),
+                             ("set_kind", (0, 0), PatchKind.WALL, 1),
+                             ("set_kind", (0, 0), PatchKind.EMPTY, 1),
+                             ("deposit", (0, 0), PheromoneField.POSITIVE, 1.0),
+                             ("evaporate_step",)]
+
 
 class TestSparseFields:
     @settings(max_examples=300, deadline=None)
@@ -449,6 +459,7 @@ class TestSparseFields:
                                        EvaporationConfig(0.5, 0.9, EPS)]))
     @example(WALL_AND_BACK, EvaporationConfig(clear_threshold=EPS))
     @example(EATEN_UNDER_A_MARK, EvaporationConfig(0.5, 0.9, EPS))
+    @example(WALLED_BEFORE_EVAPORATING, EvaporationConfig(clear_threshold=EPS))
     @example([("deposit", (0, 0), PheromoneField.POSITIVE, EPS / 2)], EvaporationConfig())
     def test_matches_the_dense_rules(self, ops, cfg):
         """Random deposits, kind changes, bites and evaporations leave the
@@ -486,3 +497,15 @@ class TestSparseFields:
                 assert COLORS[colors[y, x]] is want
                 assert SENSES[g.sense[y * SPARSE_W + x]] == (ref.kind[y, x], want)
             assert g.total_food() == ref.food.sum()
+            for marks, field in ((g._positive, g.positive), (g._negative, g.negative)):
+                assert np.sort(marks.cells[:marks.n]).tolist() == np.flatnonzero(field).tolist()
+
+    def test_walling_a_value_written_directly_keeps_the_index(self):
+        """A value written into a field directly was never indexed, so
+        walling its cell clears it and leaves the index as it was."""
+        g = Grid(2, 1, clear_threshold=EPS)
+        g.deposit(1, 0, PheromoneField.NEGATIVE, 1.0)
+        g.negative[0, 0] = 1.0
+        g.set_kind(0, 0, PatchKind.WALL)
+        assert g.negative.tolist() == [[0.0, 1.0]]
+        assert g._negative.cells[:g._negative.n].tolist() == [1]
