@@ -1,10 +1,10 @@
 """Snapshot rendering: one binary portable pixmap per world state.
 
-One pixel per patch, colored by the patch's effective stimulus color
-(black empty, white wall, red negative marking / harm, green food or
-positive marking) with ants drawn on top in blue. Output bytes are a
-pure function of the state, so identically seeded runs dump identical
-frames.
+One pixel per patch, colored by the stimulus color its sense byte
+decodes to in `SENSES` (black empty, white wall, red negative marking /
+harm, green food or positive marking) with ants drawn on top in blue.
+Output bytes are a pure function of the state, so identically seeded
+runs dump identical frames.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .agents import Ant
-from .world import COLORS, Color, Grid
+from .world import SENSES, Color, Grid
 
 PALETTE = {
     Color.BLACK: (0, 0, 0),
@@ -23,12 +23,12 @@ PALETTE = {
     Color.GREEN: (0, 255, 0),
 }
 ANT_COLOR = (64, 64, 255)
-_PIXELS = np.array([PALETTE[c] for c in COLORS], dtype=np.uint8)
+_PIXELS = np.array([PALETTE[color] for _, color in SENSES], dtype=np.uint8)  # row per byte
 
 
 def render_snapshot(grid: Grid, ants: Optional[Iterable[Ant]] = None) -> bytes:
     """Render the grid (and optionally its ants) as a binary PPM (P6)."""
-    pixels = _PIXELS[grid.effective_colors()]
+    pixels = _PIXELS[np.frombuffer(grid.sense, dtype=np.uint8).reshape(grid.height, grid.width)]
     if ants is not None:
         for ant in ants:
             x, y = ant.position

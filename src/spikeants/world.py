@@ -46,14 +46,11 @@ _COLOR_RULE = (
     ((Color.RED, Color.RED), (Color.RED, Color.RED)),          # HARM
     ((Color.GREEN, Color.GREEN), (Color.GREEN, Color.GREEN)),  # FOOD
 )
-COLORS = tuple(Color)
 # A cell's sense byte packs its kind and the two marks `_COLOR_RULE`
 # reads, as `kind << 2 | (negative >= eps) << 1 | (positive >= eps)`;
-# SENSES[b] unpacks byte b as (kind, color), and `_COLOR_OF_SENSE` maps
-# it to the color's index in COLORS as a `bytes.translate` table.
+# SENSES[b] unpacks byte b as (kind, color), the one decoding of a byte.
 SENSES = tuple((kind, color) for kind, by_neg in zip(PatchKind, _COLOR_RULE)
                for by_pos in by_neg for color in by_pos)
-_COLOR_OF_SENSE = bytes(COLORS.index(color) for _, color in SENSES).ljust(256, b"\0")
 
 
 def check_deposit_amount(amount: float, name: str = "deposit amount"):
@@ -197,9 +194,6 @@ class Grid:
 
     # -- cell access ---------------------------------------------------
 
-    def in_bounds(self, x: int, y: int) -> bool:
-        return 0 <= x < self.width and 0 <= y < self.height
-
     def is_boundary(self, x: int, y: int) -> bool:
         return x == 0 or y == 0 or x == self.width - 1 or y == self.height - 1
 
@@ -228,12 +222,6 @@ class Grid:
         """Stimulus color one cell presents, by the rule in `_COLOR_RULE`."""
         self._check(x, y)
         return SENSES[self.sense[y * self.width + x]][1]
-
-    def effective_colors(self) -> np.ndarray:
-        """Every cell's color at once, as a (height, width) array of
-        indices into `COLORS`."""
-        colors = np.frombuffer(self.sense.translate(_COLOR_OF_SENSE), dtype=np.uint8)
-        return colors.reshape(self.height, self.width)
 
     def _recolor(self, i: int, kind: int):
         """Set flat cell i's sense byte from this kind and both fields,
@@ -307,5 +295,5 @@ class Grid:
         return sum(self._census[:4])  # empty ground's bytes
 
     def _check(self, x: int, y: int):
-        if not self.in_bounds(x, y):
+        if not (0 <= x < self.width and 0 <= y < self.height):
             raise ValueError(f"cell ({x}, {y}) out of bounds")

@@ -115,7 +115,7 @@ class TestPerceive:
                                        pain_pending=data.draw(st.booleans()))
                     dx, dy = heading.vector
                     smell = None
-                    if g.in_bounds(x + dx, y + dy):
+                    if 0 <= x + dx < w and 0 <= y + dy < h:
                         smell = g.effective_color_at(x + dx, y + dy)
                     want = StimulusFrame(
                         smell_ahead=None if smell is Color.BLACK else smell,

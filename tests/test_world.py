@@ -9,7 +9,6 @@ from spikeants.agents import Ant, Heading
 from spikeants.circuit import AntBrain
 from spikeants.render import ANT_COLOR, PALETTE, render_snapshot
 from spikeants.world import (
-    COLORS,
     Color,
     EvaporationConfig,
     Grid,
@@ -92,28 +91,48 @@ def every_case_grid():
     return g
 
 
+def grid_state(g):
+    """Everything a `Grid` write can change, as one comparable value."""
+    return (bytes(g.sense), g.food.tobytes(), g.positive.tobytes(), g.negative.tobytes(),
+            g.marked_cell_counts(), g.empty_cell_count(), g.total_food())
+
+
+def rendered_pixels(g, ants=None):
+    """Each cell's (r, g, b), row-major, in `render_snapshot`'s frame."""
+    pixels = render_snapshot(g, ants).split(b"255\n", 1)[1]
+    return [tuple(pixels[3 * i:3 * i + 3]) for i in range(g.width * g.height)]
+
+
+def assert_rendered(g, positions):
+    """With an ant on each of these positions, each cell is painted its
+    color, and each ant's cell `ANT_COLOR`."""
+    brain = AntBrain(kickstart=False)
+    ants = [Ant(position=p, heading=Heading.NORTH, brain=brain) for p in positions]
+    for (x, y), pixel in zip(cells(g), rendered_pixels(g, ants)):
+        assert pixel == (ANT_COLOR if (x, y) in positions else PALETTE[g.effective_color_at(x, y)])
+
+
 class TestColorRule:
     @given(small_grids())
     @example(every_case_grid())
     def test_cell_and_grid_lookups_follow_the_priority(self, g):
-        colors = g.effective_colors()
         for x, y in cells(g):
             want = documented_color(g.kind[y, x], g.negative[y, x], g.positive[y, x], EPS)
             assert g.effective_color_at(x, y) is want
-            assert COLORS[colors[y, x]] is want
 
     @settings(deadline=None)
     @given(st.data())
     def test_render_paints_cell_colors_with_ants_on_top(self, data):
         g = data.draw(small_grids())
-        brain = AntBrain(kickstart=False)
-        ants = [Ant(position=p, heading=Heading.NORTH, brain=brain)
-                for p in data.draw(st.lists(st.sampled_from(cells(g)), max_size=3))]
-        pixels = render_snapshot(g, ants).split(b"255\n", 1)[1]
-        on_ant = {ant.position for ant in ants}
-        for i, (x, y) in enumerate(cells(g)):
-            want = ANT_COLOR if (x, y) in on_ant else PALETTE[g.effective_color_at(x, y)]
-            assert tuple(pixels[3 * i:3 * i + 3]) == want
+        assert_rendered(g, data.draw(st.lists(st.sampled_from(cells(g)), max_size=3)))
+
+    def test_render_paints_every_reachable_byte(self):
+        """The frame has a pixel-table row per sense byte; every byte a
+        grid can hold (4 kinds by 4 mark pairs, walls unmarked) is painted
+        its color, with ants on two cells."""
+        g = every_case_grid()
+        assert len(set(g.sense)) == 13
+        assert_rendered(g, [(0, 0), (3, 3)])
 
 
 class TestEffectiveColor:
@@ -180,22 +199,37 @@ class TestGrid:
             g.deposit(0, 0, PheromoneField.NEGATIVE, 1.0)
             return g
 
-        def state(g):
-            return (bytes(g.sense), g.food.tobytes(), g.positive.tobytes(), g.negative.tobytes(),
-                    g.marked_cell_counts(), g.empty_cell_count(), g.total_food())
-
         by_int = marked_grid()
         if kind == 7:
-            before = state(by_int)
+            before = grid_state(by_int)
             with pytest.raises(ValueError):
                 by_int.set_kind(0, 0, kind)
-            assert state(by_int) == before
+            assert grid_state(by_int) == before
             return
         by_member = marked_grid()
         for g, k in ((by_int, kind), (by_member, PatchKind(kind))):
             g.set_kind(0, 0, k, food_of(PatchKind(kind)))
             g.evaporate_step(EvaporationConfig(clear_threshold=EPS))
-        assert state(by_int) == state(by_member)
+        assert grid_state(by_int) == grid_state(by_member)
+
+    @pytest.mark.parametrize("method", ["set_kind", "deposit", "consume_food",
+                                        "effective_color_at"])
+    @pytest.mark.parametrize("x, y", [(-1, 0), (3, 0), (0, -1), (0, 2)])
+    def test_a_cell_just_outside_is_refused(self, method, x, y):
+        """Each checked method refuses the four cells just outside a 3x2
+        grid, one past each edge, and writes nothing."""
+        g = Grid(3, 2, clear_threshold=EPS)
+        g.set_kind(0, 1, PatchKind.FOOD, 2)
+        g.deposit(1, 0, PheromoneField.POSITIVE, 1.0)
+        g.deposit(2, 1, PheromoneField.NEGATIVE, 1.0)
+        calls = {"set_kind": lambda: g.set_kind(x, y, PatchKind.FOOD, 1),
+                 "deposit": lambda: g.deposit(x, y, PheromoneField.NEGATIVE, 1.0),
+                 "consume_food": lambda: g.consume_food(x, y),
+                 "effective_color_at": lambda: g.effective_color_at(x, y)}
+        before = grid_state(g)
+        with pytest.raises(ValueError, match=rf"^cell \({x}, {y}\) out of bounds$"):
+            calls[method]()
+        assert grid_state(g) == before
 
 
 class TestDeposit:
@@ -489,12 +523,11 @@ class TestSparseFields:
             assert g.marked_cell_counts() == ref.marked_cell_counts()
             assert (g.kind == ref.kind).all()
             assert g.empty_cell_count() == np.count_nonzero(ref.kind == PatchKind.EMPTY)
-            colors = g.effective_colors()
-            for x, y in cells(g):
+            for (x, y), pixel in zip(cells(g), rendered_pixels(g)):
                 want = documented_color(ref.kind[y, x], ref.fields[PheromoneField.NEGATIVE][y, x],
                                         ref.fields[PheromoneField.POSITIVE][y, x], EPS)
                 assert g.effective_color_at(x, y) is want
-                assert COLORS[colors[y, x]] is want
+                assert pixel == PALETTE[want]
                 assert SENSES[g.sense[y * SPARSE_W + x]] == (ref.kind[y, x], want)
             assert g.total_food() == ref.food.sum()
             for marks, field in ((g._positive, g.positive), (g._negative, g.negative)):
