@@ -181,11 +181,11 @@ class AntBrain:
 
     A brain owns its network exclusively. While learning is off, a run
     may move the brain's state into the run's transition table for its
-    weight set (`table.share_table`): the brain then holds two interned
-    ids, one for its core and one for its four actuators, and its world
-    ticks are lookups until `leave_table` loads both states back into
-    the network. Meanwhile only the network's clock stays current. The
-    brains of one run share that table and nothing else.
+    weight set (`table.share_table`): the brain then holds `row`, the
+    table's id of its core state, and `acts`, its four actuators' cells,
+    and its world ticks are lookups until `leave_table` loads both back
+    into the network. Meanwhile only the network's clock stays current.
+    The brains of one run share that table and nothing else.
     """
 
     def __init__(self, circuit_cfg: CircuitConfig = CircuitConfig(),
@@ -257,11 +257,11 @@ class AntBrain:
         self._arrivals: dict[int, list[int]] = {}
         if kickstart:
             net.inject_pulse(layout.kickstart, cfg.sense_amplitude)
-        # While `table` is set, the core and actuator states are that
-        # table's `row` and `act_id`; `net` keeps only the clock current.
+        # While `table` is set, the core state is that table's `row` and
+        # the actuator cells are `acts`; `net` keeps only the clock current.
         self.table = None
         self.row = None
-        self.act_id = None
+        self.acts = None
 
     def sense(self, frame: StimulusFrame):
         """Inject suprathreshold pulses for everything the frame reports."""
@@ -338,8 +338,8 @@ class AntBrain:
         brain ticks and actuate.
 
         A brain in a transition table looks the world tick up instead;
-        when the transition is new and the table is full, the brain
-        leaves the table and is stepped from then on.
+        when the transition needs a new core state and the table is
+        full, the brain leaves the table and is stepped from then on.
         """
         if self.table is not None:
             act = self.table.advance(self, frame)

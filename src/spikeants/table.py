@@ -11,22 +11,21 @@ are never shared between runs.
 
 The actuator neurons (both motors, both pheromone neurons) feed no
 other neuron, so the rest of the network, the core, runs the same
-whatever they hold. The table therefore interns two kinds of state
-apart: core states, whose key is every core neuron and every pulse in
-flight, and actuator states, the (potential, dead-time counter) of
-every actuator. A tabled brain holds one id of each, and a world tick
-is one lookup keyed by (core id, stimulus code, actuator id). The
-energy counter integrates pacemaker pulses over hundreds of world
-ticks, so it adds actuator states but no core states. A core state
-under one stimulus code is a slot; each slot records the pulse sum
-every actuator receives on each brain tick, so a new (slot, actuator
-state) move runs only the actuators (`snn.run_cell`), and a new slot
-steps the brain's own network once. The actuators do not feed each
-other either, and only the energy counter, the last of them, keeps
-drifting, so an actuator state is the other three cells' keys plus the
-counter cell's key. Under a slot the moves of each part are run once
-and looked up after that: a new move, most often a new counter
-potential, runs the counter alone.
+whatever they hold. The table interns core states only, keyed by every
+core neuron and every pulse in flight. A tabled brain holds the id of
+its core state and its actuators' cells as values, and a world tick is
+one lookup keyed by (core id, stimulus code, cells). A core state under
+one stimulus code is a slot: a new slot steps the brain's own network
+once and records the pulse sum each actuator receives on each brain
+tick, so a new move under it only runs actuator cells (`snn.run_cell`).
+The actuators do not feed each other either, and only the energy
+counter, the last of them, keeps drifting: it integrates pacemaker
+pulses over hundreds of world ticks, so it adds moves but no core
+states. Each slot therefore memoises the moves of the other three cells,
+and a new move most often runs the counter alone. The moves and these
+memos are caches, emptied when full, because a miss never steps a
+network: only a new core state on a full table sends a brain back to
+stepping.
 """
 
 from __future__ import annotations
@@ -38,23 +37,21 @@ from typing import Optional
 from .circuit import ActuatorFrame, AntBrain, StimulusFrame
 from .snn import SpikeEvent, run_cell
 
-# States of each kind, core and actuator, one table may hold. A brain
-# whose transition needs a new state of a full kind leaves the table and
-# is stepped, so outputs never depend on this bound.
+# Core states one table may intern, and entries each of its caches may
+# hold. A brain that meets a new core state on a full table leaves it and
+# is stepped; a full cache is emptied. Outputs never depend on this bound.
 MAX_TABLE_STATES = 4096
 # One actuator cell's state and its key at once: the potential as float
 # bits, so that -0.0 and 0.0 differ, then the dead-time counter.
 _CELL = struct.Struct("dq")
 
 
-def _intern(ids: dict, keys: list, key) -> Optional[int]:
-    """The id of `key`, which `keys[id]` holds; a new id while there is
-    room, else None."""
-    i = ids.get(key)
-    if i is None and len(keys) < MAX_TABLE_STATES:
-        i = ids[key] = len(keys)
-        keys.append(key)
-    return i
+def _cache(memo: dict, key, value):
+    """Record `value` under `key` in `memo`, emptied first when full."""
+    if len(memo) >= MAX_TABLE_STATES:
+        memo.clear()
+    memo[key] = value
+    return value
 
 
 class TransitionTable:
@@ -63,16 +60,16 @@ class TransitionTable:
     A transition spans the brain's own `brain_steps_per_world_tick`,
     the same record a stepped brain reads.
 
-    A tabled brain holds `row`, the id of its core state, and `act_id`,
-    the id of its actuator state; `leave` loads both into its network.
-    `_slots[row, code]` holds the next row of that core state under a
-    stimulus code, the pulse sum due to each actuator on each brain
-    tick, and the moves under the slot of the first three actuators'
-    cell keys and of the counter's cell key: the next key, and the
-    part's bits in the actuator frame. `_moves[row, code, act_id]` holds
-    the next row, the next actuator state and the actuator frame. A new
-    slot is computed once, by the real `sense` and `step` of the brain
-    that meets it, and a new part move by `run_cell`.
+    A tabled brain holds `row`, the id of its core state, and `acts`,
+    its four actuators' `_CELL` records in one `bytes`; `leave` loads
+    both into its network. `_slots[row, code]` holds the next row of
+    that core state under a stimulus code, the pulse sum due to each
+    actuator on each brain tick, and a memo from the first three
+    actuators' cells to their next cells and their bits in the actuator
+    frame. `_moves[row, code, acts]` holds the next row, the next
+    `acts` and the actuator frame. A new slot is computed once, by the
+    real `sense` and `step` of the brain that meets it, and a new move
+    by `run_cell`.
     """
 
     def __init__(self, brain: AntBrain):
@@ -87,35 +84,40 @@ class TransitionTable:
         self._frames = tuple(brain.actuate([SpikeEvent(a, 0) for j, a in
                                             enumerate(self.actuators) if mask >> j & 1])
                              for mask in range(1 << len(self.actuators)))
-        # Core and actuator states: id by key, and key by id. An actuator
-        # state's key is (the first three cell keys, the counter's).
+        # Core states: id by key, and key by id.
         self._row_ids: dict[tuple[bytes, tuple[int, ...]], int] = {}
         self._rows: list[tuple[bytes, tuple[int, ...]]] = []
-        self._act_ids: dict[tuple[tuple[bytes, ...], bytes], int] = {}
-        self._acts: list[tuple[tuple[bytes, ...], bytes]] = []
         self._slots: dict[tuple[int, int], tuple] = {}
-        self._moves: dict[tuple[int, int, int], tuple[int, int, ActuatorFrame]] = {}
+        self._moves: dict[tuple[int, int, bytes], tuple[int, bytes, ActuatorFrame]] = {}
+
+    def _row(self, key: tuple[bytes, tuple[int, ...]]) -> Optional[int]:
+        """The id of core state `key`; a new id while there is room, else
+        None."""
+        i = self._row_ids.get(key)
+        if i is None and len(self._rows) < MAX_TABLE_STATES:
+            i = self._row_ids[key] = len(self._rows)
+            self._rows.append(key)
+        return i
 
     def leave(self, brain: AntBrain):
-        """Load `brain`'s core and actuator states back into its network."""
+        """Load `brain`'s core state and actuator cells into its network."""
         net = brain.net
         net.load_state(self._rows[brain.row], self.core)
-        rest, counter = self._acts[brain.act_id]
-        for n, cell in zip(self.actuators, rest + (counter,)):
+        for n, cell in zip(self.actuators, _CELL.iter_unpack(brain.acts)):
             state = net.states[n]
-            state.membrane_potential, state.refractory_remaining = _CELL.unpack(cell)
-        brain.table = brain.row = brain.act_id = None
+            state.membrane_potential, state.refractory_remaining = cell
+        brain.table = brain.row = brain.acts = None
 
     def advance(self, brain: AntBrain, frame: StimulusFrame) -> Optional[ActuatorFrame]:
         """One world tick of `brain` under `frame`: its actuator frame, or
-        None, with the brain's ids and clock unchanged, when the
-        transition needs a new state and the table is full."""
-        move = self._moves.get((brain.row, frame.code, brain.act_id))
+        None, with the brain's state and clock unchanged, when the
+        transition needs a new core state and the table is full."""
+        move = self._moves.get((brain.row, frame.code, brain.acts))
         if move is None:
             move = self._learn(brain, frame)
             if move is None:
                 return None
-        brain.row, brain.act_id, act = move
+        brain.row, brain.acts, act = move
         brain.net.current_tick += self.steps
         return act
 
@@ -133,39 +135,34 @@ class TransitionTable:
                 brain.step()
                 for pulses, n in zip(due, self.actuators):
                     pulses.append(net.incoming.get(n))
-            row = _intern(self._row_ids, self._rows, net.state_key(self.core))
+            row = self._row(net.state_key(self.core))
             # The network only computed the slot: the clock goes back, and
-            # the brain's state stays its two ids until `leave` loads them.
+            # the brain's state stays in `row` and `acts` until `leave`.
             net.current_tick -= self.steps
             if row is None:
                 return None
-            entry = self._slots[slot] = row, tuple(map(tuple, due)), {}, {}
-        row, due, rest_moves, counter_moves = entry
-        rest, counter = self._acts[brain.act_id]
+            entry = self._slots[slot] = row, tuple(map(tuple, due)), {}
+        row, due, rest_moves = entry
+        acts = brain.acts
+        rest = acts[:-_CELL.size]
         step = rest_moves.get(rest)
         if step is None:
-            cells, fired = [], 0
-            for j, cell in enumerate(rest):
-                u, remaining, spiked = run_cell(*_CELL.unpack(cell), self.params[j], due[j])
-                cells.append(_CELL.pack(u, remaining))
+            cells, fired = b"", 0
+            for j, cell in enumerate(_CELL.iter_unpack(rest)):
+                u, remaining, spiked = run_cell(*cell, self.params[j], due[j])
+                cells += _CELL.pack(u, remaining)
                 fired |= spiked << j
-            step = rest_moves[rest] = tuple(cells), fired
-        count = counter_moves.get(counter)
-        if count is None:
-            u, remaining, spiked = run_cell(*_CELL.unpack(counter), self.params[-1], due[-1])
-            count = counter_moves[counter] = _CELL.pack(u, remaining), spiked << len(rest)
-        act_id = _intern(self._act_ids, self._acts, (step[0], count[0]))
-        if act_id is None:
-            return None
-        move = self._moves[slot + (brain.act_id,)] = (row, act_id,
-                                                      self._frames[step[1] | count[1]])
-        return move
+            step = _cache(rest_moves, rest, (cells, fired))
+        u, remaining, spiked = run_cell(*_CELL.unpack(acts[-_CELL.size:]), self.params[-1], due[-1])
+        return _cache(self._moves, slot + (acts,),
+                      (row, step[0] + _CELL.pack(u, remaining),
+                       self._frames[step[1] | spiked << len(due) - 1]))
 
 
 def share_table(tables: dict[bytes, TransitionTable], brain: AntBrain):
     """Move `brain` into the table for its plastic weights in `tables`
-    (made there when missing), unless it is learning, or its state is
-    new and that table is full. Learning must stay off until
+    (made there when missing), unless it is learning, or its core state
+    is new and that table is full. Learning must stay off until
     `brain.leave_table()`."""
     if brain.learning:
         return
@@ -173,10 +170,10 @@ def share_table(tables: dict[bytes, TransitionTable], brain: AntBrain):
     table = tables.get(weights)
     if table is None:
         table = tables[weights] = TransitionTable(brain)
-    row = _intern(table._row_ids, table._rows, brain.net.state_key(table.core))
-    states = brain.net.states
-    *rest, counter = [_CELL.pack(states[n].membrane_potential, states[n].refractory_remaining)
-                      for n in table.actuators]
-    act_id = _intern(table._act_ids, table._acts, (tuple(rest), counter))
-    if row is not None and act_id is not None:
-        brain.table, brain.row, brain.act_id = table, row, act_id
+    row = table._row(brain.net.state_key(table.core))
+    if row is not None:
+        states = brain.net.states
+        brain.table, brain.row = table, row
+        brain.acts = b"".join(_CELL.pack(states[n].membrane_potential,
+                                         states[n].refractory_remaining)
+                              for n in table.actuators)

@@ -383,21 +383,30 @@ class TestTransitionTables:
     @pytest.mark.parametrize("bound", [0, 1, 2])
     def test_outputs_do_not_depend_on_the_table_bound(self, text, bound, monkeypatch):
         """With bound 0 every ant is stepped; with 1 or 2 ants leave the
-        table mid-phase. Metrics, weights and final brain states must
-        equal those of the unbounded table, and that one steps fewer
-        ticks whenever a phase is not learning."""
+        table mid-phase when their core states outgrow it. Metrics,
+        weights and final brain states must equal those of the unbounded
+        table. A tabled brain steps only for a new slot, and only a new
+        core state on a full table sends it back to stepping, so the
+        bounded run steps more exactly when the unbounded run's tables
+        hold more core states than the bound."""
         cfg = parse_config(f"seed = 3\n{text}\n")
         schedule = cfg.phase_schedule or ((SimPhase.FORAGING, cfg.world_ticks),)
         scenario = parse_scenario(ARENA)
         original_step = Network.step
-        steps = []
+        original_init = table.TransitionTable.__init__
+        steps, held = [], []
 
         def counted_step(net):
             steps.append(1)
             return original_step(net)
 
+        def kept_init(tbl, brain):
+            original_init(tbl, brain)
+            held.append(tbl)
+
         def outputs():
             steps.clear()
+            held.clear()
             metrics, ants = engine._execute(cfg, scenario, None, schedule)
             assert all(ant.brain.table is None for ant in ants)
             return (metrics.to_csv_text(), [a.brain.weights() for a in ants],
@@ -406,15 +415,15 @@ class TestTransitionTables:
                     len(steps))
 
         monkeypatch.setattr(Network, "step", counted_step)
+        monkeypatch.setattr(table.TransitionTable, "__init__", kept_init)
         *tabled, tabled_steps = outputs()
         assert outputs() == (*tabled, tabled_steps)  # no table outlives its run
+        rows_fit = all(len(tbl._rows) <= bound for tbl in held)
         monkeypatch.setattr(table, "MAX_TABLE_STATES", bound)
         *bounded, bounded_steps = outputs()
         assert bounded == tabled
-        if cfg.learn_during_foraging:
-            assert tabled_steps == bounded_steps
-        else:
-            assert tabled_steps < bounded_steps
+        assert bounded_steps >= tabled_steps
+        assert (tabled_steps == bounded_steps) == rows_fit
 
 
 class TestPositiveTrails:

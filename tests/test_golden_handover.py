@@ -6,8 +6,10 @@ changes nothing: a training phase that hands learned brains over to the
 table, learning during foraging (never in a table), and untrained
 weights (a second weight set). Each digest covers the metrics CSV, every
 ant's final weight file and the last rendered frame. They must also hold
-when the table has room for a single state, so that every ant leaves it
-early and is stepped from there.
+when the table has room for a single core state, so that every ant
+leaves it early and is stepped from there, and with room for 8, which
+holds every core state of these runs (at most 3) but makes each
+table's move cache empty itself.
 """
 
 import hashlib
@@ -44,7 +46,7 @@ def run_digest(text: str, reference_weights: bool) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
-@pytest.mark.parametrize("bound", [table.MAX_TABLE_STATES, 1])
+@pytest.mark.parametrize("bound", [table.MAX_TABLE_STATES, 8, 1])
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_digest(name, bound, monkeypatch):
     text, reference_weights, expected = RUNS[name]

@@ -18,7 +18,7 @@ from spikeants.circuit import (
     trained_reference_weights,
 )
 from spikeants.plasticity import StdpConfig
-from spikeants.snn import run_cell
+from spikeants.snn import Network, run_cell
 
 STIMULI = list(circuit.STIMULI)
 PLASTIC_KEYS = [(smell, motor) for smell in SMELLS for motor in (MOTOR_FORWARD, MOTOR_ROTATE)]
@@ -79,12 +79,14 @@ class TestTransitionTable:
     def test_lookups_match_stepping(self, weights, steps, frames, bound):
         """Random frame sequences give the same actuator frames and, after
         leaving, the same network state through the table as stepped;
-        with room for one or two states, the brains leave the table on
-        a new transition and are stepped from there."""
+        with room for one or two core states, the brains leave the table
+        on a new core state and are stepped from there, and full caches
+        are emptied."""
         with mock.patch.object(table, "MAX_TABLE_STATES", bound):
             held = assert_table_matches_stepping(weights, steps, frames)
         assert len(held._rows) <= bound
-        assert len(held._acts) <= bound
+        assert len(held._moves) <= bound
+        assert all(len(rest_moves) <= bound for _, _, rest_moves in held._slots.values())
 
     def test_long_counters_and_delays(self):
         """A nociceptor dead time of 300 ticks and pacemaker delays of
@@ -100,20 +102,20 @@ class TestTransitionTable:
 
     def test_the_energy_counter_adds_no_states(self):
         """The energy counter passes through new potentials for hundreds
-        of world ticks, and feeds no neuron. It does add actuator states,
-        but those are interned apart from the core, so a long varied run
-        holds only a few core states."""
+        of world ticks, and feeds no neuron. It does add moves, but its
+        cell is a value apart from the core, so a long varied run holds
+        only a few core states."""
         rng = random.Random(7)
         frames = [rng.choice(STIMULI) for _ in range(1500)]
         held = assert_table_matches_stepping(trained_reference_weights(), 10, frames)
         assert len(held._rows) <= 16
-        assert len(held._acts) > 100
+        assert len(held._moves) > 100
 
     def test_a_new_move_runs_only_what_is_new(self):
         """A new move runs the first three actuators only when their cells
-        are new under its slot, and the energy counter only when its cell
-        is. Over a long run most new moves are a new counter potential,
-        so the cell runs stay well under one per actuator per move."""
+        are new under its slot, and the energy counter once. Over a long
+        run most new moves are a new counter potential, so the cell runs
+        stay well under one per actuator per move."""
         rng = random.Random(7)
         frames = [rng.choice(STIMULI) for _ in range(1500)]
         runs = []
@@ -124,8 +126,8 @@ class TestTransitionTable:
 
         with mock.patch.object(table, "run_cell", counted_run_cell):
             held = assert_table_matches_stepping(trained_reference_weights(), 10, frames)
-        assert len(runs) == sum(3 * len(rest) + len(counter)
-                                for _, _, rest, counter in held._slots.values())
+        assert len(runs) == len(held._moves) + sum(3 * len(rest_moves)
+                                                   for _, _, rest_moves in held._slots.values())
         assert len(runs) < 2 * len(held._moves)
 
     def test_the_energy_counter_fires_through_the_table(self):
@@ -139,24 +141,45 @@ class TestTransitionTable:
 
     @pytest.mark.parametrize("cfg, steps, full", [
         # A slow energy counter (long np_tau, 150 pulses to fire) makes a
-        # new actuator state of every world tick in a 150-tick cycle,
-        # while the core cycles through two states.
-        (CircuitConfig(np_tau=10000.0, np_pulse_count=150), 10, "actuators"),
+        # new move of every world tick in a 150-tick cycle, while the
+        # core cycles through two states.
+        (CircuitConfig(np_tau=10000.0, np_pulse_count=150), 10, "moves"),
         # A 600-tick pacemaker loop holds a new pulse delay on every world
         # tick, while both actuators it reaches fire on its pulse and fall
         # back to rest (one pulse fires the counter).
         (CircuitConfig(pacemaker_period=600, np_pulse_count=1, np_tau=1.0), 12, "core"),
     ])
     def test_a_full_kind_of_state_sends_brains_back_to_stepping(self, cfg, steps, full):
-        """With room for 8 states of each kind, one kind fills first; the
-        brains leave the table and still match stepping."""
+        """With room for 8 core states and 8 entries per cache, a full
+        core table sends the brains back to stepping. A full move cache
+        is emptied instead: the brains stay in the table and step their
+        networks only for new slots. Either way they match stepping."""
         frames = [StimulusFrame()] * 40 + STIMULI * 3
-        with mock.patch.object(table, "MAX_TABLE_STATES", 8):
+        original_step = Network.step
+        brain_steps, runs = [], []
+
+        def counted_step(net):
+            brain_steps.append(1)
+            return original_step(net)
+
+        def counted_run_cell(*args):
+            runs.append(args)
+            return run_cell(*args)
+
+        with mock.patch.object(table, "MAX_TABLE_STATES", 8), \
+                mock.patch.object(Network, "step", counted_step), \
+                mock.patch.object(table, "run_cell", counted_run_cell):
             held = assert_table_matches_stepping(trained_reference_weights(), steps, frames,
-                                                 cfg, left=True)
-        sizes = {"core": len(held._rows), "actuators": len(held._acts)}
-        assert sizes.pop(full) == 8
-        assert sizes.popitem()[1] < 8
+                                                 cfg, left=full == "core")
+        if full == "core":
+            assert len(held._rows) == 8
+            return
+        assert len(held._rows) < 8
+        # One counter run per new move: more moves than the cache holds.
+        assert sum(args[2] is held.params[-1] for args in runs) > 8 >= len(held._moves)
+        # The stepped brain steps every world tick, the tabled ones only
+        # for each slot, once.
+        assert len(brain_steps) == steps * (len(frames) + len(held._slots))
 
     def test_actuators_feed_no_neuron(self):
         """The table runs the actuators apart from the core, which is
