@@ -154,7 +154,7 @@ def step_ant(grid: Grid, ant: Ant, cfg: AntConfig, phase: SimPhase,
         if edge or _BLOCKS[grid.sense[ty * width + tx]]:
             # An open grid edge counts as hitting the world boundary.
             ant.pain_pending = True
-            reset = training and (edge or grid.is_boundary(tx, ty))
+            reset = training and grid.is_boundary(tx, ty)
         else:
             ant.position = (tx, ty)
 

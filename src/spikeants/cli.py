@@ -28,7 +28,7 @@ from .render import render_snapshot
 from .scenario import parse_scenario, reference_scenario
 
 
-class CliError(Exception):
+class CliError(ValueError):
     pass
 
 
@@ -46,29 +46,31 @@ def _read(path: str) -> str:
 
 
 def _load_config(args) -> SimConfig:
-    cfg = parse_config(_read(args.config)) if getattr(args, "config", None) else SimConfig()
-    if getattr(args, "seed", None) is not None:
+    cfg = parse_config(_read(args.config)) if args.config else SimConfig()
+    if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-    if getattr(args, "ticks", None) is not None:
+    if args.ticks is not None:
         if cfg.phase_schedule:
             raise CliError("--ticks cannot override phase_schedule")
         cfg = replace(cfg, world_ticks=args.ticks)
-    pher = getattr(args, "pheromone", None)
-    if pher is not None:
-        cfg = replace(cfg, pheromone_enabled=pher)
+    if args.pheromone is not None:
+        cfg = replace(cfg, pheromone_enabled=args.pheromone)
     return cfg
 
 
 def _load_weights(args, cfg: SimConfig) -> Optional[dict]:
-    from_file = getattr(args, "weights", None)
-    idealized = getattr(args, "reference_weights", False)
-    if from_file and idealized:
+    if args.weights and args.reference_weights:
         raise CliError("use either --weights or --reference-weights, not both")
-    if from_file:
-        return parse_weights(_read(from_file))
-    if idealized:
+    if args.weights:
+        return parse_weights(_read(args.weights))
+    if args.reference_weights:
         return trained_reference_weights(cfg.stdp)
     return None
+
+
+def _write_summary(path: Optional[str], summary: dict) -> None:
+    if path:
+        Path(path).write_text(json.dumps(summary, indent=2) + "\n")
 
 
 def _cmd_train(args) -> int:
@@ -78,8 +80,7 @@ def _cmd_train(args) -> int:
     Path(args.out_weights).write_text(format_weights(weights))
     if args.out_csv:
         Path(args.out_csv).write_text(metrics.to_csv_text())
-    if args.out_json:
-        Path(args.out_json).write_text(json.dumps(metrics.summary(), indent=2) + "\n")
+    _write_summary(args.out_json, metrics.summary())
     print(f"trained {metrics.ticks[-1]} ticks, "
           f"{metrics.boundary_resets[-1]} boundary resets, "
           f"weights -> {args.out_weights}")
@@ -105,9 +106,8 @@ def _cmd_run(args) -> int:
 
     metrics = run(cfg, scenario, weights=weights, frame_hook=frame_hook)
     Path(args.out_csv).write_text(metrics.to_csv_text())
-    if args.out_json:
-        Path(args.out_json).write_text(json.dumps(metrics.summary(), indent=2) + "\n")
     s = metrics.summary()
+    _write_summary(args.out_json, s)
     print(f"ran {s['ticks']} ticks, food {s['initial_total_food']} -> "
           f"{s['final_total_food']}, metrics -> {args.out_csv}")
     return 0
@@ -121,8 +121,7 @@ def _cmd_compare(args) -> int:
     Path(args.out_on).write_text(result.enabled.to_csv_text())
     Path(args.out_off).write_text(result.disabled.to_csv_text())
     summary = result.summary()
-    if args.out_summary:
-        Path(args.out_summary).write_text(json.dumps(summary, indent=2) + "\n")
+    _write_summary(args.out_summary, summary)
     print(f"pheromone on: {summary['food_consumed_enabled']} eaten, "
           f"off: {summary['food_consumed_disabled']} eaten")
     return 0
@@ -153,58 +152,54 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spikeants",
         description="Spiking-neural-network ants on a double-pheromone grid world.")
+    # Subcommands without an option read its default from here.
+    parser.set_defaults(scenario=None, config=None, seed=None, ticks=None,
+                        pheromone=None, weights=None, reference_weights=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    scenario_help = "scenario file, or @training / @foraging for the bundled ones"
+    # Parent parsers: each option shared by several subcommands is declared once.
+    scenario, config, overrides, weights = (
+        argparse.ArgumentParser(add_help=False) for _ in range(4))
+    scenario.add_argument("--scenario", required=True,
+                          help="scenario file, or @training / @foraging for the bundled ones")
+    config.add_argument("--config", help="flat key=value config file")
+    overrides.add_argument("--seed", type=int, help="override the run seed")
+    overrides.add_argument("--ticks", type=int, help="override world_ticks")
+    weights.add_argument("--weights", help="trained weight file")
+    weights.add_argument("--reference-weights", action="store_true",
+                         help="use the idealized trained weight set")
 
-    def common(p):
-        p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--seed", type=int, help="override the run seed")
-        p.add_argument("--ticks", type=int, help="override world_ticks")
-
-    p = sub.add_parser("train", help="train one ant, export weights")
-    p.add_argument("--scenario", required=True, help=scenario_help)
+    p = sub.add_parser("train", parents=[scenario, config, overrides],
+                       help="train one ant, export weights")
     p.add_argument("--out-weights", required=True)
     p.add_argument("--out-csv")
     p.add_argument("--out-json")
-    common(p)
     p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("run", help="run a foraging simulation")
-    p.add_argument("--scenario", required=True, help=scenario_help)
+    p = sub.add_parser("run", parents=[scenario, config, overrides, weights],
+                       help="run a foraging simulation")
     p.add_argument("--out-csv", required=True)
     p.add_argument("--out-json")
-    p.add_argument("--weights", help="trained weight file")
-    p.add_argument("--reference-weights", action="store_true",
-                   help="use the idealized trained weight set")
-    p.add_argument("--pheromone", dest="pheromone", action="store_true",
-                   default=None, help="force pheromone deposition on")
-    p.add_argument("--no-pheromone", dest="pheromone", action="store_false",
-                   help="disable pheromone deposition")
+    p.add_argument("--pheromone", action=argparse.BooleanOptionalAction,
+                   help="force pheromone deposition on or off")
     p.add_argument("--frames-dir", help="dump PPM frames into this directory")
     p.add_argument("--frame-every", type=int, default=100,
                    help="dump a frame every N ticks (default 100)")
-    common(p)
     p.set_defaults(func=_cmd_run)
 
-    p = sub.add_parser("compare", help="paired pheromone on/off runs")
-    p.add_argument("--scenario", required=True, help=scenario_help)
+    p = sub.add_parser("compare", parents=[scenario, config, overrides, weights],
+                       help="paired pheromone on/off runs")
     p.add_argument("--out-on", required=True)
     p.add_argument("--out-off", required=True)
     p.add_argument("--out-summary")
-    p.add_argument("--weights")
-    p.add_argument("--reference-weights", action="store_true")
-    common(p)
     p.set_defaults(func=_cmd_compare)
 
-    p = sub.add_parser("render", help="render a scenario to a PPM image")
-    p.add_argument("--scenario", required=True, help=scenario_help)
+    p = sub.add_parser("render", parents=[scenario], help="render a scenario to a PPM image")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_render)
 
-    p = sub.add_parser("validate", help="parse scenario/config and exit")
-    p.add_argument("--scenario", required=True, help=scenario_help)
-    p.add_argument("--config")
+    p = sub.add_parser("validate", parents=[scenario, config],
+                       help="parse scenario/config and exit")
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("defaults", help="print the reference configuration")
@@ -218,7 +213,7 @@ def _check_outputs(args):
     one path, or on an output at the path of an input file."""
     # "@name" scenarios are bundled, not read from a file.
     inputs = {Path(path).resolve(): "--" + dest for dest in ("config", "weights", "scenario")
-              if (path := getattr(args, dest, None))
+              if (path := getattr(args, dest))
               and not (dest == "scenario" and path.startswith("@"))}
     seen: dict[Path, str] = {}
     for dest, path in vars(args).items():
@@ -248,7 +243,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         _check_outputs(args)
         return args.func(args)
-    except (CliError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -450,3 +451,57 @@ class TestDefaults:
             capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert "ok:" in proc.stdout
+
+
+# Each subcommand's options: option string -> (dest, default, or "required").
+SUBCOMMAND_OPTIONS = {
+    "train": {
+        "--scenario": ("scenario", "required"), "--out-weights": ("out_weights", "required"),
+        "--out-csv": ("out_csv", None), "--out-json": ("out_json", None),
+        "--config": ("config", None), "--seed": ("seed", None), "--ticks": ("ticks", None),
+    },
+    "run": {
+        "--scenario": ("scenario", "required"), "--out-csv": ("out_csv", "required"),
+        "--out-json": ("out_json", None), "--weights": ("weights", None),
+        "--reference-weights": ("reference_weights", False),
+        "--pheromone": ("pheromone", None), "--no-pheromone": ("pheromone", None),
+        "--frames-dir": ("frames_dir", None), "--frame-every": ("frame_every", 100),
+        "--config": ("config", None), "--seed": ("seed", None), "--ticks": ("ticks", None),
+    },
+    "compare": {
+        "--scenario": ("scenario", "required"), "--out-on": ("out_on", "required"),
+        "--out-off": ("out_off", "required"), "--out-summary": ("out_summary", None),
+        "--weights": ("weights", None), "--reference-weights": ("reference_weights", False),
+        "--config": ("config", None), "--seed": ("seed", None), "--ticks": ("ticks", None),
+    },
+    "render": {"--scenario": ("scenario", "required"), "--out": ("out", "required")},
+    "validate": {"--scenario": ("scenario", "required"), "--config": ("config", None)},
+    "defaults": {},
+}
+
+
+class TestParser:
+    @staticmethod
+    def options():
+        """Each subcommand's parser and its actions, `--help` left out."""
+        parser = cli.build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        return parser, {name: [a for a in p._actions if a.dest != "help"]
+                        for name, p in sub.choices.items()}
+
+    def test_each_subcommand_takes_exactly_its_options(self):
+        parser, options = self.options()
+        assert set(options) == set(SUBCOMMAND_OPTIONS)
+        for command, actions in options.items():
+            given = [arg for a in actions if a.required for arg in (a.option_strings[0], "x")]
+            parsed = vars(parser.parse_args([command, *given]))
+            got = {s: (a.dest, "required" if a.required else parsed[a.dest])
+                   for a in actions for s in a.option_strings}
+            assert got == SUBCOMMAND_OPTIONS[command], command
+
+    def test_shared_options_have_one_help_text(self):
+        helps: dict[str, set] = {}
+        for actions in self.options()[1].values():
+            for a in actions:
+                helps.setdefault(a.option_strings[0], set()).add(a.help)
+        assert {flag: h for flag, h in helps.items() if len(h) > 1} == {}

@@ -1,6 +1,7 @@
 import time
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -90,6 +91,14 @@ class TestParseScenario:
         assert grid.food[1, 2] == 7
         assert grid.total_food() == 7
         assert grid.kind[2, 1] == PatchKind.EMPTY  # spawn cell is plain ground
+
+    def test_readme_example_parses(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        text = readme.split("## Scenario format", 1)[1].split("```\n")[1]
+        s = parse_scenario(text)
+        assert (s.width, s.height, s.food_quantity, s.random_ants) == (12, 12, 6, 2)
+        assert s.spawns == ((3, 1, Heading.EAST),)
+        assert s.build_grid().total_food() == 24
 
     def test_three_by_three_single_empty_center(self):
         text = "width 3\nheight 3\nmap\n###\n#.#\n###\n"
