@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Optional, Sequence
 
 from .circuit import SMELLS, STIMULI, AntBrain, StimulusFrame
 from .world import SENSES, Color, Grid, PatchKind, PheromoneField, check_deposit_amount
@@ -53,6 +53,7 @@ _UNDERFOOT_BITS = tuple(StimulusFrame(pain_contact=c in _HARMFUL,
                                       reward_contact=k is PatchKind.FOOD).code
                         for k, c in SENSES)
 _PAIN_BIT = StimulusFrame(pain_contact=True).code
+_REWARD_BIT = StimulusFrame(reward_contact=True).code
 _BLOCKS = tuple(k is PatchKind.WALL for k, _ in SENSES)
 
 
@@ -81,7 +82,7 @@ class AntConfig:
             raise ValueError("rotate_direction must be 'right' or 'left'")
 
 
-@dataclass
+@dataclass(slots=True)
 class Ant:
     position: tuple[int, int]
     heading: Heading
@@ -118,70 +119,101 @@ def perceive(grid: Grid, ant: Ant) -> StimulusFrame:
     return STIMULI[code]
 
 
-def step_ant(grid: Grid, ant: Ant, cfg: AntConfig, phase: SimPhase,
-             pheromone_enabled: bool = True) -> tuple[int, bool, bool]:
-    """Advance one ant by one world tick; returns (ate, pain, reset).
+def step_ant(grid: Grid, ants: Sequence[Ant], cfg: AntConfig, phase: SimPhase,
+             pheromone_enabled: bool = True) -> tuple[int, int, int]:
+    """Advance `ants` by one world tick, one after another in list order;
+    returns the summed (ate, pain, reset).
 
-    `ate` is the food units eaten, `pain` whether the ant sensed pain
-    this tick and `reset` whether it was put back at its spawn pose.
-    The phase decides what training changes: in a training phase the ant
-    lays no pheromone, whatever `pheromone_enabled` says, and touching a
-    boundary puts it back at its spawn pose.
+    `ate` is the food units eaten, `pain` the ants that sensed pain this
+    tick and `reset` the ants put back at their spawn pose. Each ant
+    senses what `perceive` gives for its pose at its turn, so a later ant
+    sees an earlier ant's meal, move and deposits of the same tick. A
+    tabled brain's move is one lookup here; a miss, or a brain with no
+    table, goes through `AntBrain.world_tick`. The phase decides what
+    training changes: in a training phase an ant lays no pheromone,
+    whatever `pheromone_enabled` says, and touching a boundary puts it
+    back at its spawn pose.
     """
     training = phase is _TRAINING
-    frame = perceive(grid, ant)
-    ant.pain_pending = False
-    act = ant.brain.world_tick(frame)
-
-    # Consumption happens at the cell where the reward contact was
-    # sensed: the motor drive moves the ant every tick, so testing the
-    # post-move cell would leave contacted food permanently uneaten.
-    ate = 0
-    if frame.reward_contact and act.emit_positive_pheromone:
-        grid.consume_food(*ant.position)
-        ate = 1
-        ant.positive_deposit_remaining = cfg.positive_deposit_ticks
-
-    reset = False
-    if act.rotate:
-        ant.heading = ant.heading.turned(cfg.rotate_direction)
-    elif act.move_forward:
+    laying = pheromone_enabled and not training
+    sense, width, height = grid.sense, grid.width, grid.height
+    right = cfg.rotate_direction == "right"
+    countdown = cfg.positive_deposit_ticks
+    positive, negative = cfg.deposit_amount_positive, cfg.deposit_amount_negative
+    ate = pain = resets = 0
+    for ant in ants:
+        # The frame as `perceive` builds it, with the byte ahead kept for
+        # the wall test: only the ant's own cell can change before that.
         x, y = ant.position
-        dx, dy = ant.heading.vector
-        tx, ty = x + dx, y + dy
-        width = grid.width
-        edge = not (0 <= tx < width and 0 <= ty < grid.height)
-        if edge or _BLOCKS[grid.sense[ty * width + tx]]:
-            # An open grid edge counts as hitting the world boundary.
-            ant.pain_pending = True
-            reset = training and grid.is_boundary(tx, ty)
+        heading = ant.heading
+        dx, dy = heading.vector
+        fx, fy = x + dx, y + dy
+        code = _UNDERFOOT_BITS[sense[y * width + x]]
+        if ant.pain_pending:
+            code |= _PAIN_BIT
+            ant.pain_pending = False
+        ahead = -1
+        if 0 <= fx < width and 0 <= fy < height:
+            ahead = sense[fy * width + fx]
+            code |= _SMELL_BITS[ahead]
+        if code & _PAIN_BIT:
+            pain += 1
+
+        brain = ant.brain
+        table = brain.table
+        move = None if table is None else table._moves.get((brain.row, code, brain.acts))
+        if move is None:
+            act = brain.world_tick(STIMULI[code])
         else:
-            ant.position = (tx, ty)
+            # `TransitionTable.advance` on a hit.
+            brain.row, brain.acts, act = move
+            brain.net.current_tick += table.steps
 
-    # Positive pheromone is released while the post-food countdown runs;
-    # negative pheromone follows the energy-counter neuron directly.
-    # Stigmergy belongs to the collective foraging stage; an ant in
-    # conditioning would only poison its own arena with deposits.
-    counting_down = ant.positive_deposit_remaining > 0
-    if counting_down:
-        ant.positive_deposit_remaining -= 1
-    x, y = ant.position
-    if pheromone_enabled and not training:
+        # Consumption happens at the cell where the reward contact was
+        # sensed: the motor drive moves the ant every tick, so testing the
+        # post-move cell would leave contacted food permanently uneaten.
+        if code & _REWARD_BIT and act.emit_positive_pheromone:
+            grid.consume_food(x, y)
+            ate += 1
+            ant.positive_deposit_remaining = countdown
+
+        reset = False
+        if act.rotate:
+            ant.heading = heading._right if right else heading._left
+        elif act.move_forward:
+            if ahead < 0 or _BLOCKS[ahead]:
+                # An open grid edge counts as hitting the world boundary.
+                ant.pain_pending = True
+                reset = training and grid.is_boundary(fx, fy)
+            else:
+                ant.position = x, y = fx, fy
+
+        # Positive pheromone is released while the post-food countdown runs;
+        # negative pheromone follows the energy-counter neuron directly.
+        # Stigmergy belongs to the collective foraging stage; an ant in
+        # conditioning would only poison its own arena with deposits.
+        counting_down = ant.positive_deposit_remaining > 0
         if counting_down:
-            grid.deposit(x, y, PheromoneField.POSITIVE, cfg.deposit_amount_positive)
-        if act.emit_negative_pheromone:
-            grid.deposit(x, y, PheromoneField.NEGATIVE, cfg.deposit_amount_negative)
+            ant.positive_deposit_remaining -= 1
+        if laying:
+            if counting_down:
+                grid.deposit(x, y, PheromoneField.POSITIVE, positive)
+            if act.emit_negative_pheromone:
+                grid.deposit(x, y, PheromoneField.NEGATIVE, negative)
 
-    if training and grid.is_boundary(x, y):
-        reset = True
-        if _UNDERFOOT_BITS[grid.sense[y * grid.width + x]] & _PAIN_BIT:
-            # Touching a harmful boundary still has to reach the senses
-            # even though the pose snaps back before the next perceive.
-            ant.pain_pending = True
-    if reset:
-        # Only the pose is reset; the brain (and its learning state)
-        # carries straight through the repositioning.
-        ant.position = ant.initial_position
-        ant.heading = ant.initial_heading
+        if training:
+            if grid.is_boundary(x, y):
+                reset = True
+                if _UNDERFOOT_BITS[sense[y * width + x]] & _PAIN_BIT:
+                    # Touching a harmful boundary still has to reach the
+                    # senses even though the pose snaps back before the
+                    # next perceive.
+                    ant.pain_pending = True
+            if reset:
+                # Only the pose is reset; the brain (and its learning
+                # state) carries straight through the repositioning.
+                ant.position = ant.initial_position
+                ant.heading = ant.initial_heading
+                resets += 1
 
-    return ate, frame.pain_contact, reset
+    return ate, pain, resets

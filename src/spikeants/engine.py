@@ -155,11 +155,10 @@ def _execute(cfg: SimConfig, scenario: Scenario,
             share_table(tables, ant.brain)
         for _ in range(phase_ticks):
             tick += 1
-            for ant in ants:
-                ate, pain, reset = step_ant(grid, ant, cfg.ant, phase, cfg.pheromone_enabled)
-                food_total += ate
-                harm_total += pain
-                reset_total += reset
+            ate, pain, reset = step_ant(grid, ants, cfg.ant, phase, cfg.pheromone_enabled)
+            food_total += ate
+            harm_total += pain
+            reset_total += reset
             grid.evaporate_step(cfg.evaporation)
             metrics.sample(tick, grid, harm_total, reset_total)
             if frame_hook is not None:

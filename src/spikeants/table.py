@@ -111,7 +111,8 @@ class TransitionTable:
     def advance(self, brain: AntBrain, frame: StimulusFrame) -> Optional[ActuatorFrame]:
         """One world tick of `brain` under `frame`: its actuator frame, or
         None, with the brain's state and clock unchanged, when the
-        transition needs a new core state and the table is full."""
+        transition needs a new core state and the table is full.
+        `agents.step_ant` makes a hit inline and calls this on a miss."""
         move = self._moves.get((brain.row, frame.code, brain.acts))
         if move is None:
             move = self._learn(brain, frame)

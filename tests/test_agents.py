@@ -18,6 +18,7 @@ from spikeants.circuit import (
     StimulusFrame,
     trained_reference_weights,
 )
+from spikeants.table import share_table
 from spikeants.world import Color, Grid, PatchKind, PheromoneField
 
 CFG = AntConfig()
@@ -35,14 +36,18 @@ def walled_grid(w=12, h=12):
 
 
 class ScriptedBrain:
-    """Stand-in brain replaying a fixed actuator sequence."""
+    """Stand-in brain replaying a fixed actuator sequence; `sensed` keeps
+    the stimulus frames it was given."""
 
     def __init__(self, frames=()):
         self.frames = list(frames)
         self.i = 0
         self.learning = False
+        self.table = None
+        self.sensed = []
 
     def world_tick(self, frame):
+        self.sensed.append(frame)
         if self.i < len(self.frames):
             frame = self.frames[self.i]
         else:
@@ -131,7 +136,7 @@ class TestMovementRules:
     def test_move_advances_one_cell(self):
         g = walled_grid()
         ant = scripted_ant((5, 5), Heading.NORTH, [ActuatorFrame(move_forward=True)])
-        step_ant(g, ant, CFG, SimPhase.FORAGING)
+        step_ant(g, [ant], CFG, SimPhase.FORAGING)
         assert ant.position == (5, 4) and ant.heading is Heading.NORTH
 
     def test_rotation_steps_heading_right(self):
@@ -139,7 +144,7 @@ class TestMovementRules:
         ant = scripted_ant((5, 5), Heading.NORTH, [ActuatorFrame(rotate=True)] * 4)
         seen = []
         for _ in range(4):
-            step_ant(g, ant, CFG, SimPhase.FORAGING)
+            step_ant(g, [ant], CFG, SimPhase.FORAGING)
             seen.append(ant.heading)
         assert seen == [Heading.EAST, Heading.SOUTH, Heading.WEST, Heading.NORTH]
         assert ant.position == (5, 5)
@@ -158,16 +163,16 @@ class TestMovementRules:
         g = walled_grid()
         cfg = AntConfig(rotate_direction="left")
         ant = scripted_ant((5, 5), Heading.NORTH, [ActuatorFrame(rotate=True)])
-        step_ant(g, ant, cfg, SimPhase.FORAGING)
+        step_ant(g, [ant], cfg, SimPhase.FORAGING)
         assert ant.heading is Heading.WEST
 
     def test_wall_blocks_and_registers_collision(self):
         g = walled_grid()
         ant = scripted_ant((10, 5), Heading.EAST, [ActuatorFrame(move_forward=True)])
-        assert step_ant(g, ant, CFG, SimPhase.FORAGING) == (0, False, False)
+        assert step_ant(g, [ant], CFG, SimPhase.FORAGING) == (0, False, False)
         assert ant.position == (10, 5)
         assert ant.pain_pending
-        _, pain, _ = step_ant(g, ant, CFG, SimPhase.FORAGING)
+        _, pain, _ = step_ant(g, [ant], CFG, SimPhase.FORAGING)
         assert pain  # the collision reaches the senses one tick later
 
     @given(st.lists(st.tuples(st.booleans(), st.booleans()), min_size=1, max_size=80),
@@ -180,7 +185,7 @@ class TestMovementRules:
         frames = [ActuatorFrame(move_forward=m, rotate=r) for m, r in moves]
         ant = scripted_ant((6, 6), heading, frames)
         for _ in moves:
-            step_ant(g, ant, CFG, SimPhase.FORAGING)
+            step_ant(g, [ant], CFG, SimPhase.FORAGING)
             x, y = ant.position
             assert g.kind[y, x] != PatchKind.WALL
 
@@ -189,7 +194,7 @@ class TestMovementRules:
         ant = Ant(position=(4, 4), heading=Heading.WEST, brain=AntBrain())
         ant.brain.set_weights(trained_reference_weights())
         for _ in range(300):
-            step_ant(g, ant, CFG, SimPhase.FORAGING)
+            step_ant(g, [ant], CFG, SimPhase.FORAGING)
             x, y = ant.position
             assert g.kind[y, x] != PatchKind.WALL
 
@@ -199,7 +204,7 @@ class TestDepositPolicy:
         g = walled_grid()
         ant = scripted_ant((5, 5), Heading.EAST,
                            [ActuatorFrame(emit_negative_pheromone=True)])
-        step_ant(g, ant, CFG, SimPhase.FORAGING)
+        step_ant(g, [ant], CFG, SimPhase.FORAGING)
         assert ant.positive_deposit_remaining == 0
         assert g.negative[5, 5] == CFG.deposit_amount_negative
         assert np.count_nonzero(g.negative) == 1 and not g.positive.any()
@@ -210,7 +215,7 @@ class TestDepositPolicy:
         laid = []
         for _ in range(10):
             before = g.positive[5, 5]
-            step_ant(g, ant, CFG, SimPhase.FORAGING)
+            step_ant(g, [ant], CFG, SimPhase.FORAGING)
             laid.append(g.positive[5, 5] > before)
         assert laid == [True] * 5 + [False] * 5
         assert ant.positive_deposit_remaining == 0
@@ -224,14 +229,14 @@ class TestDepositPolicy:
         ant = scripted_ant((5, 5), Heading.EAST,
                            [ActuatorFrame(emit_negative_pheromone=True)],
                            positive_deposit_remaining=3)
-        step_ant(g, ant, CFG, phase, pheromone_enabled=True)
+        step_ant(g, [ant], CFG, phase, pheromone_enabled=True)
         assert (g.positive.any(), g.negative.any()) == (deposits, deposits)
         assert ant.positive_deposit_remaining == 2
 
     def test_no_events_no_deposits(self):
         g = walled_grid()
         ant = scripted_ant((5, 5), Heading.EAST, [ActuatorFrame()])
-        step_ant(g, ant, CFG, SimPhase.FORAGING)
+        step_ant(g, [ant], CFG, SimPhase.FORAGING)
         assert ant.positive_deposit_remaining == 0
         assert not g.positive.any() and not g.negative.any()
 
@@ -242,7 +247,7 @@ class TestEmbodiedBehaviour:
         ant = Ant(position=(2, 5), heading=Heading.EAST, brain=AntBrain())
         positions = [ant.position]
         for _ in range(5):
-            step_ant(g, ant, CFG, SimPhase.FORAGING)
+            step_ant(g, [ant], CFG, SimPhase.FORAGING)
             positions.append(ant.position)
         assert positions == [(2, 5), (3, 5), (4, 5), (5, 5), (6, 5), (7, 5)]
 
@@ -251,7 +256,7 @@ class TestEmbodiedBehaviour:
         g.set_kind(5, 5, PatchKind.HARM)
         ant = Ant(position=(4, 5), heading=Heading.EAST, brain=AntBrain())
         ant.brain.set_weights(trained_reference_weights())
-        step_ant(g, ant, CFG, SimPhase.FORAGING)
+        step_ant(g, [ant], CFG, SimPhase.FORAGING)
         assert ant.heading is Heading.SOUTH
         assert ant.position == (4, 5)
 
@@ -265,7 +270,7 @@ class TestEmbodiedBehaviour:
         deposits = []
         for tick in range(9):
             laid = g.positive.sum()
-            eaten += step_ant(g, ant, cfg, SimPhase.FORAGING)[0]
+            eaten += step_ant(g, [ant], cfg, SimPhase.FORAGING)[0]
             if g.positive.sum() > laid:
                 deposits.append(tick)
         assert eaten == 1
@@ -280,7 +285,7 @@ class TestEmbodiedBehaviour:
         ant = Ant(position=(9, 5), heading=Heading.EAST, brain=AntBrain())
         visited = set()
         for _ in range(60):
-            step_ant(g, ant, CFG, SimPhase.FORAGING)
+            step_ant(g, [ant], CFG, SimPhase.FORAGING)
             visited.add(ant.position)
         assert len(visited) > 5
 
@@ -291,7 +296,7 @@ class TestTrainingReposition:
         ant = scripted_ant((1, 4), Heading.WEST,
                            [ActuatorFrame(move_forward=True)] * 3,
                            initial_position=(4, 4), initial_heading=Heading.SOUTH)
-        _, _, reset = step_ant(g, ant, CFG, SimPhase.TRAINING)
+        _, _, reset = step_ant(g, [ant], CFG, SimPhase.TRAINING)
         assert reset
         assert ant.position == (4, 4)
         assert ant.heading is Heading.SOUTH
@@ -303,14 +308,14 @@ class TestTrainingReposition:
                            initial_position=(4, 4), initial_heading=Heading.NORTH)
         resets = 0
         for _ in range(6):
-            resets += step_ant(g, ant, CFG, SimPhase.TRAINING)[2]
+            resets += step_ant(g, [ant], CFG, SimPhase.TRAINING)[2]
         assert resets >= 1
         assert ant.position[1] >= 1
 
     def test_no_reset_outside_training(self):
         g = Grid(9, 9)
         ant = scripted_ant((1, 4), Heading.WEST, [ActuatorFrame(move_forward=True)])
-        _, _, reset = step_ant(g, ant, CFG, SimPhase.FORAGING)
+        _, _, reset = step_ant(g, [ant], CFG, SimPhase.FORAGING)
         assert not reset
         assert ant.position == (0, 4)
 
@@ -323,8 +328,8 @@ class TestTrainingReposition:
         control_ant = Ant(position=(5, 5), heading=Heading.WEST,
                           brain=AntBrain(), initial_position=(5, 5),
                           initial_heading=Heading.WEST)
-        _, _, reset = step_ant(g, boundary_ant, CFG, SimPhase.TRAINING)
-        step_ant(g, control_ant, CFG, SimPhase.FORAGING)
+        _, _, reset = step_ant(g, [boundary_ant], CFG, SimPhase.TRAINING)
+        step_ant(g, [control_ant], CFG, SimPhase.FORAGING)
         assert reset
         assert boundary_ant.position == (5, 5)
         b = [s.membrane_potential for s in boundary_ant.brain.net.states]
@@ -372,7 +377,7 @@ class TestAntTickCounts:
 
         food, pos, neg = g.food.sum(), g.positive.copy(), g.negative.copy()
         sensed = perceive(g, ant).pain_contact
-        ate, pain, reset = step_ant(g, ant, cfg, phase, pheromone)
+        ate, pain, reset = step_ant(g, [ant], cfg, phase, pheromone)
 
         assert ate == food - g.food.sum()
         assert pain == sensed
@@ -388,3 +393,112 @@ class TestAntTickCounts:
             assert grown[fy, fx] == (laying and bool(lays))
             grown[fy, fx] = False
             assert not grown.any() and (field >= before).all()
+
+
+def tabled_reference_ant(position, heading, tables, **kw):
+    """An ant whose brain carries the reference weights in a table of
+    `tables`, so its world ticks are lookups once a move is known."""
+    brain = AntBrain()
+    brain.set_weights(trained_reference_weights())
+    share_table(tables, brain)
+    assert brain.table is not None
+    return Ant(position=position, heading=heading, brain=brain, **kw)
+
+
+def tick_state(g, ants):
+    """What one world tick may change: the grid's food, fields, sense
+    bytes and counts, and each ant's pose, pending pain, countdown and
+    brain (a table position, or the frames a scripted brain sensed)."""
+    return (g.food.tolist(), g.positive.tolist(), g.negative.tolist(), bytes(g.sense),
+            g.marked_cell_counts(), g.total_food(),
+            [(a.position, a.heading, a.pain_pending, a.positive_deposit_remaining,
+              (a.brain.row, a.brain.acts, a.brain.net.current_tick)
+              if isinstance(a.brain, AntBrain) else (a.brain.i, a.brain.sensed))
+             for a in ants])
+
+
+class TestOneTickOrder:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_a_list_steps_like_its_ants_one_at_a_time(self, data):
+        """One call over a list of ants leaves the same world, ants and
+        summed counts as one call per ant in list order, and each
+        scripted ant senses what `perceive` gives just before its turn."""
+        w, h = data.draw(st.integers(4, 7)), data.draw(st.integers(4, 7))
+        interior = st.tuples(st.integers(1, w - 2), st.integers(1, h - 2))
+        levels = st.sampled_from([0.0, Grid(1, 1).clear_threshold, 1.0])
+        cells = [(x, y, kind, data.draw(st.integers(1, 2)) if kind is PatchKind.FOOD else 0,
+                  data.draw(levels), data.draw(levels))
+                 for y in range(1, h - 1) for x in range(1, w - 1)
+                 for kind in [data.draw(st.sampled_from(list(PatchKind)))]]
+        acts = st.builds(ActuatorFrame, *[st.booleans()] * 4)
+        ant_specs = data.draw(st.lists(
+            st.tuples(interior, st.sampled_from(list(Heading)),
+                      st.none() | st.lists(acts, max_size=4),
+                      st.booleans(), st.integers(0, 3)),
+            min_size=2, max_size=6))
+        cfg = AntConfig(rotate_direction=data.draw(st.sampled_from(["right", "left"])))
+        phase = data.draw(st.sampled_from(list(SimPhase)))
+        pheromone = data.draw(st.booleans())
+        ticks = data.draw(st.integers(1, 4))
+
+        def build():
+            g = walled_grid(w, h)
+            for x, y, kind, food, negative, positive in cells:
+                g.set_kind(x, y, kind, food)
+                g.deposit(x, y, PheromoneField.NEGATIVE, negative)
+                g.deposit(x, y, PheromoneField.POSITIVE, positive)
+            tables = {}
+            ants = []
+            for (x, y), heading, script, pain, countdown in ant_specs:
+                if g.kind[y, x] == PatchKind.WALL:
+                    g.set_kind(x, y, PatchKind.EMPTY)
+                kw = dict(pain_pending=pain, positive_deposit_remaining=countdown)
+                ants.append(tabled_reference_ant((x, y), heading, tables, **kw)
+                            if script is None else scripted_ant((x, y), heading, script, **kw))
+            return g, ants
+
+        (g, ants), (g1, ants1) = build(), build()
+        for _ in range(ticks):
+            got = step_ant(g, ants, cfg, phase, pheromone)
+            want = [0, 0, 0]
+            for ant in ants1:
+                frame = perceive(g1, ant)
+                counts = step_ant(g1, [ant], cfg, phase, pheromone)
+                want = [a + b for a, b in zip(want, counts)]
+                if isinstance(ant.brain, ScriptedBrain):
+                    assert ant.brain.sensed[-1] is frame
+            assert list(got) == want
+            assert tick_state(g, ants) == tick_state(g1, ants1)
+
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_the_first_ant_on_a_last_unit_eats_it(self, first):
+        """Two ants on one unit of food both emit positive pheromone:
+        only the first in list order eats, and only it counts down."""
+        g = walled_grid()
+        g.set_kind(5, 5, PatchKind.FOOD, 1)
+        pair = [scripted_ant((5, 5), Heading.EAST,
+                             [ActuatorFrame(emit_positive_pheromone=True)])
+                for _ in range(2)]
+        order = pair if first == 0 else pair[::-1]
+        assert step_ant(g, order, CFG, SimPhase.FORAGING) == (1, 0, 0)
+        assert g.total_food() == 0
+        eater, other = order
+        assert eater.brain.sensed[0].reward_contact
+        assert not other.brain.sensed[0].reward_contact
+        assert eater.positive_deposit_remaining == CFG.positive_deposit_ticks - 1
+        assert other.positive_deposit_remaining == 0
+        assert g.positive[5, 5] == CFG.deposit_amount_positive
+
+    @pytest.mark.parametrize("depositor_first, smell", [(True, Color.RED), (False, None)])
+    def test_a_later_ant_smells_an_earlier_ants_mark(self, depositor_first, smell):
+        """An ant's negative deposit turns the cell ahead of the next ant
+        in the list red, and that ant smells red on the same tick."""
+        g = walled_grid()
+        depositor = scripted_ant((5, 5), Heading.NORTH,
+                                 [ActuatorFrame(emit_negative_pheromone=True)])
+        smeller = scripted_ant((4, 5), Heading.EAST, [])
+        order = [depositor, smeller] if depositor_first else [smeller, depositor]
+        step_ant(g, order, CFG, SimPhase.FORAGING)
+        assert smeller.brain.sensed[0].smell_ahead is smell
+        assert g.effective_color_at(5, 5) is Color.RED

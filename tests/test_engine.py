@@ -306,7 +306,7 @@ class TestDepositCadence:
         # the deposits.
         for t in range(1, 501):
             laid = grid.negative.sum()
-            step_ant(grid, ants[0], cfg.ant, SimPhase.FORAGING)
+            step_ant(grid, [ants[0]], cfg.ant, SimPhase.FORAGING)
             if grid.negative.sum() > laid:
                 deposit_ticks.append(t)
         period_world_ticks = (cfg.circuit.np_pulse_count
