@@ -80,14 +80,21 @@ class EvaporationConfig:
 class _Marks:
     """The flat indices of one pheromone field's non-zero cells: `cells`
     has a slot per cell, and `cells[:n]` lists each non-zero cell once,
-    in no set order, so every cell outside it is 0.0."""
+    in no set order, so every cell outside it is 0.0.
 
-    __slots__ = ("flat", "cells", "n")
+    `floor` bounds every indexed value from below: a newly indexed cell
+    lowers it to its value, a deposit only raises a value and `zero` only
+    drops a cell. Rounding is monotonic, so `floor * scale` bounds the
+    decayed values too, and while it stays at or above the threshold no
+    cell can clear."""
+
+    __slots__ = ("flat", "cells", "n", "floor")
 
     def __init__(self, field: np.ndarray):
         self.flat = field.reshape(-1)  # a view: writes land in `field`
         self.cells = np.empty(self.flat.size, dtype=np.intp)
         self.n = 0
+        self.floor = math.inf
 
     def add(self, i: int, amount: float):
         old = self.flat.item(i)
@@ -95,6 +102,7 @@ class _Marks:
         if old == 0.0 and amount:
             self.cells[self.n] = i
             self.n += 1
+            self.floor = min(self.floor, amount)
 
     def zero(self, i: int):
         if self.flat.item(i) != 0.0:
@@ -109,20 +117,28 @@ class _Marks:
         """The dense rule, `field *= scale` then `field *= field >= eps`,
         on the indexed cells only: 0.0 maps to 0.0 under both. The field
         is finite and non-negative, so scaling by the keep-mask clears
-        exactly the faint cells. Returns the cells it cleared."""
+        exactly the faint cells; when `floor` shows none can clear, that
+        mask is all ones and only the scaling runs. Returns the cells it
+        cleared."""
         n = self.n
         if not n:
             return []
         cells = self.cells[:n]
+        floor = self.floor * scale
+        if floor >= eps:
+            self.flat[cells] *= scale
+            self.floor = floor
+            return []
         values = self.flat[cells] * scale
         keep = values >= eps
         values *= keep
         self.flat[cells] = values
         kept = cells[keep]
-        if kept.size == n:
+        self.n = kept.size
+        self.floor = float(values[keep].min()) if self.n else math.inf
+        if self.n == n:
             return []
         cleared = cells[~keep].tolist()
-        self.n = kept.size
         cells[:self.n] = kept
         return cleared
 
@@ -140,7 +156,9 @@ class Grid:
     derived records current:
 
     - each field's one index of its non-zero cells, each listed once,
-      so that evaporation visits only those;
+      so that evaporation visits only those, and a floor at or below
+      every listed value, so that a tick on which the floor shows that
+      no cell can clear only scales them;
     - `sense`, one byte per cell, row-major: the cell's kind and the
       two marks `_COLOR_RULE` reads, as `kind << 2 | (negative >= eps)
       << 1 | (positive >= eps)` (unpacked by `SENSES`), so that
@@ -149,7 +167,9 @@ class Grid:
     - the food total that `total_food` returns.
 
     `kind` is read from the sense bytes, as a read-only array. A value
-    written into an array directly updates none of these records.
+    written into an array directly updates none of these records; one
+    written into an indexed cell decays, but may lie below the floor and
+    so clear some ticks late.
     """
 
     def __init__(self, width: int, height: int,

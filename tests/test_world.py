@@ -487,6 +487,24 @@ WALLED_BEFORE_EVAPORATING = [("deposit", (0, 0), PheromoneField.POSITIVE, 1.0),
                              ("evaporate_step",)]
 
 
+# Runs of evaporation long enough for a field to decay for many ticks
+# with no cell near the threshold and then cross it, between deposits
+# either side of the threshold, large ones and walls.
+DECAY_OPS = st.lists(st.one_of(
+    st.tuples(st.just("deposit"), SPARSE_CELLS, st.sampled_from(list(PheromoneField)),
+              st.one_of(AROUND_EPS, st.floats(0.0, 10.0), st.just(1e300))),
+    st.tuples(st.just("set_kind"), SPARSE_CELLS, st.sampled_from([PatchKind.WALL, PatchKind.EMPTY])),
+    st.tuples(st.just("evaporate"), st.integers(1, 64))), max_size=20)
+# Three positive cells, each clearing on the tick after the last on which
+# the floor shows that none can: 1.0 laid first decays 98 ticks at 0.03
+# and clears on the 99th, a fainter one laid later clears before it, and
+# one between them clears last.
+DECAY_PAST_THE_FLOOR = [("deposit", (0, 0), PheromoneField.POSITIVE, 1.0), ("evaporate", 64),
+                        ("deposit", (1, 0), PheromoneField.POSITIVE, 2 * EPS),
+                        ("deposit", (2, 0), PheromoneField.POSITIVE, 0.5),
+                        ("evaporate", 34), ("evaporate", 1), ("evaporate", 41)]
+
+
 class TestSparseFields:
     @settings(max_examples=300, deadline=None)
     @given(FIELD_OPS, st.sampled_from([EvaporationConfig(clear_threshold=EPS),
@@ -542,3 +560,41 @@ class TestSparseFields:
         g.set_kind(0, 0, PatchKind.WALL)
         assert g.negative.tolist() == [[0.0, 1.0]]
         assert g._negative.cells[:g._negative.n].tolist() == [1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(DECAY_OPS, st.sampled_from([EvaporationConfig(clear_threshold=EPS),
+                                       EvaporationConfig(0.5, 0.9, EPS)]))
+    @example(DECAY_PAST_THE_FLOOR, EvaporationConfig(clear_threshold=EPS))
+    def test_decay_matches_the_dense_rules_on_both_sides_of_the_floor(self, ops, cfg):
+        """Ticks on which each field's `floor` shows that no cell can clear
+        leave the same bits, census and sense bytes as the whole-array
+        rules, and so do the ticks that cross the threshold; the floor
+        bounds every indexed value after every operation and tick."""
+        g, ref = Grid(SPARSE_W, SPARSE_H, clear_threshold=EPS), DenseGrid(SPARSE_W, SPARSE_H)
+
+        def check():
+            negative, positive = ref.fields[PheromoneField.NEGATIVE], ref.fields[PheromoneField.POSITIVE]
+            assert g.positive.tobytes() == positive.tobytes()
+            assert g.negative.tobytes() == negative.tobytes()
+            sense = ref.kind << 2 | (negative >= EPS) << 1 | (positive >= EPS)
+            assert bytes(g.sense) == sense.astype(np.uint8).tobytes()
+            assert g._census == np.bincount(sense.reshape(-1), minlength=len(SENSES)).tolist()
+            for marks in g._positive, g._negative:
+                if marks.n:
+                    assert marks.floor <= marks.flat[marks.cells[:marks.n]].min()
+
+        for name, *args in ops:
+            if name == "deposit":
+                (x, y), field, amount = args
+                g.deposit(x, y, field, amount)
+                ref.deposit(x, y, field, amount)
+            elif name == "set_kind":
+                (x, y), kind = args
+                g.set_kind(x, y, kind)
+                ref.set_kind(x, y, kind, 0)
+            else:
+                for _ in range(args[0]):
+                    g.evaporate_step(cfg)
+                    ref.evaporate_step(cfg)
+                    check()
+            check()
