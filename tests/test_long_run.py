@@ -1,10 +1,11 @@
 """A reference swarm run long enough for negative pheromone to clear.
 
 A 1.0 negative deposit lasts about 1500 ticks at the default
-`rho_negative`, so the 200-tick golden runs and the 1000-tick benchmark
-runs never see a negative cell snap to zero. These 2000-tick runs do, and
-pin the metrics CSV of each seed so that the clearing path of the
-negative field's evaporation is checked end to end.
+`rho_negative`, so neither the golden runs (200 and 300 ticks) nor the
+benchmark workloads (1000 and 300 ticks) see a negative cell snap to
+zero. These 2000-tick runs do, and pin the metrics CSV of each seed so
+that the clearing path of the negative field's evaporation is checked
+end to end.
 """
 
 import hashlib
