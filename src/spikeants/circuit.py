@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional, Sequence
 
 from .plasticity import StdpConfig, on_post_spike, on_pre_spike
-from .snn import Network, NeuronParams, SpikeEvent, ValidationError
+from .snn import Network, NeuronParams, SpikeEvent, ValidationError, check_ticks
 from .world import Color
 
 MOTOR_FORWARD = "forward"
@@ -74,6 +74,8 @@ class CircuitConfig:
         for name in ("brain_steps_per_world_tick", "refractory_ticks", "nociceptor_refractory"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be at least 1 tick")
+        for name in ("refractory_ticks", "nociceptor_refractory", "pacemaker_period"):
+            check_ticks(name, getattr(self, name))
         if self.pacemaker_period < 2:
             raise ValidationError("pacemaker_period must be at least 2 ticks")
         if self.pacemaker_period <= self.refractory_ticks:
@@ -182,9 +184,9 @@ class AntBrain:
     A brain owns its network exclusively. While learning is off, a run
     may move the brain's state into the run's transition table for its
     weight set (`table.share_table`): the brain then holds `row`, the
-    table's id of its core state, and `acts`, its four actuators' cells,
-    and its world ticks are lookups until `leave_table` loads both back
-    into the network. Meanwhile only the network's clock stays current.
+    key of its core state, and `acts`, its four actuators' cells, and its
+    world ticks are lookups until `leave_table` loads both back into the
+    network. Meanwhile only the network's clock stays current.
     The brains of one run share that table and nothing else.
     """
 
@@ -257,7 +259,7 @@ class AntBrain:
         self._arrivals: dict[int, list[int]] = {}
         if kickstart:
             net.inject_pulse(layout.kickstart, cfg.sense_amplitude)
-        # While `table` is set, the core state is that table's `row` and
+        # While `table` is set, the core state is the key `row` and
         # the actuator cells are `acts`; `net` keeps only the clock current.
         self.table = None
         self.row = None
@@ -337,15 +339,11 @@ class AntBrain:
         """Sense `frame`, run the config's `brain_steps_per_world_tick`
         brain ticks and actuate.
 
-        A brain in a transition table looks the world tick up instead;
-        when the transition needs a new core state and the table is
-        full, the brain leaves the table and is stepped from then on.
+        A brain in a transition table looks the world tick up instead,
+        and stays in the table.
         """
         if self.table is not None:
-            act = self.table.advance(self, frame)
-            if act is not None:
-                return act
-            self.leave_table()
+            return self.table.advance(self, frame)
         self.sense(frame)
         return self.actuate(self.step_ticks(self.circuit_cfg.brain_steps_per_world_tick))
 

@@ -10,7 +10,7 @@ spike can never influence the tick it was emitted on.
 from __future__ import annotations
 
 import math
-from array import array
+import struct
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -18,6 +18,19 @@ from typing import NamedTuple
 
 class ValidationError(ValueError):
     """Raised when neuron/synapse parameters violate an invariant."""
+
+
+# One neuron cell's record in a state key: its potential as float bits,
+# so that -0.0 and 0.0 differ, then its dead-time counter. A pulse in
+# flight adds its target to the same two fields.
+CELL = struct.Struct("dq")
+_PULSE = struct.Struct(CELL.format + "q")
+
+
+def check_ticks(name: str, ticks: int):
+    """Reject a dead time or delay that a `CELL` cannot hold."""
+    if ticks > 2 ** 63 - 1:
+        raise ValidationError(f"{name} must be at most 2**63 - 1 ticks")
 
 
 class NeuronPhase(Enum):
@@ -52,6 +65,7 @@ class NeuronParams:
             raise ValidationError("decay_time_constant must be positive")
         if self.refractory_duration < 1:
             raise ValidationError("refractory_duration must be at least 1 tick")
+        check_ticks("refractory_duration", self.refractory_duration)
         # Per-tick decay factor, cached because step() applies it every tick.
         object.__setattr__(self, "_decay_per_tick", math.exp(-1.0 / self.decay_time_constant))
 
@@ -148,6 +162,7 @@ class Network:
         self._check_id(post)
         if delay < 1:
             raise ValidationError("delay must be >= 1")
+        check_ticks("delay", delay)
         if not -math.inf < weight < math.inf:
             raise ValidationError("weight must be finite")
         if plastic and weight < 0:
@@ -210,41 +225,36 @@ class Network:
                 state.membrane_potential = u
         return events
 
-    def state_key(self, neurons) -> tuple[bytes, tuple[int, ...]]:
-        """The state of `neurons` (ids) and of every pending pulse, as a
-        hashable key: equal keys give equal futures.
+    def state_key(self, neurons) -> bytes:
+        """The state of `neurons` (ids) and of every pending pulse, as one
+        record: equal keys give equal futures.
 
-        Potentials and pulse amplitudes are kept as float bit patterns,
-        so -0.0 and 0.0 differ; the refractory counters and, per pulse,
-        its delivery tick relative to `current_tick` and its target are
-        plain ints. Pulses are listed by delivery tick and, within one
-        tick, in append order, because `step` sums them in that order.
+        Each neuron is a `CELL`; then each pulse is its amplitude bits,
+        its delivery tick relative to `current_tick` and its target.
+        Pulses are listed by delivery tick and, within one tick, in
+        append order, because `step` sums them in that order.
         """
         t = self.current_tick
-        floats = array("d", [self.states[i].membrane_potential for i in neurons])
-        ints = [self.states[i].refractory_remaining for i in neurons]
+        states = self.states
+        key = b"".join([CELL.pack(states[i].membrane_potential, states[i].refractory_remaining)
+                        for i in neurons])
         for tick in sorted(self.pending_pulses):
             for post, amp in self.pending_pulses[tick]:
-                floats.append(amp)
-                ints += (tick - t, post)
-        return floats.tobytes(), tuple(ints)
+                key += _PULSE.pack(amp, tick - t, post)
+        return key
 
-    def load_state(self, key: tuple[bytes, tuple[int, ...]], neurons):
+    def load_state(self, key: bytes, neurons):
         """Make `neurons` and the pending pulses the state `key` holds
         (see `state_key`), relative to this network's own `current_tick`.
         Other neurons are left as they are."""
-        raw, ints = key
-        floats = array("d")
-        floats.frombytes(raw)
-        n = len(neurons)
-        for i, u, remaining in zip(neurons, floats, ints):
+        cells = CELL.size * len(neurons)
+        for i, (u, remaining) in zip(neurons, CELL.iter_unpack(key[:cells])):
             state = self.states[i]
             state.membrane_potential = u
             state.refractory_remaining = remaining
         t = self.current_tick
         pending: dict[int, list[tuple[int, float]]] = {}
-        for j, amp in enumerate(floats[n:]):
-            delay, post = ints[n + 2 * j], ints[n + 2 * j + 1]
+        for amp, delay, post in _PULSE.iter_unpack(key[cells:]):
             pending.setdefault(t + delay, []).append((post, amp))
         self.pending_pulses = pending
 

@@ -121,6 +121,17 @@ class TestValidate:
         assert main(["validate", "--scenario", str(arena), "--config", str(cfg)]) == 1
         assert capsys.readouterr().err == "error: seed must be non-negative\n"
 
+    def test_tick_count_beyond_int64_rejected(self, tmp_path, capsys):
+        """Dead times and delays must fit a state key's 64-bit fields; a
+        config past that fails validation in one line, not the run."""
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("neuron_refractory_ticks = 18446744073709551616\n"
+                       "circuit_pacemaker_period = 18446744073709551618\n"
+                       "circuit_np_pulse_count = 1\n")
+        assert main(["validate", "--scenario", "@foraging", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            "error: neuron_refractory_ticks must be at most 2**63 - 1 ticks\n")
+
 
     def test_repeated_key_rejected(self, arena, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"

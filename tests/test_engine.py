@@ -382,13 +382,11 @@ class TestTransitionTables:
         "world_ticks = 60\nlearn_during_foraging = true"])
     @pytest.mark.parametrize("bound", [0, 1, 2])
     def test_outputs_do_not_depend_on_the_table_bound(self, text, bound, monkeypatch):
-        """With bound 0 every ant is stepped; with 1 or 2 ants leave the
-        table mid-phase when their core states outgrow it. Metrics,
-        weights and final brain states must equal those of the unbounded
-        table. A tabled brain steps only for a new slot, and only a new
-        core state on a full table sends it back to stepping, so the
-        bounded run steps more exactly when the unbounded run's tables
-        hold more core states than the bound."""
+        """With bound 0, 1 or 2 the tables empty their caches over and
+        over. Metrics, weights and final brain states must equal those of
+        the unbounded table. A tabled brain steps only to compute a slot,
+        so the bounded run steps more exactly when the unbounded run's
+        tables hold more slots than a cache keeps."""
         cfg = parse_config(f"seed = 3\n{text}\n")
         schedule = cfg.phase_schedule or ((SimPhase.FORAGING, cfg.world_ticks),)
         scenario = parse_scenario(ARENA)
@@ -418,12 +416,37 @@ class TestTransitionTables:
         monkeypatch.setattr(table.TransitionTable, "__init__", kept_init)
         *tabled, tabled_steps = outputs()
         assert outputs() == (*tabled, tabled_steps)  # no table outlives its run
-        rows_fit = all(len(tbl._rows) <= bound for tbl in held)
+        # An emptied cache keeps the entry that filled it, so even bound 0
+        # keeps one slot.
+        slots_fit = all(len(tbl._slots) <= max(bound, 1) for tbl in held)
         monkeypatch.setattr(table, "MAX_TABLE_STATES", bound)
         *bounded, bounded_steps = outputs()
         assert bounded == tabled
         assert bounded_steps >= tabled_steps
-        assert (tabled_steps == bounded_steps) == rows_fit
+        assert (tabled_steps == bounded_steps) == slots_fit
+
+    @pytest.mark.parametrize("bound", [0, 1, 2])
+    def test_a_full_table_keeps_every_ant_tabled(self, bound, monkeypatch):
+        """However small the bound, every non-learning ant is tabled on
+        every foraging tick, and the outputs equal the unbounded run's."""
+        cfg = parse_config("seed = 3\nphase_schedule = foraging:40,training:40,foraging:40\n")
+        scenario = parse_scenario(ARENA)
+        tabled_ticks = []
+
+        def frame_hook(tick, grid, ants):
+            if not 40 < tick <= 80:
+                tabled_ticks.append(all(ant.brain.table is not None for ant in ants))
+
+        def outputs():
+            metrics, ants = engine._execute(cfg, scenario, trained_reference_weights(),
+                                            cfg.phase_schedule, frame_hook)
+            return metrics.to_csv_text(), [a.brain.weights() for a in ants]
+
+        unbounded = outputs()
+        monkeypatch.setattr(table, "MAX_TABLE_STATES", bound)
+        tabled_ticks.clear()
+        assert outputs() == unbounded
+        assert len(tabled_ticks) == 80 and all(tabled_ticks)
 
 
 class TestPositiveTrails:

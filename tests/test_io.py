@@ -317,6 +317,9 @@ class TestConfigFile:
         "stdp_w_min = -1",
         "ant_rotate_direction = up",
         "circuit_plastic_init_fraction = 1",
+        "neuron_refractory_ticks = 9223372036854775808",
+        "circuit_nociceptor_refractory = 9223372036854775808",
+        "circuit_pacemaker_period = 9223372036854775808",
     ], ids=["evap_rho_negative", "neuron_threshold", "neuron_refractory_ticks",
             "circuit_np_tau", "circuit_nociceptor_refractory", "neuron_rest_nan",
             "ant_deposit_amount_positive_nan", "circuit_reflex_weight_nan",
@@ -326,7 +329,9 @@ class TestConfigFile:
             "circuit_np_pulse_count_unreachable", "ant_brain_steps", "world_ticks_zero",
             "n_ants_negative", "phase_schedule_zero_ticks", "ant_positive_deposit_ticks_negative",
             "circuit_np_pulse_count_zero", "stdp_w_min_negative",
-            "ant_rotate_direction_up", "circuit_plastic_init_fraction_one"])
+            "ant_rotate_direction_up", "circuit_plastic_init_fraction_one",
+            "neuron_refractory_ticks_beyond_int64", "circuit_nociceptor_refractory_beyond_int64",
+            "circuit_pacemaker_period_beyond_int64"])
     def test_invalid_domain_value_rejected(self, line):
         key = line.split()[0]
         with pytest.raises(ConfigError, match=f"^{key} "):

@@ -424,18 +424,24 @@ class TestStateKey:
         assert [copy.states[i] for i in (0, 2)] == [original.states[i] for i in (0, 2)]
 
     def test_counters_and_delays_beyond_int64(self):
-        """Counters and delays are plain ints in the key, so a dead time
-        no machine word holds still round-trips exactly."""
-        net = make_net(1, dataclasses.replace(DEFAULT, refractory_duration=2 ** 70))
+        """A key holds each dead time and delay in a signed 64-bit field:
+        the largest that fits round-trips exactly, and a longer one is
+        rejected where it enters."""
+        most = 2 ** 63 - 1
+        with pytest.raises(ValidationError, match="^refractory_duration must be at most "):
+            dataclasses.replace(DEFAULT, refractory_duration=most + 1)
+        with pytest.raises(ValidationError, match="^delay must be at most "):
+            make_net(2).connect(0, 1, 2.0, most + 1)
+        net = make_net(2, dataclasses.replace(DEFAULT, refractory_duration=most))
+        net.connect(0, 1, 2.0, most)
         net.inject_pulse(0, 2.0)
         net.step()
-        net.pending_pulses[2 ** 66] = [(0, 0.5)]
-        key = net.state_key([0])
-        copy = make_net(1)
+        key = net.state_key([0, 1])
+        copy = make_net(2)
         copy.current_tick = net.current_tick
-        copy.load_state(key, [0])
-        assert copy.states[0].refractory_remaining == 2 ** 70
-        assert copy.pending_pulses == net.pending_pulses
+        copy.load_state(key, [0, 1])
+        assert copy.states[0].refractory_remaining == most
+        assert copy.pending_pulses == net.pending_pulses == {net.current_tick + most: [(1, 2.0)]}
 
 
 class TestRunCell:

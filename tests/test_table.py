@@ -38,15 +38,14 @@ def state_on_leaving(brain):
     return full_state(probe)
 
 
-def assert_table_matches_stepping(weights, steps, frames, cfg=CircuitConfig(), left=None):
+def assert_table_matches_stepping(weights, steps, frames, cfg=CircuitConfig()):
     """Two brains in one table and one stepped brain, all fresh and
     kickstarted, see the same frames: every world tick gives the same
     actuator frame, and the state each tabled brain would leave with
-    equals the stepped brain's full network state. After leaving the
-    table the networks are equal. The second table brain follows the
-    first, so its ticks are all lookups. When `left` is given, it says
-    whether the tabled brains left their full table before the end.
-    Returns the table."""
+    equals the stepped brain's full network state. The tabled brains
+    stay in the table to the end, and after leaving it the networks are
+    equal. The second table brain follows the first, so its ticks are
+    all lookups. Returns the table."""
     cfg = replace(cfg, brain_steps_per_world_tick=steps)
     stepped, *tabled = [AntBrain(cfg) for _ in range(3)]
     tables = {}
@@ -60,9 +59,8 @@ def assert_table_matches_stepping(weights, steps, frames, cfg=CircuitConfig(), l
         assert [brain.world_tick(frame) for brain in tabled] == [want, want]
         for brain in tabled:
             assert state_on_leaving(brain) == full_state(stepped)
-    if left is not None:
-        assert [brain.table is None for brain in tabled] == [left, left]
     for brain in tabled:
+        assert brain.table is not None
         brain.leave_table()
         assert brain.table is None
         assert full_state(brain) == full_state(stepped)
@@ -79,12 +77,12 @@ class TestTransitionTable:
     def test_lookups_match_stepping(self, weights, steps, frames, bound):
         """Random frame sequences give the same actuator frames and, after
         leaving, the same network state through the table as stepped;
-        with room for one or two core states, the brains leave the table
-        on a new core state and are stepped from there, and full caches
-        are emptied."""
+        with room for one or two entries, full caches are emptied and
+        the brains stay in the table."""
         with mock.patch.object(table, "MAX_TABLE_STATES", bound):
             held = assert_table_matches_stepping(weights, steps, frames)
         assert len(held._rows) <= bound
+        assert len(held._slots) <= bound
         assert len(held._moves) <= bound
         assert all(len(rest_moves) <= bound for _, _, rest_moves in held._slots.values())
 
@@ -150,13 +148,13 @@ class TestTransitionTable:
         (CircuitConfig(pacemaker_period=600, np_pulse_count=1, np_tau=1.0), 12, "core"),
     ])
     def test_a_full_kind_of_state_sends_brains_back_to_stepping(self, cfg, steps, full):
-        """With room for 8 core states and 8 entries per cache, a full
-        core table sends the brains back to stepping. A full move cache
-        is emptied instead: the brains stay in the table and step their
-        networks only for new slots. Either way they match stepping."""
+        """With room for 8 entries per cache, a full cache of core states,
+        slots or moves is emptied: the brains stay in the table, match
+        stepping, and step their networks only to compute a slot, once,
+        which after a cache is emptied may be one met before."""
         frames = [StimulusFrame()] * 40 + STIMULI * 3
-        original_step = Network.step
-        brain_steps, runs = [], []
+        original_step, original_row = Network.step, table.TransitionTable._row
+        brain_steps, runs, rows = [], [], []
 
         def counted_step(net):
             brain_steps.append(1)
@@ -166,20 +164,28 @@ class TestTransitionTable:
             runs.append(args)
             return run_cell(*args)
 
+        def counted_row(tbl, brain):
+            rows.append(1)
+            return original_row(tbl, brain)
+
         with mock.patch.object(table, "MAX_TABLE_STATES", 8), \
                 mock.patch.object(Network, "step", counted_step), \
-                mock.patch.object(table, "run_cell", counted_run_cell):
-            held = assert_table_matches_stepping(trained_reference_weights(), steps, frames,
-                                                 cfg, left=full == "core")
+                mock.patch.object(table, "run_cell", counted_run_cell), \
+                mock.patch.object(table.TransitionTable, "_row", counted_row):
+            held = assert_table_matches_stepping(trained_reference_weights(), steps, frames, cfg)
+        # One core state for each brain that joined, then one per slot
+        # computed; only the first tabled brain computes any.
+        slots = len(rows) - 2
+        assert slots <= len(frames)
+        assert len(brain_steps) == steps * (len(frames) + slots)
+        assert len(held._rows) <= 8 and len(held._slots) <= 8 and len(held._moves) <= 8
         if full == "core":
-            assert len(held._rows) == 8
-            return
-        assert len(held._rows) < 8
-        # One counter run per new move: more moves than the cache holds.
-        assert sum(args[2] is held.params[-1] for args in runs) > 8 >= len(held._moves)
-        # The stepped brain steps every world tick, the tabled ones only
-        # for each slot, once.
-        assert len(brain_steps) == steps * (len(frames) + len(held._slots))
+            # Every world tick meets a new core state.
+            assert slots == len(frames)
+        else:
+            # One counter run per new move: more moves than the cache holds.
+            assert sum(args[2] is held.params[-1] for args in runs) > 8
+            assert slots < len(frames)
 
     def test_actuators_feed_no_neuron(self):
         """The table runs the actuators apart from the core, which is
@@ -188,14 +194,6 @@ class TestTransitionTable:
         held = table.TransitionTable(brain)
         assert not [syn for syn in brain.net.synapses if syn.pre in held.actuators]
         assert sorted(held.core + list(held.actuators)) == list(range(len(brain.net.states)))
-
-    def test_a_full_table_keeps_the_brain_stepped(self):
-        with mock.patch.object(table, "MAX_TABLE_STATES", 0):
-            tables = {}
-            brain = AntBrain()
-            table.share_table(tables, brain)
-            assert brain.table is None
-            assert len(tables) == 1
 
     def test_each_weight_set_gets_its_own_table(self):
         tables = {}
