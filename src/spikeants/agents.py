@@ -14,6 +14,7 @@ from enum import Enum
 from typing import Optional, Sequence
 
 from .circuit import SMELLS, STIMULI, AntBrain, StimulusFrame
+from .table import Tabled
 from .world import SENSES, Color, Grid, PatchKind, PheromoneField, check_deposit_amount
 
 
@@ -84,6 +85,7 @@ class AntConfig:
 
 @dataclass(slots=True)
 class Ant:
+    """An ant's pose and brain, held in a transition table while `tabled` is set."""
     position: tuple[int, int]
     heading: Heading
     brain: AntBrain
@@ -91,6 +93,7 @@ class Ant:
     initial_heading: Optional[Heading] = None
     positive_deposit_remaining: int = 0
     pain_pending: bool = False
+    tabled: Optional[Tabled] = None
 
     def __post_init__(self):
         if self.initial_position is None:
@@ -127,9 +130,9 @@ def step_ant(grid: Grid, ants: Sequence[Ant], cfg: AntConfig, phase: SimPhase,
     `ate` is the food units eaten, `pain` the ants that sensed pain this
     tick and `reset` the ants put back at their spawn pose. Each ant
     senses what `perceive` gives for its pose at its turn, so a later ant
-    sees an earlier ant's meal, move and deposits of the same tick. A
-    tabled brain's move is one lookup here; a miss, or a brain with no
-    table, goes through `AntBrain.world_tick`. The phase decides what
+    sees an earlier ant's meal, move and deposits of the same tick. An
+    ant's brain moves by `Tabled.advance` while the ant is tabled, and by
+    `AntBrain.world_tick` otherwise. The phase decides what
     training changes: in a training phase an ant lays no pheromone,
     whatever `pheromone_enabled` says, and touching a boundary puts it
     back at its spawn pose.
@@ -159,15 +162,8 @@ def step_ant(grid: Grid, ants: Sequence[Ant], cfg: AntConfig, phase: SimPhase,
         if code & _PAIN_BIT:
             pain += 1
 
-        brain = ant.brain
-        table = brain.table
-        move = None if table is None else table._moves.get((brain.row, code, brain.acts))
-        if move is None:
-            act = brain.world_tick(STIMULI[code])
-        else:
-            # `TransitionTable.advance` on a hit.
-            brain.row, brain.acts, act = move
-            brain.net.current_tick += table.steps
+        tabled = ant.tabled
+        act = ant.brain.world_tick(STIMULI[code]) if tabled is None else tabled.advance(code)
 
         # Consumption happens at the cell where the reward contact was
         # sensed: the motor drive moves the ant every tick, so testing the

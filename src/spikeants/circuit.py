@@ -182,12 +182,8 @@ class AntBrain:
     """One network plus its layout, with optional online plasticity.
 
     A brain owns its network exclusively. While learning is off, a run
-    may move the brain's state into the run's transition table for its
-    weight set (`table.share_table`): the brain then holds `row`, the
-    key of its core state, and `acts`, its four actuators' cells, and its
-    world ticks are lookups until `leave_table` loads both back into the
-    network. Meanwhile only the network's clock stays current.
-    The brains of one run share that table and nothing else.
+    may hold the brain in a `Tabled`, which steps it by lookup and brings
+    the network up to date when it leaves.
     """
 
     def __init__(self, circuit_cfg: CircuitConfig = CircuitConfig(),
@@ -259,11 +255,6 @@ class AntBrain:
         self._arrivals: dict[int, list[int]] = {}
         if kickstart:
             net.inject_pulse(layout.kickstart, cfg.sense_amplitude)
-        # While `table` is set, the core state is the key `row` and
-        # the actuator cells are `acts`; `net` keeps only the clock current.
-        self.table = None
-        self.row = None
-        self.acts = None
 
     def sense(self, frame: StimulusFrame):
         """Inject suprathreshold pulses for everything the frame reports."""
@@ -337,21 +328,9 @@ class AntBrain:
 
     def world_tick(self, frame: StimulusFrame) -> ActuatorFrame:
         """Sense `frame`, run the config's `brain_steps_per_world_tick`
-        brain ticks and actuate.
-
-        A brain in a transition table looks the world tick up instead,
-        and stays in the table.
-        """
-        if self.table is not None:
-            return self.table.advance(self, frame)
+        brain ticks and actuate."""
         self.sense(frame)
         return self.actuate(self.step_ticks(self.circuit_cfg.brain_steps_per_world_tick))
-
-    def leave_table(self):
-        """Load the state held in a transition table back into the
-        network; a no-op outside a table."""
-        if self.table is not None:
-            self.table.leave(self)
 
     # -- trained-weight interchange --------------------------------------
 

@@ -152,7 +152,7 @@ def _execute(cfg: SimConfig, scenario: Scenario,
         learning = phase is SimPhase.TRAINING or cfg.learn_during_foraging
         for ant in ants:
             ant.brain.learning = learning
-            share_table(tables, ant.brain)
+            ant.tabled = share_table(tables, ant.brain)
         for _ in range(phase_ticks):
             tick += 1
             ate, pain, reset = step_ant(grid, ants, cfg.ant, phase, cfg.pheromone_enabled)
@@ -164,7 +164,9 @@ def _execute(cfg: SimConfig, scenario: Scenario,
             if frame_hook is not None:
                 frame_hook(tick, grid, ants)
         for ant in ants:
-            ant.brain.leave_table()
+            if ant.tabled is not None:
+                ant.tabled.leave()
+                ant.tabled = None
     metrics.food_consumed = food_total
     return metrics, ants
 

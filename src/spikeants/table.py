@@ -24,7 +24,7 @@ pulses over hundreds of world ticks, so it adds moves but no core
 states. Each slot therefore memoises the moves of the other three cells,
 and a new move most often runs the counter alone. A table holds nothing
 but caches, each emptied when full: a miss costs at most one stepped
-world tick, and a brain stays in its table until `leave`.
+world tick, and a brain stays in its table until its `Tabled` leaves.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from __future__ import annotations
 from array import array
 from typing import Optional
 
-from .circuit import ActuatorFrame, AntBrain, StimulusFrame
+from .circuit import STIMULI, ActuatorFrame, AntBrain
 from .snn import CELL, SpikeEvent, run_cell
 
 # Entries each cache of a table may hold; a full cache is emptied.
@@ -54,17 +54,15 @@ class TransitionTable:
     A transition spans the brain's own `brain_steps_per_world_tick`,
     the same record a stepped brain reads.
 
-    A tabled brain holds `row`, the key of its core state, and `acts`,
-    its four actuators' `CELL` records in one `bytes`; `leave` loads
-    both into its network. `_slots[row, code]` holds the next row of
-    that core state under a stimulus code, the pulse sum due to each
-    actuator on each brain tick, and a memo from the first three
-    actuators' cells to their next cells and their bits in the actuator
-    frame. `_moves[row, code, acts]` holds the next row, the next
-    `acts` and the actuator frame. A new slot is computed once, by the
-    real `sense` and `step` of the brain that meets it, and a new move
-    by `run_cell`. `_rows` keeps one object per core state, so that a
-    hit compares rows by identity rather than byte by byte.
+    `_slots[row, code]` holds the next row of a core state under a
+    stimulus code, the pulse sum due to each actuator on each brain
+    tick, and a memo from the first three actuators' cells to their
+    next cells and their bits in the actuator frame. `_moves[row, code,
+    acts]` holds the next row, the next `acts` and the actuator frame
+    (see `Tabled`). A new slot is computed once, by the real `sense` and
+    `step` of the brain that meets it, and a new move by `run_cell`.
+    `_rows` keeps one object per core state, so that a hit compares rows
+    by identity rather than byte by byte.
     """
 
     def __init__(self, brain: AntBrain):
@@ -89,31 +87,16 @@ class TransitionTable:
         row = self._rows.get(key)
         return _cache(self._rows, key, key) if row is None else row
 
-    def leave(self, brain: AntBrain):
-        """Load `brain`'s actuator cells and core state into its network.
-        `acts` lists no pulses in flight, so it goes first: `row` then
-        loads them."""
-        brain.net.load_state(brain.acts, self.actuators)
-        brain.net.load_state(brain.row, self.core)
-        brain.table = brain.row = brain.acts = None
-
-    def advance(self, brain: AntBrain, frame: StimulusFrame) -> ActuatorFrame:
-        """One world tick of `brain` under `frame`: its actuator frame.
-        `agents.step_ant` makes a hit inline and calls this on a miss."""
-        move = self._moves.get((brain.row, frame.code, brain.acts)) or self._learn(brain, frame)
-        brain.row, brain.acts, act = move
-        brain.net.current_tick += self.steps
-        return act
-
-    def _learn(self, brain: AntBrain, frame: StimulusFrame) -> tuple:
-        """Compute and record the move of `brain` under `frame`, and its
-        slot when that is new."""
-        slot = brain.row, frame.code
+    def _learn(self, tabled: Tabled, code: int) -> tuple:
+        """Compute and record the move of `tabled` under stimulus `code`,
+        and its slot when that is new."""
+        slot = tabled.row, code
         entry = self._slots.get(slot)
         if entry is None:
+            brain = tabled.brain
             net = brain.net
-            net.load_state(brain.row, self.core)
-            brain.sense(frame)
+            net.load_state(tabled.row, self.core)
+            brain.sense(STIMULI[code])
             due: list[list[Optional[float]]] = [[] for _ in self.actuators]
             for _ in range(self.steps):
                 brain.step()
@@ -121,11 +104,11 @@ class TransitionTable:
                     pulses.append(net.incoming.get(n))
             row = self._row(brain)
             # The network only computed the slot: the clock goes back, and
-            # the brain's state stays in `row` and `acts` until `leave`.
+            # the brain's state stays in `tabled` until `leave`.
             net.current_tick -= self.steps
             entry = _cache(self._slots, slot, (row, tuple(map(tuple, due)), {}))
         row, due, rest_moves = entry
-        acts = brain.acts
+        acts = tabled.acts
         rest = acts[:-CELL.size]
         step = rest_moves.get(rest)
         if step is None:
@@ -141,17 +124,41 @@ class TransitionTable:
                        self._frames[step[1] | spiked << len(due) - 1]))
 
 
-def share_table(tables: dict[bytes, TransitionTable], brain: AntBrain):
-    """Move `brain` into the table for its plastic weights in `tables`
-    (made there when missing), unless it is learning. Learning must stay
-    off until `brain.leave_table()`."""
+class Tabled:
+    """A brain in a transition table: `row` keys its core state, `acts`
+    holds its four actuators' `CELL` records and `ticks` counts its world
+    ticks. Until `leave`, its network is scratch space for `_learn`."""
+
+    __slots__ = ("table", "brain", "row", "acts", "ticks")
+
+    def __init__(self, table: TransitionTable, brain: AntBrain):
+        self.table, self.brain, self.row, self.ticks = table, brain, table._row(brain), 0
+        held = [brain.net.states[n] for n in table.actuators]
+        self.acts = b"".join(CELL.pack(c.membrane_potential, c.refractory_remaining) for c in held)
+
+    def advance(self, code: int) -> ActuatorFrame:
+        """One world tick under stimulus `code`: the brain's actuator frame."""
+        self.ticks += 1
+        self.row, self.acts, act = (self.table._moves.get((self.row, code, self.acts))
+                                    or self.table._learn(self, code))
+        return act
+
+    def leave(self):
+        """Bring the brain's network up to date: its clock, then `acts`,
+        which lists no pulses in flight, then `row`, which loads them."""
+        table, net = self.table, self.brain.net
+        net.current_tick += self.ticks * table.steps
+        net.load_state(self.acts, table.actuators)
+        net.load_state(self.row, table.core)
+
+
+def share_table(tables: dict[bytes, TransitionTable], brain: AntBrain) -> Optional[Tabled]:
+    """`brain` held in the table of `tables` for its plastic weights (made
+    when missing), or None while it learns. It must not learn until `leave`."""
     if brain.learning:
-        return
+        return None
     weights = array("d", brain.weights().values()).tobytes()
     table = tables.get(weights)
     if table is None:
         table = tables[weights] = TransitionTable(brain)
-    states = brain.net.states
-    brain.table, brain.row = table, table._row(brain)
-    brain.acts = b"".join(CELL.pack(states[n].membrane_potential, states[n].refractory_remaining)
-                          for n in table.actuators)
+    return Tabled(table, brain)

@@ -43,7 +43,6 @@ class ScriptedBrain:
         self.frames = list(frames)
         self.i = 0
         self.learning = False
-        self.table = None
         self.sensed = []
 
     def world_tick(self, frame):
@@ -400,20 +399,20 @@ def tabled_reference_ant(position, heading, tables, **kw):
     `tables`, so its world ticks are lookups once a move is known."""
     brain = AntBrain()
     brain.set_weights(trained_reference_weights())
-    share_table(tables, brain)
-    assert brain.table is not None
-    return Ant(position=position, heading=heading, brain=brain, **kw)
+    tabled = share_table(tables, brain)
+    assert tabled is not None
+    return Ant(position=position, heading=heading, brain=brain, tabled=tabled, **kw)
 
 
 def tick_state(g, ants):
     """What one world tick may change: the grid's food, fields, sense
     bytes and counts, and each ant's pose, pending pain, countdown and
-    brain (a table position, or the frames a scripted brain sensed)."""
+    brain (its `Tabled` state, or the frames a scripted brain sensed)."""
     return (g.food.tolist(), g.positive.tolist(), g.negative.tolist(), bytes(g.sense),
             g.marked_cell_counts(), g.total_food(),
             [(a.position, a.heading, a.pain_pending, a.positive_deposit_remaining,
-              (a.brain.row, a.brain.acts, a.brain.net.current_tick)
-              if isinstance(a.brain, AntBrain) else (a.brain.i, a.brain.sensed))
+              (a.tabled.row, a.tabled.acts, a.tabled.ticks, a.brain.net.current_tick)
+              if a.tabled is not None else (a.brain.i, a.brain.sensed))
              for a in ants])
 
 

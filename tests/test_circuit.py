@@ -82,6 +82,16 @@ class TestDerivedConstants:
     def test_counter_weight_is_the_wired_weight(self):
         assert CircuitConfig().counter_weight == self.counter_synapse(AntBrain()).weight
 
+    def test_libm_results_are_pinned(self):
+        """Every digest rests on these results of `math.exp` and `**` for
+        the default config. A libm that rounds one of them differently
+        fails here, at the constant it moved."""
+        cfg = CircuitConfig()
+        assert cfg.base_params._decay_per_tick.hex() == "0x1.a330ad6166159p-1"
+        assert cfg.nociceptor_params._decay_per_tick.hex() == "0x1.a330ad6166159p-1"
+        assert cfg.counter_params._decay_per_tick.hex() == "0x1.fae7cfd2b9cfep-1"
+        assert cfg.counter_weight.hex() == "0x1.c2cb580832d19p-4"
+
     def test_replace_derives_again(self):
         default = CircuitConfig()
         cfg = replace(default, np_pulse_count=8, nociceptor_refractory=4, np_tau=50.0)

@@ -406,7 +406,7 @@ class TestTransitionTables:
             steps.clear()
             held.clear()
             metrics, ants = engine._execute(cfg, scenario, None, schedule)
-            assert all(ant.brain.table is None for ant in ants)
+            assert all(ant.tabled is None for ant in ants)
             return (metrics.to_csv_text(), [a.brain.weights() for a in ants],
                     [(a.brain.net.current_tick,
                       a.brain.net.state_key(range(len(a.brain.net.states)))) for a in ants],
@@ -425,6 +425,33 @@ class TestTransitionTables:
         assert bounded_steps >= tabled_steps
         assert (tabled_steps == bounded_steps) == slots_fit
 
+    @pytest.mark.parametrize("schedule", ["training:40,foraging:40,training:40",
+                                          "foraging:40,training:40"])
+    def test_tabling_is_invisible_across_handovers(self, schedule, monkeypatch):
+        """A run whose foraging brains are tabled gives the same CSV,
+        weights and final brain states, clocks included, as one that
+        steps every brain: leaving a table hands the next phase the
+        network the brain would have had stepped."""
+        cfg = parse_config(f"seed = 3\nphase_schedule = {schedule}\n")
+        scenario = parse_scenario(ARENA)
+        tabled_ticks = []
+
+        def outputs():
+            tabled_ticks.clear()
+            metrics, ants = engine._execute(
+                cfg, scenario, None, cfg.phase_schedule,
+                lambda tick, grid, ants: tabled_ticks.append(
+                    sum(ant.tabled is not None for ant in ants)))
+            return (metrics.to_csv_text(), [a.brain.weights() for a in ants],
+                    [(a.brain.net.current_tick,
+                      a.brain.net.state_key(range(len(a.brain.net.states)))) for a in ants])
+
+        tabled = outputs()
+        assert sum(tabled_ticks) == 2 * 40  # two ants, one foraging phase
+        monkeypatch.setattr(engine, "share_table", lambda tables, brain: None)
+        assert outputs() == tabled
+        assert sum(tabled_ticks) == 0
+
     @pytest.mark.parametrize("bound", [0, 1, 2])
     def test_a_full_table_keeps_every_ant_tabled(self, bound, monkeypatch):
         """However small the bound, every non-learning ant is tabled on
@@ -435,7 +462,7 @@ class TestTransitionTables:
 
         def frame_hook(tick, grid, ants):
             if not 40 < tick <= 80:
-                tabled_ticks.append(all(ant.brain.table is not None for ant in ants))
+                tabled_ticks.append(all(ant.tabled is not None for ant in ants))
 
         def outputs():
             metrics, ants = engine._execute(cfg, scenario, trained_reference_weights(),

@@ -29,13 +29,17 @@ def full_state(brain):
     return net.current_tick, net.state_key(range(len(net.states)))
 
 
-def state_on_leaving(brain):
-    """The full state `brain` would leave its table with; the brain
-    itself stays in the table. A shallow copy shares the network, which
-    a tabled brain only reads for its clock."""
-    probe = copy.copy(brain)
-    probe.leave_table()
-    return full_state(probe)
+def state_on_leaving(tabled):
+    """The full state `tabled`'s brain would leave its table with; the
+    brain itself stays in the table. A shallow copy leaves on the shared
+    network, which is scratch space to a tabled brain, and the clock
+    that leaving moves is put back."""
+    net = tabled.brain.net
+    clock = net.current_tick
+    copy.copy(tabled).leave()
+    state = full_state(tabled.brain)
+    net.current_tick = clock
+    return state
 
 
 def assert_table_matches_stepping(weights, steps, frames, cfg=CircuitConfig()):
@@ -47,23 +51,21 @@ def assert_table_matches_stepping(weights, steps, frames, cfg=CircuitConfig()):
     equal. The second table brain follows the first, so its ticks are
     all lookups. Returns the table."""
     cfg = replace(cfg, brain_steps_per_world_tick=steps)
-    stepped, *tabled = [AntBrain(cfg) for _ in range(3)]
+    stepped, *brains = [AntBrain(cfg) for _ in range(3)]
     tables = {}
-    for brain in [stepped, *tabled]:
+    for brain in [stepped, *brains]:
         brain.set_weights(weights)
-    for brain in tabled:
-        table.share_table(tables, brain)
-    assert len(tables) == 1
+    tabled = [table.share_table(tables, brain) for brain in brains]
+    assert len(tables) == 1 and None not in tabled
     for frame in frames:
         want = stepped.world_tick(frame)
-        assert [brain.world_tick(frame) for brain in tabled] == [want, want]
-        for brain in tabled:
-            assert state_on_leaving(brain) == full_state(stepped)
-    for brain in tabled:
-        assert brain.table is not None
-        brain.leave_table()
-        assert brain.table is None
-        assert full_state(brain) == full_state(stepped)
+        assert [held.advance(frame.code) for held in tabled] == [want, want]
+        for held in tabled:
+            assert state_on_leaving(held) == full_state(stepped)
+    for held in tabled:
+        assert held.ticks == len(frames)
+        held.leave()
+        assert full_state(held.brain) == full_state(stepped)
     return tables.popitem()[1]
 
 
@@ -199,32 +201,35 @@ class TestTransitionTable:
         tables = {}
         pairs = []
         for weights in (trained_reference_weights(), AntBrain().weights()):
-            tabled, stepped = AntBrain(), AntBrain()
-            for brain in (tabled, stepped):
-                brain.set_weights(weights)
-            table.share_table(tables, tabled)
-            pairs.append((tabled, stepped))
+            brain, stepped = AntBrain(), AntBrain()
+            for each in (brain, stepped):
+                each.set_weights(weights)
+            pairs.append((table.share_table(tables, brain), stepped))
         assert len(tables) == 2
         for frame in STIMULI * 3:
             for tabled, stepped in pairs:
-                assert tabled.world_tick(frame) == stepped.world_tick(frame)
+                assert tabled.advance(frame.code) == stepped.world_tick(frame)
 
     def test_the_brain_keeps_its_clock_rate(self):
         """Tabled or stepped, a world tick advances the clock by the
-        brain's own `brain_steps_per_world_tick`."""
+        brain's own `brain_steps_per_world_tick`: a brain that leaves its
+        table after k world ticks has clock 7 * k, and one that has not
+        left stays tabled."""
         cfg = CircuitConfig(brain_steps_per_world_tick=7)
-        tabled, stepped = AntBrain(cfg), AntBrain(cfg)
-        table.share_table({}, tabled)
-        assert tabled.table is not None
+        brain, stepped = AntBrain(cfg), AntBrain(cfg)
+        tabled = table.share_table({}, brain)
+        assert tabled is not None
         for world_ticks, frame in enumerate(STIMULI + [StimulusFrame()] * 30, start=1):
-            for brain in (tabled, stepped):
-                brain.world_tick(frame)
-                assert brain.net.current_tick == 7 * world_ticks
-        assert tabled.table is not None
+            tabled.advance(frame.code)
+            stepped.world_tick(frame)
+            assert stepped.net.current_tick == 7 * world_ticks
+            assert state_on_leaving(tabled)[0] == 7 * world_ticks
+            assert tabled.ticks == world_ticks and brain.net.current_tick == 0
+        tabled.leave()
+        assert brain.net.current_tick == 7 * world_ticks
 
     def test_a_learning_brain_stays_stepped(self):
         tables = {}
         brain = AntBrain(learning=True)
-        table.share_table(tables, brain)
-        assert brain.table is None
+        assert table.share_table(tables, brain) is None
         assert tables == {}
