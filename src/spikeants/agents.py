@@ -63,10 +63,6 @@ class SimPhase(Enum):
     FORAGING = "foraging"
 
 
-# Bound once, since looking an enum member up through its class is slow.
-_TRAINING = SimPhase.TRAINING
-
-
 @dataclass(frozen=True)
 class AntConfig:
     positive_deposit_ticks: int = 6
@@ -137,7 +133,7 @@ def step_ant(grid: Grid, ants: Sequence[Ant], cfg: AntConfig, phase: SimPhase,
     whatever `pheromone_enabled` says, and touching a boundary puts it
     back at its spawn pose.
     """
-    training = phase is _TRAINING
+    training = phase is SimPhase.TRAINING
     laying = pheromone_enabled and not training
     sense, width, height = grid.sense, grid.width, grid.height
     right = cfg.rotate_direction == "right"

@@ -94,27 +94,26 @@ class CircuitConfig:
             refractory_duration=self.refractory_ticks,
             decay_time_constant=self.membrane_tau,
         )
-        per_period = math.exp(-1.0 / self.np_tau) ** self.pacemaker_period
+        counter = replace(base, decay_time_constant=self.np_tau)
+        per_period = counter._decay_per_tick ** self.pacemaker_period
         # The weight reaches threshold on the last pulse only while that
         # pulse adds more than the weight's margin; past that, the counter
-        # fires one pulse early. The pulses shrink as their sum grows, so
-        # the first count that fails bounds every larger one, and a count
-        # out of reach fails within that many terms.
-        partial, pulse = 0.0, 1.0
-        for reached in range(1, self.np_pulse_count):
-            partial += pulse
-            pulse *= per_period
-            if pulse <= _COUNTER_MARGIN * partial:
+        # fires one pulse early. The pulses shrink as their sum, added left
+        # to right, grows, so the first count that fails bounds every larger
+        # one, and a count out of reach fails within that many terms.
+        geometric = 0.0
+        for reached in range(self.np_pulse_count):
+            pulse = per_period ** reached
+            if pulse <= _COUNTER_MARGIN * geometric:
                 raise ValidationError(
                     f"np_pulse_count must be at most {reached} with this np_tau and "
                     "pacemaker_period: a later pulse adds less than the counter "
                     "weight's margin, so the counter would fire early")
-        geometric = sum(per_period ** i for i in range(self.np_pulse_count))
+            geometric += pulse
         object.__setattr__(self, "base_params", base)
         object.__setattr__(self, "nociceptor_params",
                            replace(base, refractory_duration=self.nociceptor_refractory))
-        object.__setattr__(self, "counter_params",
-                           replace(base, decay_time_constant=self.np_tau))
+        object.__setattr__(self, "counter_params", counter)
         object.__setattr__(self, "counter_weight",
                            (self.firing_threshold - self.resting_potential) / geometric
                            * (1.0 + _COUNTER_MARGIN))

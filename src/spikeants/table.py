@@ -70,6 +70,7 @@ class TransitionTable:
         self.actuators = (layout.motor_forward, layout.motor_rotate,
                           layout.pheromone_positive, layout.pheromone_negative)
         self.core = [n for n in range(len(brain.net.states)) if n not in self.actuators]
+        self.order = [*self.actuators, *self.core]
         self.params = [brain.net.params[n] for n in self.actuators]
         self.steps = brain.circuit_cfg.brain_steps_per_world_tick
         # The actuator frame for each set of fired actuators (bit j for
@@ -81,9 +82,8 @@ class TransitionTable:
         self._slots: dict[tuple[bytes, int], tuple] = {}
         self._moves: dict[tuple[bytes, int, bytes], tuple[bytes, bytes, ActuatorFrame]] = {}
 
-    def _row(self, brain: AntBrain) -> bytes:
-        """The core state of `brain`'s network, as the table's own copy."""
-        key = brain.net.state_key(self.core)
+    def _row(self, key: bytes) -> bytes:
+        """The table's own copy of `key`, a core state."""
         row = self._rows.get(key)
         return _cache(self._rows, key, key) if row is None else row
 
@@ -102,7 +102,7 @@ class TransitionTable:
                 brain.step()
                 for pulses, n in zip(due, self.actuators):
                     pulses.append(net.incoming.get(n))
-            row = self._row(brain)
+            row = self._row(net.state_key(self.core))
             # The network only computed the slot: the clock goes back, and
             # the brain's state stays in `tabled` until `leave`.
             net.current_tick -= self.steps
@@ -125,16 +125,17 @@ class TransitionTable:
 
 
 class Tabled:
-    """A brain in a transition table: `row` keys its core state, `acts`
-    holds its four actuators' `CELL` records and `ticks` counts its world
-    ticks. Until `leave`, its network is scratch space for `_learn`."""
+    """A brain in a transition table: `acts + row` is its network's
+    `state_key` over the table's `order`, its four actuators' `CELL`s
+    then its core state. `ticks` counts its world ticks. Until `leave`,
+    its network is scratch space for `_learn`."""
 
     __slots__ = ("table", "brain", "row", "acts", "ticks")
 
     def __init__(self, table: TransitionTable, brain: AntBrain):
-        self.table, self.brain, self.row, self.ticks = table, brain, table._row(brain), 0
-        held = [brain.net.states[n] for n in table.actuators]
-        self.acts = b"".join(CELL.pack(c.membrane_potential, c.refractory_remaining) for c in held)
+        self.table, self.brain, self.ticks = table, brain, 0
+        key, cells = brain.net.state_key(table.order), CELL.size * len(table.actuators)
+        self.acts, self.row = key[:cells], table._row(key[cells:])
 
     def advance(self, code: int) -> ActuatorFrame:
         """One world tick under stimulus `code`: the brain's actuator frame."""
@@ -144,12 +145,11 @@ class Tabled:
         return act
 
     def leave(self):
-        """Bring the brain's network up to date: its clock, then `acts`,
-        which lists no pulses in flight, then `row`, which loads them."""
+        """Bring the brain's network up to date: advance its clock, then
+        load `acts + row` over the table's `order` in one call."""
         table, net = self.table, self.brain.net
         net.current_tick += self.ticks * table.steps
-        net.load_state(self.acts, table.actuators)
-        net.load_state(self.row, table.core)
+        net.load_state(self.acts + self.row, table.order)
 
 
 def share_table(tables: dict[bytes, TransitionTable], brain: AntBrain) -> Optional[Tabled]:

@@ -1,3 +1,4 @@
+import builtins
 import math
 import warnings
 from dataclasses import replace
@@ -91,6 +92,28 @@ class TestDerivedConstants:
         assert cfg.nociceptor_params._decay_per_tick.hex() == "0x1.a330ad6166159p-1"
         assert cfg.counter_params._decay_per_tick.hex() == "0x1.fae7cfd2b9cfep-1"
         assert cfg.counter_weight.hex() == "0x1.c2cb580832d19p-4"
+
+    def test_constants_do_not_depend_on_builtin_sum(self, monkeypatch):
+        """CPython 3.12's `sum` adds floats with Neumaier compensation, so
+        a constant summed by it would move between interpreters. Under
+        that `sum`, the pinned bits and the pulse-count bound hold."""
+        plain_sum = builtins.sum
+
+        def compensated_sum(iterable, start=0):
+            items = list(iterable)
+            if not items or not all(type(x) is float for x in items):
+                return plain_sum(items, start)
+            s, c = float(start), 0.0
+            for x in items:
+                t = s + x
+                c += (s - t) + x if abs(s) >= abs(x) else (x - t) + s
+                s = t
+            return s + c if c else s
+
+        monkeypatch.setattr(builtins, "sum", compensated_sum)
+        self.test_libm_results_are_pinned()
+        with pytest.raises(ValidationError, match="must be at most 184"):
+            CircuitConfig(np_pulse_count=185)
 
     def test_replace_derives_again(self):
         default = CircuitConfig()

@@ -6,10 +6,10 @@ changes nothing: a training phase that hands learned brains over to the
 table, learning during foraging (never in a table), and untrained
 weights (a second weight set). Each digest covers the metrics CSV, every
 ant's final weight file and the last rendered frame. They must also hold
-when the table has room for a single core state, so that every ant
-leaves it early and is stepped from there, and with room for 8, which
-holds every core state of these runs (at most 3) but makes each
-table's move cache empty itself.
+when each table cache has room for a single entry, so that every new
+entry empties its cache first while every ant stays tabled, and with
+room for 8, which holds every core state of these runs (at most 3) but
+makes each table's move cache empty itself.
 """
 
 import hashlib
