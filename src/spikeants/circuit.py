@@ -255,6 +255,24 @@ class AntBrain:
         if kickstart:
             net.inject_pulse(layout.kickstart, cfg.sense_amplitude)
 
+    def copy(self) -> AntBrain:
+        """A brain in this brain's state, without wiring another: its own
+        network (`Network.copy`) and STDP records. The layout, the plastic
+        synapse indexes and the configs are never written after wiring,
+        so the copy shares them."""
+        new = AntBrain.__new__(AntBrain)
+        new.circuit_cfg, new.stdp_cfg = self.circuit_cfg, self.stdp_cfg
+        new.learning = self.learning
+        new.net = self.net.copy()
+        new.layout, new._plastic_in, new._plastic_out = (
+            self.layout, self._plastic_in, self._plastic_out)
+        new._post_ticks = defaultdict(deque, {n: deque(ticks)
+                                              for n, ticks in self._post_ticks.items()})
+        new._arrival_ticks = defaultdict(deque, {sid: deque(ticks)
+                                                 for sid, ticks in self._arrival_ticks.items()})
+        new._arrivals = {t: sids.copy() for t, sids in self._arrivals.items()}
+        return new
+
     def sense(self, frame: StimulusFrame):
         """Inject suprathreshold pulses for everything the frame reports."""
         amplitude = self.circuit_cfg.sense_amplitude

@@ -10,6 +10,7 @@ function of (seed, config, scenario).
 from __future__ import annotations
 
 import math
+from bisect import bisect_right, insort
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -110,21 +111,30 @@ def build_ants(scenario: Scenario, cfg: SimConfig, grid: Grid,
 
     Randomness is a fixed draw sequence on the run's PCG64 stream: for
     each random ant, one draw for the cell (from the row-major list of
-    empty cells, without replacement) and one for the heading.
+    empty cells, without replacement) and one for the heading. A draw
+    indexes the cells not yet taken, which are found by counting past
+    the sorted taken ones, so the list is never copied. One brain is
+    wired; every other ant gets a copy of it.
     """
     poses: list[tuple[int, int, Heading]] = list(scenario.spawns)
     n_random = ant_count(scenario, cfg) - len(poses)
     empty = np.flatnonzero(grid.kind == PatchKind.EMPTY.value)
+    taken: list[int] = []
     for _ in range(n_random):
-        idx = int(rng.integers(empty.size))
+        idx = int(rng.integers(empty.size - len(taken)))
+        # taken[p] - p cells before taken[p] are free, and that count
+        # only grows with p, so the cells taken before the draw's free
+        # cell are those whose count is at most `idx`.
+        idx += bisect_right(range(len(taken)), idx, key=lambda p: taken[p] - p)
+        insort(taken, idx)
         y, x = divmod(int(empty[idx]), grid.width)
-        empty = np.delete(empty, idx)
         heading = CLOCKWISE[int(rng.integers(4))]
         poses.append((x, y, heading))
 
-    return [Ant(position=(x, y), heading=heading,
-                brain=AntBrain(cfg.circuit, cfg.stdp, learning=learning, kickstart=True))
-            for x, y, heading in poses]
+    wired = AntBrain(cfg.circuit, cfg.stdp, learning=learning, kickstart=True)
+    brains = [wired, *(wired.copy() for _ in range(len(poses) - 1))]
+    return [Ant(position=(x, y), heading=heading, brain=brain)
+            for (x, y, heading), brain in zip(poses, brains)]
 
 
 def _execute(cfg: SimConfig, scenario: Scenario,

@@ -172,6 +172,25 @@ class Network:
         self._outgoing[pre].append(syn)
         return len(self.synapses) - 1
 
+    def copy(self) -> Network:
+        """A network in this one's state that shares nothing mutable with
+        it: fresh cells, synapses and pulse lists. The `NeuronParams` are
+        frozen and shared, and every check `create_neuron` and `connect`
+        made still holds, so none is made again."""
+        new = Network.__new__(Network)
+        new.params = self.params.copy()
+        new.states = [NeuronState(s.membrane_potential, s.refractory_remaining)
+                      for s in self.states]
+        new.synapses = [Synapse(s.pre, s.post, s.weight, s.delay, s.plastic)
+                        for s in self.synapses]
+        new.current_tick = self.current_tick
+        new.pending_pulses = {t: pulses.copy() for t, pulses in self.pending_pulses.items()}
+        new.incoming = self.incoming.copy()
+        new._outgoing = outgoing = [[] for _ in self.states]
+        for syn in new.synapses:
+            outgoing[syn.pre].append(syn)
+        return new
+
     def inject_pulse(self, neuron: int, amplitude: float):
         """Schedule an external pulse for delivery on the next tick; a
         negative `amplitude` is inhibitory.

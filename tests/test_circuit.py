@@ -23,7 +23,7 @@ from spikeants.circuit import (
     trained_reference_weights,
 )
 from spikeants.plasticity import StdpConfig
-from spikeants.snn import SpikeEvent, ValidationError
+from spikeants.snn import CELL, SpikeEvent, ValidationError
 from spikeants.world import Color
 
 
@@ -66,6 +66,69 @@ class TestBuildBrain:
         for w in brain.weights().values():
             assert stdp.w_min <= w <= stdp.w_max
         brain.set_weights(brain.weights())
+
+    @staticmethod
+    def learn(brain, ticks):
+        """Pair a harm smell with pain, then step `ticks` brain ticks."""
+        brain.sense(StimulusFrame(smell_ahead=Color.RED))
+        brain.step()
+        brain.sense(StimulusFrame(pain_contact=True))
+        return brain.step_ticks(ticks - 1)
+
+    @staticmethod
+    def stdp_records(brain):
+        return ({n: list(t) for n, t in brain._post_ticks.items()},
+                {sid: list(t) for sid, t in brain._arrival_ticks.items()},
+                brain._arrivals)
+
+    @pytest.mark.parametrize("learning", [False, True])
+    def test_copy_matches_a_wired_brain(self, learning):
+        wired, copy = AntBrain(learning=learning), AntBrain(learning=learning).copy()
+        key = copy.net.state_key(range(15))
+        assert len(key) > 15 * CELL.size  # the kickstart pulse is in flight
+        assert key == wired.net.state_key(range(15))
+        assert copy.net.synapses == wired.net.synapses
+        assert copy.layout == wired.layout
+        assert copy.weights() == wired.weights()
+        assert copy.learning is learning
+        assert self.learn(copy, 300) == self.learn(wired, 300)
+        assert copy.weights() == wired.weights()
+        assert self.stdp_records(copy) == self.stdp_records(wired)
+
+    def test_copy_of_a_learning_brain_learns_alike(self):
+        """A copy carries the STDP records too, plastic pulses in flight
+        included, so it goes on like a brain with the same history."""
+        brain, twin = AntBrain(learning=True), AntBrain(learning=True)
+        for b in (brain, twin):
+            self.learn(b, 50)
+            b.sense(StimulusFrame(smell_ahead=Color.WHITE))
+            b.step_ticks(2)
+        records = self.stdp_records(brain)
+        assert all(records)
+        copy = brain.copy()
+        assert self.stdp_records(copy) == records
+        assert self.learn(copy, 300) == self.learn(twin, 300)
+        assert copy.net.state_key(range(15)) == twin.net.state_key(range(15))
+        assert copy.weights() == twin.weights()
+        assert self.stdp_records(copy) == self.stdp_records(twin)
+        assert self.stdp_records(brain) == records
+
+    def test_copy_shares_nothing_mutable(self):
+        original = AntBrain()
+        copy = original.copy()
+        key, untrained = copy.net.state_key(range(15)), copy.weights()
+        original.set_weights(trained_reference_weights())
+        assert copy.net.state_key(range(15)) == key
+        assert copy.weights() == untrained
+
+        key = original.net.state_key(range(15))
+        copy.learning = True
+        self.learn(copy, 50)
+        assert copy.weights() != untrained and copy._post_ticks and copy._arrival_ticks
+        assert original.net.state_key(range(15)) == key
+        assert original.weights() == trained_reference_weights()
+        assert self.stdp_records(original) == ({}, {}, {})
+        assert not original.learning
 
     def test_short_period_rejected(self):
         with pytest.raises(ValidationError, match="at least 2"):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from spikeants import engine, table
 from spikeants.agents import CLOCKWISE, SimPhase
 
-from spikeants.circuit import MOTOR_ROTATE, trained_reference_weights
+from spikeants.circuit import MOTOR_ROTATE, AntBrain, trained_reference_weights
 from spikeants.config import SimConfig, parse_config
 from spikeants.engine import SimulationError, build_ants, compare, run, run_training
 from spikeants.scenario import parse_scenario, reference_scenario
@@ -275,12 +275,33 @@ def list_pop_spawn_poses(scenario, grid, n_ants, rng):
     return poses
 
 
+# A walled box with one explicit spawn and nine empty cells.
+FULL_BOX = """\
+width 6
+height 5
+food_quantity 1
+random_ants 0
+heading 0 N
+map
+######
+#.A.F#
+#.#..#
+#....#
+######
+"""
+
+
 class TestSpawnDraw:
     @pytest.mark.parametrize("seed", range(10))
     @pytest.mark.parametrize("scenario, n_ants", [
         (reference_scenario("foraging"), 10),
         (parse_scenario(ARENA), 30),
-    ], ids=["foraging", "arena_with_harm_and_food"])
+        # Every empty cell gets a random ant, so the last draws land past
+        # every taken cell.
+        (parse_scenario(FULL_BOX), 10),
+        (reference_scenario("foraging"), 200),
+    ], ids=["foraging", "arena_with_harm_and_food", "every_cell_of_a_box",
+            "foraging_200_ants"])
     def test_poses_match_list_pop_reference(self, scenario, n_ants, seed):
         cfg = small_cfg(seed=seed, n_ants=n_ants)
         grid = scenario.build_grid()
@@ -289,6 +310,18 @@ class TestSpawnDraw:
         want = list_pop_spawn_poses(scenario, grid, n_ants,
                                     np.random.Generator(np.random.PCG64(seed)))
         assert [(*ant.position, ant.heading) for ant in ants] == want
+
+    def test_one_brain_is_wired_and_copied(self):
+        scenario = parse_scenario(ARENA)
+        cfg = small_cfg(n_ants=30)
+        ants = build_ants(scenario, cfg, scenario.build_grid(),
+                          np.random.Generator(np.random.PCG64(0)), learning=True)
+        wired = AntBrain(cfg.circuit, cfg.stdp, learning=True)
+        assert len({id(ant.brain.net) for ant in ants}) == 30
+        for ant in ants:
+            assert ant.brain.layout is ants[0].brain.layout
+            assert ant.brain.learning
+            assert ant.brain.net.state_key(range(15)) == wired.net.state_key(range(15))
 
 
 class TestDepositCadence:
