@@ -139,6 +139,7 @@ def step_ant(grid: Grid, ants: Sequence[Ant], cfg: AntConfig, phase: SimPhase,
     right = cfg.rotate_direction == "right"
     countdown = cfg.positive_deposit_ticks
     positive, negative = cfg.deposit_amount_positive, cfg.deposit_amount_negative
+    to_positive, to_negative = PheromoneField.POSITIVE, PheromoneField.NEGATIVE
     ate = pain = resets = 0
     for ant in ants:
         # The frame as `perceive` builds it, with the byte ahead kept for
@@ -189,9 +190,9 @@ def step_ant(grid: Grid, ants: Sequence[Ant], cfg: AntConfig, phase: SimPhase,
             ant.positive_deposit_remaining -= 1
         if laying:
             if counting_down:
-                grid.deposit(x, y, PheromoneField.POSITIVE, positive)
+                grid.deposit(x, y, to_positive, positive)
             if act.emit_negative_pheromone:
-                grid.deposit(x, y, PheromoneField.NEGATIVE, negative)
+                grid.deposit(x, y, to_negative, negative)
 
         if training:
             if grid.is_boundary(x, y):

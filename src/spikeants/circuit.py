@@ -30,6 +30,8 @@ SMELLS = (Color.WHITE, Color.RED, Color.GREEN)
 # (threshold - rest) / geometric sum, so that rounding cannot keep the
 # last pulse below threshold.
 _COUNTER_MARGIN = 1e-9
+# The most pulses the counter may integrate; undecaying ones cross the margin near 1e9.
+_MAX_PULSE_COUNT = 10**6
 
 
 @dataclass(frozen=True)
@@ -102,7 +104,7 @@ class CircuitConfig:
         # to right, grows, so the first count that fails bounds every larger
         # one, and a count out of reach fails within that many terms.
         geometric = 0.0
-        for reached in range(self.np_pulse_count):
+        for reached in range(min(self.np_pulse_count, _MAX_PULSE_COUNT)):
             pulse = per_period ** reached
             if pulse <= _COUNTER_MARGIN * geometric:
                 raise ValidationError(
@@ -110,6 +112,8 @@ class CircuitConfig:
                     "pacemaker_period: a later pulse adds less than the counter "
                     "weight's margin, so the counter would fire early")
             geometric += pulse
+        if self.np_pulse_count > _MAX_PULSE_COUNT:
+            raise ValidationError(f"np_pulse_count must be at most {_MAX_PULSE_COUNT}")
         object.__setattr__(self, "base_params", base)
         object.__setattr__(self, "nociceptor_params",
                            replace(base, refractory_duration=self.nociceptor_refractory))

@@ -173,10 +173,14 @@ def _execute(cfg: SimConfig, scenario: Scenario,
             metrics.sample(tick, grid, harm_total, reset_total)
             if frame_hook is not None:
                 frame_hook(tick, grid, ants)
+        # An ant tabled in a phase stays tabled for the whole phase.
         for ant in ants:
             if ant.tabled is not None:
-                ant.tabled.leave()
+                ant.tabled.leave(phase_ticks)
                 ant.tabled = None
+    # Cut each table's node graph, which has cycles, so refcounting frees it.
+    for tbl in tables.values():
+        tbl.cut()
     metrics.food_consumed = food_total
     return metrics, ants
 

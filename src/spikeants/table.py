@@ -1,30 +1,17 @@
 """Transition tables: non-learning brains stepped by lookup.
 
-While learning is off, a brain is a fixed machine. What it does in one
-world tick depends only on its network state and on the stimulus frame
-it senses (`circuit.STIMULI`, numbered by `StimulusFrame.code`). A run
-therefore keeps one table per plastic-weight set, computes each
-(state, frame) transition once and looks it up after that, the way
-Hashlife memoises cellular-automaton blocks (Gosper 1984, Physica D
-10:75). A lookup is exact by construction. Tables belong to one run and
-are never shared between runs.
-
-The actuator neurons (both motors, both pheromone neurons) feed no
-other neuron, so the rest of the network, the core, runs the same
-whatever they hold. A tabled brain holds its core state, the key of
-every core neuron and every pulse in flight (`Network.state_key`), and
-its actuators' cells as values, and a world tick is one lookup keyed by
-(core state, stimulus code, cells). A core state under one stimulus
-code is a slot: a new slot steps the brain's own network once and
-records the pulse sum each actuator receives on each brain tick, so a
-new move under it only runs actuator cells (`snn.run_cell`).
-The actuators do not feed each other either, and only the energy
-counter, the last of them, keeps drifting: it integrates pacemaker
-pulses over hundreds of world ticks, so it adds moves but no core
-states. Each slot therefore memoises the moves of the other three cells,
-and a new move most often runs the counter alone. A table holds nothing
-but caches, each emptied when full: a miss costs at most one stepped
-world tick, and a brain stays in its table until its `Tabled` leaves.
+While learning is off, a brain is a fixed machine, so a run keeps one
+table per plastic-weight set and computes each world-tick transition
+once, as Hashlife does, in canonical nodes whose successors are direct
+references (Gosper 1984, Physica D 10:75). A brain's state is its core
+state (`Network.state_key` of every neuron but the four actuators, which
+feed no neuron, and of every pulse in flight) and its actuators' cells,
+one interned node per pair. A tabled brain stands on a node, and a world
+tick follows the node's edge for the stimulus code. A core state under
+one code is a slot: a new slot steps the network once and records the
+pulses due to each actuator, so a new edge only runs actuator cells
+(`snn.run_cell`), mostly the drifting energy counter's alone. A table
+holds only caches, each emptied when full, and belongs to one run.
 """
 
 from __future__ import annotations
@@ -48,22 +35,23 @@ def _cache(memo: dict, key, value):
     return value
 
 
-class TransitionTable:
-    """World-tick transitions shared by the non-learning brains of one
-    run that have the same plastic weights; `share_table` picks them.
-    A transition spans the brain's own `brain_steps_per_world_tick`,
-    the same record a stepped brain reads.
+class _Node:
+    """A core state `row` and actuator cells `acts`: `edges[code]` is the
+    next node and actuator frame under stimulus `code`, or None."""
 
-    `_slots[row, code]` holds the next row of a core state under a
-    stimulus code, the pulse sum due to each actuator on each brain
-    tick, and a memo from the first three actuators' cells to their
-    next cells and their bits in the actuator frame. `_moves[row, code,
-    acts]` holds the next row, the next `acts` and the actuator frame
-    (see `Tabled`). A new slot is computed once, by the real `sense` and
-    `step` of the brain that meets it, and a new move by `run_cell`.
-    `_rows` keeps one object per core state, so that a hit compares rows
-    by identity rather than byte by byte.
-    """
+    __slots__ = ("row", "acts", "edges")
+
+    def __init__(self, row: bytes, acts: bytes):
+        self.row, self.acts, self.edges = row, acts, [None] * len(STIMULI)
+
+
+class TransitionTable:
+    """The world-tick transitions of one run's non-learning brains with
+    the same plastic weights. `_slots[row, code]` holds a core state's
+    next row, the pulse sum due to each actuator on each brain tick, and
+    a memo from the first three actuators' cells to their next cells and
+    frame bits. `_nodes[row, acts]` is a brain state's node, and `_rows`
+    one object per core state, shared by its nodes."""
 
     def __init__(self, brain: AntBrain):
         layout = brain.layout
@@ -80,22 +68,39 @@ class TransitionTable:
                              for mask in range(1 << len(self.actuators)))
         self._rows: dict[bytes, bytes] = {}
         self._slots: dict[tuple[bytes, int], tuple] = {}
-        self._moves: dict[tuple[bytes, int, bytes], tuple[bytes, bytes, ActuatorFrame]] = {}
+        self._nodes: dict[tuple[bytes, bytes], _Node] = {}
 
     def _row(self, key: bytes) -> bytes:
         """The table's own copy of `key`, a core state."""
         row = self._rows.get(key)
         return _cache(self._rows, key, key) if row is None else row
 
-    def _learn(self, tabled: Tabled, code: int) -> tuple:
-        """Compute and record the move of `tabled` under stimulus `code`,
-        and its slot when that is new."""
-        slot = tabled.row, code
+    def _node(self, row: bytes, acts: bytes) -> _Node:
+        """The node of core state `row`, the table's copy, and cells `acts`."""
+        node = self._nodes.get((row, acts))
+        if node is None:
+            if len(self._nodes) >= MAX_TABLE_STATES:
+                self.cut()
+            node = self._nodes[row, acts] = _Node(row, acts)
+        return node
+
+    def cut(self):
+        """Empty the node index, cutting the edges, whose cycles reference
+        counting alone never frees; a brain on a cut node relearns them."""
+        for node in self._nodes.values():
+            node.edges = [None] * len(STIMULI)
+        self._nodes.clear()
+
+    def _learn(self, tabled: Tabled, code: int) -> tuple[_Node, ActuatorFrame]:
+        """Compute the move of `tabled` under stimulus `code`, and its slot
+        when new, as the edge of its node."""
+        node = tabled.node
+        slot = node.row, code
         entry = self._slots.get(slot)
         if entry is None:
             brain = tabled.brain
             net = brain.net
-            net.load_state(tabled.row, self.core)
+            net.load_state(node.row, self.core)
             brain.sense(STIMULI[code])
             due: list[list[Optional[float]]] = [[] for _ in self.actuators]
             for _ in range(self.steps):
@@ -108,7 +113,7 @@ class TransitionTable:
             net.current_tick -= self.steps
             entry = _cache(self._slots, slot, (row, tuple(map(tuple, due)), {}))
         row, due, rest_moves = entry
-        acts = tabled.acts
+        acts = node.acts
         rest = acts[:-CELL.size]
         step = rest_moves.get(rest)
         if step is None:
@@ -119,37 +124,34 @@ class TransitionTable:
                 fired |= spiked << j
             step = _cache(rest_moves, rest, (cells, fired))
         u, remaining, spiked = run_cell(*CELL.unpack(acts[-CELL.size:]), self.params[-1], due[-1])
-        return _cache(self._moves, slot + (acts,),
-                      (row, step[0] + CELL.pack(u, remaining),
-                       self._frames[step[1] | spiked << len(due) - 1]))
+        node.edges[code] = edge = (self._node(row, step[0] + CELL.pack(u, remaining)),
+                                   self._frames[step[1] | spiked << len(due) - 1])
+        return edge
 
 
 class Tabled:
-    """A brain in a transition table: `acts + row` is its network's
-    `state_key` over the table's `order`, its four actuators' `CELL`s
-    then its core state. `ticks` counts its world ticks. Until `leave`,
-    its network is scratch space for `_learn`."""
+    """A brain in a transition table, on the node whose `acts + row` is
+    its network's `state_key` over the table's `order`. Until `leave`,
+    its network, clock included, is scratch space for `_learn`."""
 
-    __slots__ = ("table", "brain", "row", "acts", "ticks")
+    __slots__ = ("table", "brain", "node")
 
     def __init__(self, table: TransitionTable, brain: AntBrain):
-        self.table, self.brain, self.ticks = table, brain, 0
+        self.table, self.brain = table, brain
         key, cells = brain.net.state_key(table.order), CELL.size * len(table.actuators)
-        self.acts, self.row = key[:cells], table._row(key[cells:])
+        self.node = table._node(table._row(key[cells:]), key[:cells])
 
     def advance(self, code: int) -> ActuatorFrame:
         """One world tick under stimulus `code`: the brain's actuator frame."""
-        self.ticks += 1
-        self.row, self.acts, act = (self.table._moves.get((self.row, code, self.acts))
-                                    or self.table._learn(self, code))
+        self.node, act = self.node.edges[code] or self.table._learn(self, code)
         return act
 
-    def leave(self):
-        """Bring the brain's network up to date: advance its clock, then
-        load `acts + row` over the table's `order` in one call."""
-        table, net = self.table, self.brain.net
-        net.current_tick += self.ticks * table.steps
-        net.load_state(self.acts + self.row, table.order)
+    def leave(self, ticks: int):
+        """Bring the brain's network, clock included, up to date after
+        `ticks` world ticks in the table."""
+        table, net, node = self.table, self.brain.net, self.node
+        net.current_tick += ticks * table.steps
+        net.load_state(node.acts + node.row, table.order)
 
 
 def share_table(tables: dict[bytes, TransitionTable], brain: AntBrain) -> Optional[Tabled]:

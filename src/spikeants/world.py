@@ -34,6 +34,7 @@ class PheromoneField(Enum):
     NEGATIVE = "negative"
 
 
+_POSITIVE = PheromoneField.POSITIVE  # a read of an Enum member is slow
 # Stimulus color a cell presents, mixing base kind and pheromones, as a
 # table indexed [kind][negative >= eps][positive >= eps]. Walls are always
 # white and food always green; on anything else a negative deposit masks
@@ -95,14 +96,6 @@ class _Marks:
         self.cells = np.empty(self.flat.size, dtype=np.intp)
         self.n = 0
         self.floor = math.inf
-
-    def add(self, i: int, amount: float):
-        old = self.flat.item(i)
-        self.flat[i] = old + amount
-        if old == 0.0 and amount:
-            self.cells[self.n] = i
-            self.n += 1
-            self.floor = min(self.floor, amount)
 
     def zero(self, i: int):
         if self.flat.item(i) != 0.0:
@@ -257,17 +250,26 @@ class Grid:
     def deposit(self, x: int, y: int, fieldkind: PheromoneField, amount: float):
         """Add pheromone to one cell; deposits accumulate additively.
 
-        Attempts on wall cells are ignored.
+        Attempts on wall cells are ignored. A deposit only raises a value,
+        so only this field's index, floor and sense bit can change.
         """
         self._check(x, y)
         check_deposit_amount(amount)
         i = y * self.width + x
-        kind = self.sense[i] >> 2
-        if kind == _WALL:
+        sense = self.sense[i]
+        if sense >> 2 == _WALL:
             return
-        marks = self._positive if fieldkind is PheromoneField.POSITIVE else self._negative
-        marks.add(i, amount)
-        self._recolor(i, kind)
+        marks, bit = (self._positive, 1) if fieldkind is _POSITIVE else (self._negative, 2)
+        old = marks.flat.item(i)
+        marks.flat[i] = value = old + amount
+        if old == 0.0 and amount:
+            marks.cells[marks.n] = i
+            marks.n += 1
+            marks.floor = min(marks.floor, amount)
+        if value >= self.clear_threshold and not sense & bit:
+            self._census[sense] -= 1
+            self._census[sense | bit] += 1
+            self.sense[i] = sense | bit
 
     def evaporate_step(self, cfg: EvaporationConfig):
         """One tick of multiplicative decay at `cfg`'s rates; residues

@@ -1,3 +1,6 @@
+from collections import Counter
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +21,7 @@ from spikeants.circuit import (
     StimulusFrame,
     trained_reference_weights,
 )
-from spikeants.table import share_table
+from spikeants.table import Tabled, share_table
 from spikeants.world import Color, Grid, PatchKind, PheromoneField
 
 CFG = AntConfig()
@@ -404,14 +407,16 @@ def tabled_reference_ant(position, heading, tables, **kw):
     return Ant(position=position, heading=heading, brain=brain, tabled=tabled, **kw)
 
 
-def tick_state(g, ants):
+def tick_state(g, ants, advances):
     """What one world tick may change: the grid's food, fields, sense
     bytes and counts, and each ant's pose, pending pain, countdown and
-    brain (its `Tabled` state, or the frames a scripted brain sensed)."""
+    brain (its `Tabled` state and count of `advances`, or the frames a
+    scripted brain sensed)."""
     return (g.food.tolist(), g.positive.tolist(), g.negative.tolist(), bytes(g.sense),
             g.marked_cell_counts(), g.total_food(),
             [(a.position, a.heading, a.pain_pending, a.positive_deposit_remaining,
-              (a.tabled.row, a.tabled.acts, a.tabled.ticks, a.brain.net.current_tick)
+              (a.tabled.node.row, a.tabled.node.acts, advances[a.tabled],
+               a.brain.net.current_tick)
               if a.tabled is not None else (a.brain.i, a.brain.sensed))
              for a in ants])
 
@@ -457,18 +462,26 @@ class TestOneTickOrder:
                             if script is None else scripted_ant((x, y), heading, script, **kw))
             return g, ants
 
+        advances = Counter()
+        original_advance = Tabled.advance
+
+        def counted_advance(tabled, code):
+            advances[tabled] += 1
+            return original_advance(tabled, code)
+
         (g, ants), (g1, ants1) = build(), build()
         for _ in range(ticks):
-            got = step_ant(g, ants, cfg, phase, pheromone)
-            want = [0, 0, 0]
-            for ant in ants1:
-                frame = perceive(g1, ant)
-                counts = step_ant(g1, [ant], cfg, phase, pheromone)
-                want = [a + b for a, b in zip(want, counts)]
-                if isinstance(ant.brain, ScriptedBrain):
-                    assert ant.brain.sensed[-1] is frame
+            with mock.patch.object(Tabled, "advance", counted_advance):
+                got = step_ant(g, ants, cfg, phase, pheromone)
+                want = [0, 0, 0]
+                for ant in ants1:
+                    frame = perceive(g1, ant)
+                    counts = step_ant(g1, [ant], cfg, phase, pheromone)
+                    want = [a + b for a, b in zip(want, counts)]
+                    if isinstance(ant.brain, ScriptedBrain):
+                        assert ant.brain.sensed[-1] is frame
             assert list(got) == want
-            assert tick_state(g, ants) == tick_state(g1, ants1)
+            assert tick_state(g, ants, advances) == tick_state(g1, ants1, advances)
 
     @pytest.mark.parametrize("first", [0, 1])
     def test_the_first_ant_on_a_last_unit_eats_it(self, first):

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 from dataclasses import replace
 
@@ -507,6 +508,27 @@ class TestTransitionTables:
         tabled_ticks.clear()
         assert outputs() == unbounded
         assert len(tabled_ticks) == 80 and all(tabled_ticks)
+
+    @pytest.mark.parametrize("bound", [table.MAX_TABLE_STATES, 1, 64])
+    def test_a_run_leaves_no_cyclic_garbage(self, bound, monkeypatch):
+        """A table's node graph has cycles. It is cut when its node index
+        is emptied and when the run ends, so the run leaves nothing for
+        the cyclic collector, whether the index holds every node, is
+        emptied at every new one or is emptied now and then; every run
+        gives the same CSV."""
+        cfg = parse_config("seed = 1\nworld_ticks = 300\n")
+        scenario = reference_scenario("foraging")
+        weights = trained_reference_weights(cfg.stdp)
+        unbounded = run(cfg, scenario, weights=weights).to_csv_text()
+        monkeypatch.setattr(table, "MAX_TABLE_STATES", bound)
+        gc.collect()
+        gc.disable()
+        try:
+            csv = run(cfg, scenario, weights=weights).to_csv_text()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert csv == unbounded
 
 
 class TestPositiveTrails:

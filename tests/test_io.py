@@ -320,6 +320,7 @@ class TestConfigFile:
         "neuron_refractory_ticks = 9223372036854775808",
         "circuit_nociceptor_refractory = 9223372036854775808",
         "circuit_pacemaker_period = 9223372036854775808",
+        "circuit_np_pulse_count = 10000000\ncircuit_np_tau = 1e300",
     ], ids=["evap_rho_negative", "neuron_threshold", "neuron_refractory_ticks",
             "circuit_np_tau", "circuit_nociceptor_refractory", "neuron_rest_nan",
             "ant_deposit_amount_positive_nan", "circuit_reflex_weight_nan",
@@ -331,11 +332,13 @@ class TestConfigFile:
             "circuit_np_pulse_count_zero", "stdp_w_min_negative",
             "ant_rotate_direction_up", "circuit_plastic_init_fraction_one",
             "neuron_refractory_ticks_beyond_int64", "circuit_nociceptor_refractory_beyond_int64",
-            "circuit_pacemaker_period_beyond_int64"])
+            "circuit_pacemaker_period_beyond_int64", "circuit_np_pulse_count_undecaying"])
     def test_invalid_domain_value_rejected(self, line):
         key = line.split()[0]
+        started = time.perf_counter()
         with pytest.raises(ConfigError, match=f"^{key} "):
             parse_config(line + "\n")
+        assert time.perf_counter() - started < 0.5
 
     def test_huge_pulse_count_fails_fast(self):
         """The counter weight sums one term per pulse; a count out of

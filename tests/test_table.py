@@ -29,17 +29,22 @@ def full_state(brain):
     return net.current_tick, net.state_key(range(len(net.states)))
 
 
-def state_on_leaving(tabled):
-    """The full state `tabled`'s brain would leave its table with; the
-    brain itself stays in the table. A shallow copy leaves on the shared
-    network, which is scratch space to a tabled brain, and the clock
-    that leaving moves is put back."""
+def state_on_leaving(tabled, ticks):
+    """The full state `tabled`'s brain would leave its table with after
+    `ticks` world ticks in it; the brain itself stays in the table. A
+    shallow copy leaves on the shared network, which is scratch space to
+    a tabled brain, and the clock that leaving moves is put back."""
     net = tabled.brain.net
     clock = net.current_tick
-    copy.copy(tabled).leave()
+    copy.copy(tabled).leave(ticks)
     state = full_state(tabled.brain)
     net.current_tick = clock
     return state
+
+
+def moves(held):
+    """The moves table `held` knows: the edges of its indexed nodes."""
+    return sum(edge is not None for node in held._nodes.values() for edge in node.edges)
 
 
 def assert_table_matches_stepping(weights, steps, frames, cfg=CircuitConfig()):
@@ -57,14 +62,13 @@ def assert_table_matches_stepping(weights, steps, frames, cfg=CircuitConfig()):
         brain.set_weights(weights)
     tabled = [table.share_table(tables, brain) for brain in brains]
     assert len(tables) == 1 and None not in tabled
-    for frame in frames:
+    for ticks, frame in enumerate(frames, start=1):
         want = stepped.world_tick(frame)
         assert [held.advance(frame.code) for held in tabled] == [want, want]
         for held in tabled:
-            assert state_on_leaving(held) == full_state(stepped)
+            assert state_on_leaving(held, ticks) == full_state(stepped)
     for held in tabled:
-        assert held.ticks == len(frames)
-        held.leave()
+        held.leave(len(frames))
         assert full_state(held.brain) == full_state(stepped)
     return tables.popitem()[1]
 
@@ -85,7 +89,7 @@ class TestTransitionTable:
             held = assert_table_matches_stepping(weights, steps, frames)
         assert len(held._rows) <= bound
         assert len(held._slots) <= bound
-        assert len(held._moves) <= bound
+        assert len(held._nodes) <= bound
         assert all(len(rest_moves) <= bound for _, _, rest_moves in held._slots.values())
 
     def test_long_counters_and_delays(self):
@@ -109,7 +113,7 @@ class TestTransitionTable:
         frames = [rng.choice(STIMULI) for _ in range(1500)]
         held = assert_table_matches_stepping(trained_reference_weights(), 10, frames)
         assert len(held._rows) <= 16
-        assert len(held._moves) > 100
+        assert moves(held) > 100
 
     def test_a_new_move_runs_only_what_is_new(self):
         """A new move runs the first three actuators only when their cells
@@ -126,9 +130,9 @@ class TestTransitionTable:
 
         with mock.patch.object(table, "run_cell", counted_run_cell):
             held = assert_table_matches_stepping(trained_reference_weights(), 10, frames)
-        assert len(runs) == len(held._moves) + sum(3 * len(rest_moves)
-                                                   for _, _, rest_moves in held._slots.values())
-        assert len(runs) < 2 * len(held._moves)
+        assert len(runs) == moves(held) + sum(3 * len(rest_moves)
+                                              for _, _, rest_moves in held._slots.values())
+        assert len(runs) < 2 * moves(held)
 
     def test_the_energy_counter_fires_through_the_table(self):
         """Reward-free stretches let the counter reach threshold, so the
@@ -151,7 +155,7 @@ class TestTransitionTable:
     ])
     def test_a_full_kind_of_state_sends_brains_back_to_stepping(self, cfg, steps, full):
         """With room for 8 entries per cache, a full cache of core states,
-        slots or moves is emptied: the brains stay in the table, match
+        slots or nodes is emptied: the brains stay in the table, match
         stepping, and step their networks only to compute a slot, once,
         which after a cache is emptied may be one met before."""
         frames = [StimulusFrame()] * 40 + STIMULI * 3
@@ -180,12 +184,13 @@ class TestTransitionTable:
         slots = len(rows) - 2
         assert slots <= len(frames)
         assert len(brain_steps) == steps * (len(frames) + slots)
-        assert len(held._rows) <= 8 and len(held._slots) <= 8 and len(held._moves) <= 8
+        assert len(held._rows) <= 8 and len(held._slots) <= 8 and len(held._nodes) <= 8
         if full == "core":
             # Every world tick meets a new core state.
             assert slots == len(frames)
         else:
-            # One counter run per new move: more moves than the cache holds.
+            # One counter run per new move: more moves than the node index
+            # holds nodes.
             assert sum(args[2] is held.params[-1] for args in runs) > 8
             assert slots < len(frames)
 
@@ -223,9 +228,9 @@ class TestTransitionTable:
             tabled.advance(frame.code)
             stepped.world_tick(frame)
             assert stepped.net.current_tick == 7 * world_ticks
-            assert state_on_leaving(tabled)[0] == 7 * world_ticks
-            assert tabled.ticks == world_ticks and brain.net.current_tick == 0
-        tabled.leave()
+            assert state_on_leaving(tabled, world_ticks)[0] == 7 * world_ticks
+            assert brain.net.current_tick == 0
+        tabled.leave(world_ticks)
         assert brain.net.current_tick == 7 * world_ticks
 
     def test_a_learning_brain_stays_stepped(self):
