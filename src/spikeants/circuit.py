@@ -114,13 +114,16 @@ class CircuitConfig:
             geometric += pulse
         if self.np_pulse_count > _MAX_PULSE_COUNT:
             raise ValidationError(f"np_pulse_count must be at most {_MAX_PULSE_COUNT}")
+        weight = ((self.firing_threshold - self.resting_potential) / geometric
+                  * (1.0 + _COUNTER_MARGIN))
+        if not weight < math.inf:
+            raise ValidationError("firing_threshold - resting_potential is too large: "
+                                  "the energy counter's weight would overflow")
         object.__setattr__(self, "base_params", base)
         object.__setattr__(self, "nociceptor_params",
                            replace(base, refractory_duration=self.nociceptor_refractory))
         object.__setattr__(self, "counter_params", counter)
-        object.__setattr__(self, "counter_weight",
-                           (self.firing_threshold - self.resting_potential) / geometric
-                           * (1.0 + _COUNTER_MARGIN))
+        object.__setattr__(self, "counter_weight", weight)
 
 
 @dataclass(frozen=True)

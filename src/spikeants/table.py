@@ -7,9 +7,10 @@ references (Gosper 1984, Physica D 10:75). A brain's state is its core
 state (`Network.state_key` of every neuron but the four actuators, which
 feed no neuron, and of every pulse in flight) and its actuators' cells,
 one interned node per pair. A tabled brain stands on a node, and a world
-tick follows the node's edge for the stimulus code. A core state under
-one code is a slot: a new slot steps the network once and records the
-pulses due to each actuator, so a new edge only runs actuator cells
+tick follows the node's edge for the stimulus code; its own network is
+left alone until it leaves. A core state under one code is a slot: a new
+slot steps the table's own copy of a brain once and records the pulses
+due to each actuator, so a new edge only runs actuator cells
 (`snn.run_cell`), mostly the drifting energy counter's alone. A table
 holds only caches, each emptied when full, and belongs to one run.
 """
@@ -50,8 +51,8 @@ class TransitionTable:
     the same plastic weights. `_slots[row, code]` holds a core state's
     next row, the pulse sum due to each actuator on each brain tick, and
     a memo from the first three actuators' cells to their next cells and
-    frame bits. `_nodes[row, acts]` is a brain state's node, and `_rows`
-    one object per core state, shared by its nodes."""
+    frame bits. `_nodes[row, acts]` is a brain state's node. `_scratch`,
+    a copy of the first brain shared, steps each new slot."""
 
     def __init__(self, brain: AntBrain):
         layout = brain.layout
@@ -66,17 +67,12 @@ class TransitionTable:
         self._frames = tuple(brain.actuate([SpikeEvent(a, 0) for j, a in
                                             enumerate(self.actuators) if mask >> j & 1])
                              for mask in range(1 << len(self.actuators)))
-        self._rows: dict[bytes, bytes] = {}
+        self._scratch = brain.copy()
         self._slots: dict[tuple[bytes, int], tuple] = {}
         self._nodes: dict[tuple[bytes, bytes], _Node] = {}
 
-    def _row(self, key: bytes) -> bytes:
-        """The table's own copy of `key`, a core state."""
-        row = self._rows.get(key)
-        return _cache(self._rows, key, key) if row is None else row
-
     def _node(self, row: bytes, acts: bytes) -> _Node:
-        """The node of core state `row`, the table's copy, and cells `acts`."""
+        """The node of core state `row` and cells `acts`."""
         node = self._nodes.get((row, acts))
         if node is None:
             if len(self._nodes) >= MAX_TABLE_STATES:
@@ -91,14 +87,14 @@ class TransitionTable:
             node.edges = [None] * len(STIMULI)
         self._nodes.clear()
 
-    def _learn(self, tabled: Tabled, code: int) -> tuple[_Node, ActuatorFrame]:
-        """Compute the move of `tabled` under stimulus `code`, and its slot
-        when new, as the edge of its node."""
-        node = tabled.node
+    def _learn(self, node: _Node, code: int) -> tuple[_Node, ActuatorFrame]:
+        """Compute the move from `node` under stimulus `code`, and its slot
+        when new, as the node's edge. A new slot loads `node.row` into the
+        table's own brain and steps it, on that brain's own clock."""
         slot = node.row, code
         entry = self._slots.get(slot)
         if entry is None:
-            brain = tabled.brain
+            brain = self._scratch
             net = brain.net
             net.load_state(node.row, self.core)
             brain.sense(STIMULI[code])
@@ -107,11 +103,8 @@ class TransitionTable:
                 brain.step()
                 for pulses, n in zip(due, self.actuators):
                     pulses.append(net.incoming.get(n))
-            row = self._row(net.state_key(self.core))
-            # The network only computed the slot: the clock goes back, and
-            # the brain's state stays in `tabled` until `leave`.
-            net.current_tick -= self.steps
-            entry = _cache(self._slots, slot, (row, tuple(map(tuple, due)), {}))
+            entry = _cache(self._slots, slot,
+                           (net.state_key(self.core), tuple(map(tuple, due)), {}))
         row, due, rest_moves = entry
         acts = node.acts
         rest = acts[:-CELL.size]
@@ -131,19 +124,19 @@ class TransitionTable:
 
 class Tabled:
     """A brain in a transition table, on the node whose `acts + row` is
-    its network's `state_key` over the table's `order`. Until `leave`,
-    its network, clock included, is scratch space for `_learn`."""
+    the `state_key` over the table's `order` its network would have. The
+    network, clock included, is left as it was on joining until `leave`."""
 
     __slots__ = ("table", "brain", "node")
 
     def __init__(self, table: TransitionTable, brain: AntBrain):
         self.table, self.brain = table, brain
         key, cells = brain.net.state_key(table.order), CELL.size * len(table.actuators)
-        self.node = table._node(table._row(key[cells:]), key[:cells])
+        self.node = table._node(key[cells:], key[:cells])
 
     def advance(self, code: int) -> ActuatorFrame:
         """One world tick under stimulus `code`: the brain's actuator frame."""
-        self.node, act = self.node.edges[code] or self.table._learn(self, code)
+        self.node, act = self.node.edges[code] or self.table._learn(self.node, code)
         return act
 
     def leave(self, ticks: int):

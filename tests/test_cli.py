@@ -89,6 +89,14 @@ class TestValidate:
                      "--config", str(cfg)]) == 1
         assert "unknown key" in capsys.readouterr().err
 
+    def test_overflowing_counter_weight_rejected(self, tmp_path, capsys):
+        """A potential span whose energy counter weight overflows fails
+        validation by its key, not the run's wiring."""
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("neuron_threshold = 1e308\nneuron_rest = -1e308\n"
+                       "neuron_refractory_potential = -1e308\n")
+        assert main(["validate", "--scenario", "@foraging", "--config", str(cfg)]) == 1
+        assert "neuron_threshold" in capsys.readouterr().err
 
     @pytest.mark.parametrize("scenario, n_ants, shown", [
         ("@foraging", 3, "3 ants"),

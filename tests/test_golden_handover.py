@@ -9,7 +9,7 @@ ant's final weight file and the last rendered frame. They must also hold
 when each table cache has room for a single entry, so that every new
 entry empties its cache first while every ant stays tabled, and with
 room for 8, which holds every core state of these runs (at most 3) but
-makes each table's move cache empty itself.
+makes each table cut its node index when it fills.
 """
 
 import hashlib

@@ -321,6 +321,8 @@ class TestConfigFile:
         "circuit_nociceptor_refractory = 9223372036854775808",
         "circuit_pacemaker_period = 9223372036854775808",
         "circuit_np_pulse_count = 10000000\ncircuit_np_tau = 1e300",
+        "neuron_threshold = 1e308\nneuron_rest = -1e308\nneuron_refractory_potential = -1e308",
+        "neuron_threshold = 1.7976931348623157e308\ncircuit_np_pulse_count = 1",
     ], ids=["evap_rho_negative", "neuron_threshold", "neuron_refractory_ticks",
             "circuit_np_tau", "circuit_nociceptor_refractory", "neuron_rest_nan",
             "ant_deposit_amount_positive_nan", "circuit_reflex_weight_nan",
@@ -332,7 +334,8 @@ class TestConfigFile:
             "circuit_np_pulse_count_zero", "stdp_w_min_negative",
             "ant_rotate_direction_up", "circuit_plastic_init_fraction_one",
             "neuron_refractory_ticks_beyond_int64", "circuit_nociceptor_refractory_beyond_int64",
-            "circuit_pacemaker_period_beyond_int64", "circuit_np_pulse_count_undecaying"])
+            "circuit_pacemaker_period_beyond_int64", "circuit_np_pulse_count_undecaying",
+            "neuron_threshold_span_overflow", "neuron_threshold_max_single_pulse"])
     def test_invalid_domain_value_rejected(self, line):
         key = line.split()[0]
         started = time.perf_counter()

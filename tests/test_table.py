@@ -32,8 +32,8 @@ def full_state(brain):
 def state_on_leaving(tabled, ticks):
     """The full state `tabled`'s brain would leave its table with after
     `ticks` world ticks in it; the brain itself stays in the table. A
-    shallow copy leaves on the shared network, which is scratch space to
-    a tabled brain, and the clock that leaving moves is put back."""
+    shallow copy leaves on the shared network, which the table never
+    reads, and the clock that leaving moves is put back."""
     net = tabled.brain.net
     clock = net.current_tick
     copy.copy(tabled).leave(ticks)
@@ -87,7 +87,6 @@ class TestTransitionTable:
         the brains stay in the table."""
         with mock.patch.object(table, "MAX_TABLE_STATES", bound):
             held = assert_table_matches_stepping(weights, steps, frames)
-        assert len(held._rows) <= bound
         assert len(held._slots) <= bound
         assert len(held._nodes) <= bound
         assert all(len(rest_moves) <= bound for _, _, rest_moves in held._slots.values())
@@ -112,7 +111,7 @@ class TestTransitionTable:
         rng = random.Random(7)
         frames = [rng.choice(STIMULI) for _ in range(1500)]
         held = assert_table_matches_stepping(trained_reference_weights(), 10, frames)
-        assert len(held._rows) <= 16
+        assert len({row for row, _ in held._slots}) <= 16
         assert moves(held) > 100
 
     def test_a_new_move_runs_only_what_is_new(self):
@@ -154,13 +153,13 @@ class TestTransitionTable:
         (CircuitConfig(pacemaker_period=600, np_pulse_count=1, np_tau=1.0), 12, "core"),
     ])
     def test_a_full_kind_of_state_sends_brains_back_to_stepping(self, cfg, steps, full):
-        """With room for 8 entries per cache, a full cache of core states,
-        slots or nodes is emptied: the brains stay in the table, match
-        stepping, and step their networks only to compute a slot, once,
-        which after a cache is emptied may be one met before."""
+        """With room for 8 entries per cache, a full cache of slots or
+        nodes is emptied: the brains stay in the table, match stepping,
+        and networks are stepped only to compute a slot, once, which
+        after a cache is emptied may be one met before."""
         frames = [StimulusFrame()] * 40 + STIMULI * 3
-        original_step, original_row = Network.step, table.TransitionTable._row
-        brain_steps, runs, rows = [], [], []
+        original_step, original_key = Network.step, Network.state_key
+        brain_steps, runs, keyed = [], [], []
 
         def counted_step(net):
             brain_steps.append(1)
@@ -170,21 +169,20 @@ class TestTransitionTable:
             runs.append(args)
             return run_cell(*args)
 
-        def counted_row(tbl, brain):
-            rows.append(1)
-            return original_row(tbl, brain)
+        def recorded_key(net, neurons):
+            keyed.append(neurons)
+            return original_key(net, neurons)
 
         with mock.patch.object(table, "MAX_TABLE_STATES", 8), \
                 mock.patch.object(Network, "step", counted_step), \
                 mock.patch.object(table, "run_cell", counted_run_cell), \
-                mock.patch.object(table.TransitionTable, "_row", counted_row):
+                mock.patch.object(Network, "state_key", recorded_key):
             held = assert_table_matches_stepping(trained_reference_weights(), steps, frames, cfg)
-        # One core state for each brain that joined, then one per slot
-        # computed; only the first tabled brain computes any.
-        slots = len(rows) - 2
+        # Each slot computed keys the core state it reaches.
+        slots = sum(neurons is held.core for neurons in keyed)
         assert slots <= len(frames)
         assert len(brain_steps) == steps * (len(frames) + slots)
-        assert len(held._rows) <= 8 and len(held._slots) <= 8 and len(held._nodes) <= 8
+        assert len(held._slots) <= 8 and len(held._nodes) <= 8
         if full == "core":
             # Every world tick meets a new core state.
             assert slots == len(frames)
@@ -232,6 +230,23 @@ class TestTransitionTable:
             assert brain.net.current_tick == 0
         tabled.leave(world_ticks)
         assert brain.net.current_tick == 7 * world_ticks
+
+    def test_a_tabled_brain_keeps_its_network_until_it_leaves(self):
+        """New slots are stepped on the table's own brain: a tabled
+        brain's network, clock included, stays as it joined until it
+        leaves, however many slots its moves compute."""
+        brain = AntBrain()
+        brain.set_weights(trained_reference_weights())
+        net = brain.net
+        joined = net.current_tick, net.state_key(range(15))
+        tabled = table.share_table({}, brain)
+        for _ in range(5):
+            for code in range(16):
+                tabled.advance(code)
+        assert len(tabled.table._slots) == 17
+        assert (net.current_tick, net.state_key(range(15))) == joined
+        tabled.leave(5 * 16)
+        assert net.current_tick == 5 * 16 * tabled.table.steps
 
     def test_a_learning_brain_stays_stepped(self):
         tables = {}
