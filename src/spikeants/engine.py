@@ -105,30 +105,70 @@ def ant_count(scenario: Scenario, cfg: SimConfig) -> int:
     return total
 
 
+class _Draw:
+    """Integers drawn uniformly below a bound from a generator's bit
+    stream exactly as `Generator.integers(bound)` draws them, so that the
+    spawn draw is the package's own and no numpy release can move it:
+    Lemire's multiply-and-reject (Lemire 2019, *ACM TOMACS* 29(1):3) on
+    32-bit halves of the stream's 64-bit outputs, low half first, with
+    the high half kept for the next draw. A one-value range draws
+    nothing."""
+
+    __slots__ = ("_raw", "_high")
+
+    def __init__(self, rng: np.random.Generator):
+        self._raw = rng.bit_generator.random_raw
+        self._high: Optional[int] = None
+
+    def _uint32(self) -> int:
+        high = self._high
+        if high is not None:
+            self._high = None
+            return high
+        raw = self._raw()
+        self._high = raw >> 32
+        return raw & 0xFFFFFFFF
+
+    def below(self, bound: int) -> int:
+        """One integer in [0, bound), for 1 <= bound <= 2**32."""
+        if not 1 <= bound <= 1 << 32:
+            raise ValueError(f"bound {bound} is outside [1, 2**32]")
+        if bound == 1:
+            return 0
+        # A product whose low half falls below 2**32 % bound is rejected,
+        # so that each result stands for the same number of 32-bit draws.
+        reject = (1 << 32) % bound
+        m = self._uint32() * bound
+        while m & 0xFFFFFFFF < reject:
+            m = self._uint32() * bound
+        return m >> 32
+
+
 def build_ants(scenario: Scenario, cfg: SimConfig, grid: Grid,
                rng: np.random.Generator, learning: bool) -> list[Ant]:
     """Spawn ants: explicit scenario spawns first, then random placements.
 
-    Randomness is a fixed draw sequence on the run's PCG64 stream: for
-    each random ant, one draw for the cell (from the row-major list of
-    empty cells, without replacement) and one for the heading. A draw
-    indexes the cells not yet taken, which are found by counting past
-    the sorted taken ones, so the list is never copied. One brain is
-    wired; every other ant gets a copy of it.
+    Randomness is a fixed draw sequence on the run's PCG64 stream, by
+    `_Draw`: for each random ant, one draw for the cell (from the
+    row-major list of empty cells, without replacement) and one for the
+    heading. A draw indexes the cells not yet taken, which are found by
+    counting past the sorted taken ones, so the list is never copied.
+    One brain is wired; every other ant gets a copy of it.
     """
     poses: list[tuple[int, int, Heading]] = list(scenario.spawns)
     n_random = ant_count(scenario, cfg) - len(poses)
     empty = np.flatnonzero(grid.kind == PatchKind.EMPTY.value)
     taken: list[int] = []
+    draw = _Draw(rng)
     for _ in range(n_random):
-        idx = int(rng.integers(empty.size - len(taken)))
+        idx = draw.below(empty.size - len(taken))
         # taken[p] - p cells before taken[p] are free, and that count
         # only grows with p, so the cells taken before the draw's free
         # cell are those whose count is at most `idx`.
         idx += bisect_right(range(len(taken)), idx, key=lambda p: taken[p] - p)
         insort(taken, idx)
         y, x = divmod(int(empty[idx]), grid.width)
-        heading = CLOCKWISE[int(rng.integers(4))]
+        heading = CLOCKWISE[draw.below(4)]
         poses.append((x, y, heading))
 
     wired = AntBrain(cfg.circuit, cfg.stdp, learning=learning, kickstart=True)

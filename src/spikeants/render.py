@@ -28,7 +28,8 @@ _PIXELS = np.array([PALETTE[color] for _, color in SENSES], dtype=np.uint8)  # r
 
 def render_snapshot(grid: Grid, ants: Optional[Iterable[Ant]] = None) -> bytes:
     """Render the grid (and optionally its ants) as a binary PPM (P6)."""
-    pixels = _PIXELS[np.frombuffer(grid.sense, dtype=np.uint8).reshape(grid.height, grid.width)]
+    sense = np.frombuffer(grid.sense, dtype=np.uint8).reshape(grid.height, grid.width)
+    pixels = _PIXELS.take(sense, axis=0)  # a gather by `take` beats fancy indexing
     if ants is not None:
         for ant in ants:
             x, y = ant.position

@@ -79,60 +79,108 @@ class EvaporationConfig:
 
 
 class _Marks:
-    """The flat indices of one pheromone field's non-zero cells: `cells`
-    has a slot per cell, and `cells[:n]` lists each non-zero cell once,
-    in no set order, so every cell outside it is 0.0.
+    """One pheromone field's non-zero cells as a sparse set (Briggs &
+    Torczon 1993, *ACM LOPLAS* 2:59): `cells[:n]` lists the flat index of
+    each non-zero cell once, in no set order, and `vals[:n]` holds their
+    values in the same order; every cell outside the list is 0.0.
+    `slot[i]` is cell i's index into both, and counts only when
+    `0 <= slot[i] < n` and `cells[slot[i]] == i`, so `slot` needs no
+    initial values and a new grid touches none of its memory.
 
-    `floor` bounds every indexed value from below: a newly indexed cell
+    `field` is the (height, width) array the grid shows. `read` writes
+    the listed values into it, and only when a value changed since the
+    last read; a cell is written 0.0 there as it leaves the list.
+
+    `floor` bounds every listed value from below: a newly listed cell
     lowers it to its value, a deposit only raises a value and `zero` only
     drops a cell. Rounding is monotonic, so `floor * scale` bounds the
     decayed values too, and while it stays at or above the threshold no
     cell can clear."""
 
-    __slots__ = ("flat", "cells", "n", "floor")
+    __slots__ = ("field", "flat", "cells", "vals", "slot", "n", "floor", "stale")
 
-    def __init__(self, field: np.ndarray):
-        self.flat = field.reshape(-1)  # a view: writes land in `field`
+    def __init__(self, shape: tuple[int, int]):
+        self.field = np.zeros(shape, dtype=np.float64)
+        self.flat = self.field.reshape(-1)  # a view: writes land in `field`
         self.cells = np.empty(self.flat.size, dtype=np.intp)
+        self.vals = np.empty(self.flat.size, dtype=np.float64)
+        self.slot = np.empty(self.flat.size, dtype=np.intp)
         self.n = 0
         self.floor = math.inf
+        self.stale = False  # `field` lags a listed value
+
+    def read(self) -> np.ndarray:
+        if self.stale:
+            self.flat[self.cells[:self.n]] = self.vals[:self.n]
+            self.stale = False
+        return self.field
+
+    def at(self, i: int) -> int:
+        """Cell i's index into `cells` and `vals`, or -1 if it is not listed."""
+        s = self.slot.item(i)
+        return s if 0 <= s < self.n and self.cells.item(s) == i else -1
+
+    def value(self, i: int) -> float:
+        s = self.at(i)
+        return self.vals.item(s) if s >= 0 else 0.0
+
+    def add(self, i: int, amount: float) -> float:
+        """Cell i's value after adding `amount`, listing the cell if it
+        moves from 0.0."""
+        s = self.at(i)
+        if s >= 0:
+            self.vals[s] = value = self.vals.item(s) + amount
+        elif amount:
+            value, n = amount, self.n
+            self.cells[n], self.vals[n], self.slot[i] = i, value, n
+            self.n = n + 1
+            self.floor = min(self.floor, value)
+        else:
+            return 0.0
+        self.stale = True
+        return value
+
+    def _drop(self, s: int) -> int:
+        """Move the last listed cell into slot s, dropping the cell there;
+        returns the dropped cell."""
+        cells, i = self.cells, self.cells.item(s)
+        self.n = n = self.n - 1
+        last = cells.item(n)
+        cells[s] = last
+        self.vals[s] = self.vals.item(n)
+        self.slot[last] = s
+        self.flat[i] = 0.0
+        return i
 
     def zero(self, i: int):
-        if self.flat.item(i) != 0.0:
-            self.flat[i] = 0.0
-            cells = self.cells[:self.n]
-            at = np.flatnonzero(cells == i)  # none for a value written directly
-            if at.size:
-                self.n -= 1
-                cells[at[0]] = cells[self.n]
+        s = self.at(i)
+        if s >= 0:
+            self._drop(s)
+        else:
+            self.flat[i] = 0.0  # a value written into `field` directly
 
     def decay(self, scale: float, eps: float) -> list[int]:
         """The dense rule, `field *= scale` then `field *= field >= eps`,
-        on the indexed cells only: 0.0 maps to 0.0 under both. The field
-        is finite and non-negative, so scaling by the keep-mask clears
-        exactly the faint cells; when `floor` shows none can clear, that
-        mask is all ones and only the scaling runs. Returns the cells it
-        cleared."""
+        on the listed values only: 0.0 maps to 0.0 under both, and the
+        field is finite, so the mask clears exactly the values below eps.
+        When `floor` shows that no cell can clear, only the scaling runs;
+        otherwise one pass finds the faint cells and each is dropped in
+        turn, in constant time, as the deposit that listed it took.
+        Returns the cells it cleared."""
         n = self.n
         if not n:
             return []
-        cells = self.cells[:n]
+        vals = self.vals[:n]
+        vals *= scale
+        self.stale = True
         floor = self.floor * scale
         if floor >= eps:
-            self.flat[cells] *= scale
             self.floor = floor
             return []
-        values = self.flat[cells] * scale
-        keep = values >= eps
-        values *= keep
-        self.flat[cells] = values
-        kept = cells[keep]
-        self.n = kept.size
-        self.floor = float(values[keep].min()) if self.n else math.inf
-        if self.n == n:
-            return []
-        cleared = cells[~keep].tolist()
-        cells[:self.n] = kept
+        # Highest slot first, so the cell moved into a slot is never a
+        # faint one still to drop.
+        cleared = [self._drop(s) for s in reversed((vals < eps).nonzero()[0].tolist())]
+        self.floor = self.vals.item(self.vals[:self.n].argmin()) if self.n else math.inf
         return cleared
 
 
@@ -148,10 +196,12 @@ class Grid:
     `consume_food`, `deposit` and `evaporate_step`, which keep three
     derived records current:
 
-    - each field's one index of its non-zero cells, each listed once,
-      so that evaporation visits only those, and a floor at or below
-      every listed value, so that a tick on which the floor shows that
-      no cell can clear only scales them;
+    - each field's sparse set of its non-zero cells (`_Marks`): their
+      flat indices and their values in two buffers, in one order, and a
+      slot per cell into both, so that evaporation scales one contiguous
+      buffer and a cell's value is found in O(1); and a floor at or below
+      every listed value, so that a tick on which the floor shows that no
+      cell can clear only scales them;
     - `sense`, one byte per cell, row-major: the cell's kind and the
       two marks `_COLOR_RULE` reads, as `kind << 2 | (negative >= eps)
       << 1 | (positive >= eps)` (unpacked by `SENSES`), so that
@@ -159,10 +209,15 @@ class Grid:
       number of cells holding each byte, which the cell counts read;
     - the food total that `total_food` returns.
 
-    `kind` is read from the sense bytes, as a read-only array. A value
-    written into an array directly updates none of these records; one
-    written into an indexed cell decays, but may lie below the floor and
-    so clear some ticks late.
+    The buffers hold the pheromone values: `positive` and `negative`
+    are written from them when read, and only if a value changed since
+    the last read, so the tick loop, which never reads them, never pays
+    for them. `kind` is read from the sense bytes, as a read-only array.
+    A value written into an array directly updates none of these
+    records. Written into a field, it is never decayed or seen: it stays
+    until the grid writes that cell, and in a listed cell the buffered
+    value replaces it at the first read after the grid next changes a
+    value, as every evaporation of listed cells does.
     """
 
     def __init__(self, width: int, height: int,
@@ -174,10 +229,8 @@ class Grid:
         self.height = height
         self.clear_threshold = clear_threshold
         self.food = np.zeros((height, width), dtype=np.int64)
-        self.positive = np.zeros((height, width), dtype=np.float64)
-        self.negative = np.zeros((height, width), dtype=np.float64)
-        self._positive = _Marks(self.positive)
-        self._negative = _Marks(self.negative)
+        self._positive = _Marks((height, width))
+        self._negative = _Marks((height, width))
         self.sense = bytearray(width * height)  # clean empty ground
         self._census = [width * height] + [0] * (len(SENSES) - 1)
         self._food_total = 0
@@ -211,6 +264,18 @@ class Grid:
         return x == 0 or y == 0 or x == self.width - 1 or y == self.height - 1
 
     @property
+    def positive(self) -> np.ndarray:
+        """The positive field as a (height, width) array, written from
+        its buffer when read."""
+        return self._positive.read()
+
+    @property
+    def negative(self) -> np.ndarray:
+        """The negative field as a (height, width) array, written from
+        its buffer when read."""
+        return self._negative.read()
+
+    @property
     def kind(self) -> np.ndarray:
         """Each cell's `PatchKind` value, as a read-only (height, width)
         array read from the sense bytes."""
@@ -240,7 +305,7 @@ class Grid:
         """Set flat cell i's sense byte from this kind and both fields,
         moving the cell in the census from its old byte to the new."""
         eps = self.clear_threshold
-        sense = kind << 2 | (self.negative.item(i) >= eps) << 1 | (self.positive.item(i) >= eps)
+        sense = kind << 2 | (self._negative.value(i) >= eps) << 1 | (self._positive.value(i) >= eps)
         self._census[self.sense[i]] -= 1
         self._census[sense] += 1
         self.sense[i] = sense
@@ -251,7 +316,7 @@ class Grid:
         """Add pheromone to one cell; deposits accumulate additively.
 
         Attempts on wall cells are ignored. A deposit only raises a value,
-        so only this field's index, floor and sense bit can change.
+        so only this field's set, floor and sense bit can change.
         """
         self._check(x, y)
         check_deposit_amount(amount)
@@ -260,13 +325,7 @@ class Grid:
         if sense >> 2 == _WALL:
             return
         marks, bit = (self._positive, 1) if fieldkind is _POSITIVE else (self._negative, 2)
-        old = marks.flat.item(i)
-        marks.flat[i] = value = old + amount
-        if old == 0.0 and amount:
-            marks.cells[marks.n] = i
-            marks.n += 1
-            marks.floor = min(marks.floor, amount)
-        if value >= self.clear_threshold and not sense & bit:
+        if marks.add(i, amount) >= self.clear_threshold and not sense & bit:
             self._census[sense] -= 1
             self._census[sense | bit] += 1
             self.sense[i] = sense | bit

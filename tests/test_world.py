@@ -505,6 +505,39 @@ DECAY_PAST_THE_FLOOR = [("deposit", (0, 0), PheromoneField.POSITIVE, 1.0), ("eva
                         ("evaporate", 34), ("evaporate", 1), ("evaporate", 41)]
 
 
+# Two faint deposits that together reach the threshold, the second
+# made while the field's array lags its buffer.
+FAINT_TWICE = [("deposit", (0, 0), PheromoneField.NEGATIVE, 0.6 * EPS), ("evaporate_step",),
+               ("deposit", (0, 0), PheromoneField.NEGATIVE, 0.6 * EPS)]
+
+
+def apply_field_op(g, ref, op, cfg):
+    """One `FIELD_OPS` operation, on the grid and on its dense reference."""
+    name, *args = op
+    if name == "deposit":
+        (x, y), field, amount = args
+        g.deposit(x, y, field, amount)
+        ref.deposit(x, y, field, amount)
+    elif name == "set_kind":
+        (x, y), kind, units = args
+        food = units * food_of(kind)
+        g.set_kind(x, y, kind, food)
+        ref.set_kind(x, y, kind, food)
+    elif name == "consume_food":
+        (x, y), = args
+        g.consume_food(x, y)
+        ref.consume_food(x, y)
+    else:
+        g.evaporate_step(cfg)
+        ref.evaporate_step(cfg)
+
+
+def dense_sense(ref):
+    """The dense reference's sense bytes, as a (height, width) array."""
+    negative, positive = ref.fields[PheromoneField.NEGATIVE], ref.fields[PheromoneField.POSITIVE]
+    return ref.kind << 2 | (negative >= EPS) << 1 | (positive >= EPS)
+
+
 class TestSparseFields:
     @settings(max_examples=300, deadline=None)
     @given(FIELD_OPS, st.sampled_from([EvaporationConfig(clear_threshold=EPS),
@@ -519,23 +552,8 @@ class TestSparseFields:
         after every operation: an indexed cell is never lost or counted
         twice, and no write leaves a cell's sense byte stale."""
         g, ref = Grid(SPARSE_W, SPARSE_H, clear_threshold=EPS), DenseGrid(SPARSE_W, SPARSE_H)
-        for name, *args in ops:
-            if name == "deposit":
-                (x, y), field, amount = args
-                g.deposit(x, y, field, amount)
-                ref.deposit(x, y, field, amount)
-            elif name == "set_kind":
-                (x, y), kind, units = args
-                food = units * food_of(kind)
-                g.set_kind(x, y, kind, food)
-                ref.set_kind(x, y, kind, food)
-            elif name == "consume_food":
-                (x, y), = args
-                g.consume_food(x, y)
-                ref.consume_food(x, y)
-            else:
-                g.evaporate_step(cfg)
-                ref.evaporate_step(cfg)
+        for op in ops:
+            apply_field_op(g, ref, op, cfg)
             assert g.positive.tobytes() == ref.fields[PheromoneField.POSITIVE].tobytes()
             assert g.negative.tobytes() == ref.fields[PheromoneField.NEGATIVE].tobytes()
             assert g.marked_cell_counts() == ref.marked_cell_counts()
@@ -550,6 +568,42 @@ class TestSparseFields:
             assert g.total_food() == ref.food.sum()
             for marks, field in ((g._positive, g.positive), (g._negative, g.negative)):
                 assert np.sort(marks.cells[:marks.n]).tolist() == np.flatnonzero(field).tolist()
+
+    @settings(max_examples=300, deadline=None)
+    @given(FIELD_OPS, st.sampled_from([EvaporationConfig(clear_threshold=EPS),
+                                       EvaporationConfig(0.5, 0.9, EPS)]))
+    @example(WALL_AND_BACK, EvaporationConfig(clear_threshold=EPS))
+    @example(EATEN_UNDER_A_MARK, EvaporationConfig(0.5, 0.9, EPS))
+    @example(WALLED_BEFORE_EVAPORATING, EvaporationConfig(clear_threshold=EPS))
+    @example(FAINT_TWICE, EvaporationConfig(clear_threshold=EPS))
+    def test_matches_the_dense_rules_with_the_fields_read_once(self, ops, cfg):
+        """The same operations leave the same sense bytes, census and food
+        total after every operation with `positive` and `negative` read
+        only after the last one, when they hold the dense rules' values:
+        the arrays lag the buffers between reads, so no write may read
+        them."""
+        g, ref = Grid(SPARSE_W, SPARSE_H, clear_threshold=EPS), DenseGrid(SPARSE_W, SPARSE_H)
+        for op in ops:
+            apply_field_op(g, ref, op, cfg)
+            sense = dense_sense(ref)
+            assert bytes(g.sense) == sense.astype(np.uint8).tobytes()
+            assert g._census == np.bincount(sense.reshape(-1), minlength=len(SENSES)).tolist()
+            assert g.total_food() == ref.food.sum()
+        assert g.positive.tobytes() == ref.fields[PheromoneField.POSITIVE].tobytes()
+        assert g.negative.tobytes() == ref.fields[PheromoneField.NEGATIVE].tobytes()
+
+    def test_a_value_written_into_a_listed_cell_is_replaced_at_the_next_read(self):
+        """The buffer holds a listed cell's value: one written into the
+        field directly is never decayed or seen, and the buffered value
+        replaces it at the first read after the grid changes a value."""
+        g = Grid(1, 1, clear_threshold=EPS)
+        g.deposit(0, 0, PheromoneField.POSITIVE, 1.0)
+        g.positive[0, 0] = 0.0
+        assert g.positive[0, 0] == 0.0  # no value changed since the last read
+        assert g.effective_color_at(0, 0) is Color.GREEN
+        cfg = EvaporationConfig(clear_threshold=EPS)
+        g.evaporate_step(cfg)
+        assert g.positive[0, 0] == 1.0 * (1.0 - cfg.rho_positive)
 
     def test_walling_a_value_written_directly_keeps_the_index(self):
         """A value written into a field directly was never indexed, so
@@ -573,10 +627,9 @@ class TestSparseFields:
         g, ref = Grid(SPARSE_W, SPARSE_H, clear_threshold=EPS), DenseGrid(SPARSE_W, SPARSE_H)
 
         def check():
-            negative, positive = ref.fields[PheromoneField.NEGATIVE], ref.fields[PheromoneField.POSITIVE]
-            assert g.positive.tobytes() == positive.tobytes()
-            assert g.negative.tobytes() == negative.tobytes()
-            sense = ref.kind << 2 | (negative >= EPS) << 1 | (positive >= EPS)
+            assert g.positive.tobytes() == ref.fields[PheromoneField.POSITIVE].tobytes()
+            assert g.negative.tobytes() == ref.fields[PheromoneField.NEGATIVE].tobytes()
+            sense = dense_sense(ref)
             assert bytes(g.sense) == sense.astype(np.uint8).tobytes()
             assert g._census == np.bincount(sense.reshape(-1), minlength=len(SENSES)).tolist()
             for marks in g._positive, g._negative:
