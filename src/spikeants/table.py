@@ -12,11 +12,23 @@ left alone until it leaves. A core state under one code is a slot: a new
 slot steps the table's own copy of a brain once and records the pulses
 due to each actuator, so a new edge only runs actuator cells
 (`snn.run_cell`), mostly the drifting energy counter's alone. A table
-holds only caches, each emptied when full, and belongs to one run.
+holds only caches, each emptied when full.
+
+A table's transitions depend on nothing but its key: `repr` of the
+circuit config and the plastic weights' bytes. The `repr` covers every
+field a brain is wired and stepped with (`sense_amplitude` and
+`brain_steps_per_world_tick` included, and the derived `NeuronParams`)
+and, unlike the config's `==`, tells -0.0 from 0.0. So tables outlive
+their run. A run takes the kept tables at its start (`take_tables`),
+those of its own circuit config, and keeps the ones its brains stood on
+for the next run (`keep_tables`). Only a later run in one process gains,
+and only on the weights a run before it used: the second arm of
+`compare` and repeated runs of one config, such as a benchmark's.
 """
 
 from __future__ import annotations
 
+import threading
 from array import array
 from typing import Optional
 
@@ -47,12 +59,13 @@ class _Node:
 
 
 class TransitionTable:
-    """The world-tick transitions of one run's non-learning brains with
-    the same plastic weights. `_slots[row, code]` holds a core state's
-    next row, the pulse sum due to each actuator on each brain tick, and
-    a memo from the first three actuators' cells to their next cells and
-    frame bits. `_nodes[row, acts]` is a brain state's node. `_scratch`,
-    a copy of the first brain shared, steps each new slot."""
+    """The world-tick transitions of non-learning brains with the same
+    circuit config and plastic weights, kept from run to run.
+    `_slots[row, code]` holds a core state's next row, the pulse sum due
+    to each actuator on each brain tick, and a memo from the first three
+    actuators' cells to their next cells and frame bits.
+    `_nodes[row, acts]` is a brain state's node. `_scratch`, a copy of
+    the first brain shared, steps each new slot."""
 
     def __init__(self, brain: AntBrain):
         layout = brain.layout
@@ -147,9 +160,17 @@ class Tabled:
         net.load_state(node.acts + node.row, table.order)
 
 
+# The `repr` of the circuit config the last run that tabled a brain ran
+# on, and the tables it kept, by plastic weights. `_store_lock` makes
+# each hand-over one step, so no two runs ever hold one table.
+_kept: tuple[str, dict[bytes, TransitionTable]] = ("", {})
+_store_lock = threading.Lock()
+
+
 def share_table(tables: dict[bytes, TransitionTable], brain: AntBrain) -> Optional[Tabled]:
     """`brain` held in the table of `tables` for its plastic weights (made
-    when missing), or None while it learns. It must not learn until `leave`."""
+    when missing), or None while it learns. It must not learn until `leave`.
+    Every brain shared into one `tables` must have the same circuit config."""
     if brain.learning:
         return None
     weights = array("d", brain.weights().values()).tobytes()
@@ -157,3 +178,31 @@ def share_table(tables: dict[bytes, TransitionTable], brain: AntBrain) -> Option
     if table is None:
         table = tables[weights] = TransitionTable(brain)
     return Tabled(table, brain)
+
+
+def _cut_all(tables: dict[bytes, TransitionTable]):
+    for table in tables.values():
+        table.cut()
+
+
+def take_tables(circuit: str) -> dict[bytes, TransitionTable]:
+    """The kept tables, by plastic weights, if they were kept for the
+    circuit config whose `repr` is `circuit`; otherwise none, and the
+    kept ones are cut. None stay kept, so two runs at once never share
+    a table."""
+    global _kept
+    with _store_lock:
+        (kept_for, tables), _kept = _kept, ("", {})
+    if kept_for == circuit:
+        return tables
+    _cut_all(tables)
+    return {}
+
+
+def keep_tables(circuit: str, tables: dict[bytes, TransitionTable]):
+    """Keep `tables`, made for the circuit config whose `repr` is
+    `circuit`, for the next run, cutting any kept meanwhile."""
+    global _kept
+    with _store_lock:
+        (_, meanwhile), _kept = _kept, (circuit, tables)
+    _cut_all(meanwhile)

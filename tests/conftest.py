@@ -1,3 +1,27 @@
+import pytest
+
+from spikeants import table
+
+
+def _empty_store():
+    # No circuit config's `repr` is empty, so this takes no kept table
+    # and cuts them all.
+    table.take_tables("")
+
+
+@pytest.fixture(autouse=True)
+def _cold_store():
+    """Every test starts with no transition table kept by an earlier run."""
+    _empty_store()
+
+
+@pytest.fixture
+def empty_store():
+    """A function that cuts and drops every kept transition table, so
+    that the next run starts cold. It holds no state of the test's own."""
+    return _empty_store
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     try:
         from test_acceptance import RESULTS

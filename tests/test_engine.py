@@ -446,12 +446,15 @@ class TestTransitionTables:
         "phase_schedule = training:40,foraging:40,training:40",
         "world_ticks = 60\nlearn_during_foraging = true"])
     @pytest.mark.parametrize("bound", [0, 1, 2])
-    def test_outputs_do_not_depend_on_the_table_bound(self, text, bound, monkeypatch):
+    def test_outputs_do_not_depend_on_the_table_bound(self, text, bound, monkeypatch,
+                                                       empty_store):
         """With bound 0, 1 or 2 the tables empty their caches over and
         over. Metrics, weights and final brain states must equal those of
         the unbounded table. A tabled brain steps only to compute a slot,
-        so the bounded run steps more exactly when the unbounded run's
-        tables hold more slots than a cache keeps."""
+        so from an empty store the bounded run steps more exactly when
+        the unbounded run's tables hold more slots than a cache keeps. A
+        second run on the tables the first one kept gives the same
+        outputs and steps no more networks."""
         cfg = parse_config(f"seed = 3\n{text}\n")
         schedule = cfg.phase_schedule or ((SimPhase.FORAGING, cfg.world_ticks),)
         scenario = parse_scenario(ARENA)
@@ -467,7 +470,9 @@ class TestTransitionTables:
             original_init(tbl, brain)
             held.append(tbl)
 
-        def outputs():
+        def outputs(cold=True):
+            if cold:
+                empty_store()
             steps.clear()
             held.clear()
             metrics, ants = engine._execute(cfg, scenario, None, schedule)
@@ -480,10 +485,12 @@ class TestTransitionTables:
         monkeypatch.setattr(Network, "step", counted_step)
         monkeypatch.setattr(table.TransitionTable, "__init__", kept_init)
         *tabled, tabled_steps = outputs()
-        assert outputs() == (*tabled, tabled_steps)  # no table outlives its run
+        assert outputs() == (*tabled, tabled_steps)  # each cold run starts alike
         # An emptied cache keeps the entry that filled it, so even bound 0
         # keeps one slot.
         slots_fit = all(len(tbl._slots) <= max(bound, 1) for tbl in held)
+        *again, again_steps = outputs(cold=False)
+        assert again == tabled and again_steps <= tabled_steps
         monkeypatch.setattr(table, "MAX_TABLE_STATES", bound)
         *bounded, bounded_steps = outputs()
         assert bounded == tabled
@@ -518,9 +525,11 @@ class TestTransitionTables:
         assert sum(tabled_ticks) == 0
 
     @pytest.mark.parametrize("bound", [0, 1, 2])
-    def test_a_full_table_keeps_every_ant_tabled(self, bound, monkeypatch):
+    def test_a_full_table_keeps_every_ant_tabled(self, bound, monkeypatch, empty_store):
         """However small the bound, every non-learning ant is tabled on
-        every foraging tick, and the outputs equal the unbounded run's."""
+        every foraging tick, and the outputs equal the unbounded run's.
+        Each run starts from an empty store, so the bounded one fills its
+        own caches."""
         cfg = parse_config("seed = 3\nphase_schedule = foraging:40,training:40,foraging:40\n")
         scenario = parse_scenario(ARENA)
         tabled_ticks = []
@@ -530,6 +539,7 @@ class TestTransitionTables:
                 tabled_ticks.append(all(ant.tabled is not None for ant in ants))
 
         def outputs():
+            empty_store()
             metrics, ants = engine._execute(cfg, scenario, trained_reference_weights(),
                                             cfg.phase_schedule, frame_hook)
             return metrics.to_csv_text(), [a.brain.weights() for a in ants]
@@ -541,17 +551,19 @@ class TestTransitionTables:
         assert len(tabled_ticks) == 80 and all(tabled_ticks)
 
     @pytest.mark.parametrize("bound", [table.MAX_TABLE_STATES, 1, 64])
-    def test_a_run_leaves_no_cyclic_garbage(self, bound, monkeypatch):
+    def test_a_run_leaves_no_cyclic_garbage(self, bound, monkeypatch, empty_store):
         """A table's node graph has cycles. It is cut when its node index
-        is emptied and when the run ends, so the run leaves nothing for
-        the cyclic collector, whether the index holds every node, is
-        emptied at every new one or is emptied now and then; every run
-        gives the same CSV."""
+        is emptied, and the run keeps the table when it ends, so the run
+        leaves nothing for the cyclic collector, whether the index holds
+        every node, is emptied at every new one or is emptied now and
+        then; every run gives the same CSV. Each run starts from an
+        empty store, so the bounded one builds its own table."""
         cfg = parse_config("seed = 1\nworld_ticks = 300\n")
         scenario = reference_scenario("foraging")
         weights = trained_reference_weights(cfg.stdp)
         unbounded = run(cfg, scenario, weights=weights).to_csv_text()
         monkeypatch.setattr(table, "MAX_TABLE_STATES", bound)
+        empty_store()
         gc.collect()
         gc.disable()
         try:
@@ -560,6 +572,55 @@ class TestTransitionTables:
         finally:
             gc.enable()
         assert csv == unbounded
+
+    def test_kept_tables_leave_no_cyclic_garbage(self, monkeypatch):
+        """Consecutive runs with different weight sets each keep only the
+        table they used. A table kept before and not asked for is cut
+        before the run's first tick, so a run never holds two runs'
+        tables, and with the cyclic collector off no run leaves garbage
+        behind. A training run tables nothing and keeps the store as it
+        took it; a run on another circuit config cuts it."""
+        cfg = parse_config("seed = 1\nworld_ticks = 100\n")
+        scenario = reference_scenario("foraging")
+        reference = trained_reference_weights(cfg.stdp)
+        other = {key: (w + cfg.stdp.w_max) / 2 for key, w in reference.items()}
+        used = []
+
+        def recorded_share(tables, brain):
+            tabled = table.share_table(tables, brain)
+            if tabled is not None:
+                used.append(tabled.table)
+            return tabled
+
+        def checked_run(cfg, weights):
+            before = [tbl for tbl in table._kept[1].values()]
+            cut_first = []
+            used.clear()
+            run(cfg, scenario, weights=weights, frame_hook=lambda *_: cut_first.append(
+                all(not tbl._nodes for tbl in before if tbl not in used)))
+            assert gc.collect() == 0
+            assert cut_first and all(cut_first)
+            circuit, kept = table._kept
+            assert circuit == repr(cfg.circuit)
+            assert list(kept.values()) == [used[0]] and set(used) == {used[0]}
+
+        monkeypatch.setattr(engine, "share_table", recorded_share)
+        gc.collect()
+        gc.disable()
+        try:
+            for weights in (reference, None, other, reference, reference):
+                checked_run(cfg, weights)
+            circuit, kept = table._kept
+            kept = dict(kept)
+            used.clear()
+            run_training(replace(cfg, world_ticks=50), parse_scenario(TRAIN_ARENA))
+            assert gc.collect() == 0
+            assert not used and table._kept == (circuit, kept)
+            checked_run(parse_config("seed = 1\nworld_ticks = 100\n"
+                                     "circuit_sense_amplitude = 0.5\n"), reference)
+            assert used[0] is not kept[next(iter(kept))]
+        finally:
+            gc.enable()
 
 
 class TestPositiveTrails:

@@ -7,7 +7,8 @@ zero. These 2000-tick runs do, and pin the metrics CSV of each seed so
 that the clearing path of the negative field's evaporation is checked
 end to end. A 3000-tick run of the benchmark's 100-ant arena fills a
 transition table's node index, so the default bound is met on real
-traffic too.
+traffic too, and a second run of it finds every slot in the table the
+first run kept.
 """
 
 import hashlib
@@ -51,11 +52,13 @@ def test_long_foraging_run_clears_negative_cells(seed, csv_digest, negative_cell
     assert seen["cleared"] == negative_cells_cleared
 
 
-def test_a_long_swarm_run_stays_in_the_table():
+def test_a_long_swarm_run_stays_in_the_table(empty_store):
     """Every one of the benchmark arena's 100 ants stays tabled on every
-    tick of a 3000-tick run: networks step only to compute new slots,
-    180 brain ticks in all, and the node index fills and is cut before
-    the run ends, then once more at its end."""
+    tick of a 3000-tick run: from an empty store, networks step only to
+    compute new slots, 180 brain ticks in all, and the node index fills
+    and is cut once before the run ends, which keeps its table uncut. A
+    second identical run gives the same outputs, all ants tabled, and
+    steps no network: every slot is in the kept table."""
     spec = importlib.util.spec_from_file_location("arena", ARENA)
     arena = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(arena)
@@ -75,13 +78,23 @@ def test_a_long_swarm_run_stays_in_the_table():
         assert len(ants) == 100 and all(ant.tabled is not None for ant in ants)
         ticks.append(tick)
 
-    with mock.patch.object(Network, "step", counted_step), \
-            mock.patch.object(table.TransitionTable, "cut", recorded_cut):
-        metrics = run(cfg, parse_scenario(arena.arena_text(1)),
-                      weights=trained_reference_weights(cfg.stdp), frame_hook=check_tabled)
-    assert hashlib.sha256(metrics.to_csv_text().encode()).hexdigest()[:16] == "dc991887ca482c2d"
-    assert ticks == list(range(1, cfg.world_ticks + 1))
+    def digest():
+        steps.clear()
+        cuts.clear()
+        ticks.clear()
+        with mock.patch.object(Network, "step", counted_step), \
+                mock.patch.object(table.TransitionTable, "cut", recorded_cut):
+            metrics = run(cfg, parse_scenario(arena.arena_text(1)),
+                          weights=trained_reference_weights(cfg.stdp), frame_hook=check_tabled)
+        assert ticks == list(range(1, cfg.world_ticks + 1))
+        return hashlib.sha256(metrics.to_csv_text().encode()).hexdigest()[:16]
+
+    assert digest() == "dc991887ca482c2d"
     assert len(steps) == 180
-    (filled_at, filled), (ended_at, _) = cuts
+    [(filled_at, filled)] = cuts
     assert filled == table.MAX_TABLE_STATES and filled_at < cfg.world_ticks
-    assert ended_at == cfg.world_ticks
+    [kept] = table._kept[1].values()
+    assert kept._nodes
+    assert digest() == "dc991887ca482c2d"
+    assert len(steps) == 0
+    assert list(table._kept[1].values()) == [kept]
