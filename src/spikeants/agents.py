@@ -30,9 +30,6 @@ class Heading(Enum):
         self.vector: tuple[int, int] = {
             "N": (0, -1), "E": (1, 0), "S": (0, 1), "W": (-1, 0)}[letter]
 
-    def turned(self, direction: str) -> "Heading":
-        return self._right if direction == "right" else self._left
-
 
 # Clockwise from north, in Heading's declaration order. The seeded
 # heading draw in engine.build_ants indexes this tuple too, so reordering

@@ -12,10 +12,9 @@ the only plastic ones; everything else is a fixed reflex.
 from __future__ import annotations
 
 import math
-import warnings
 from collections import defaultdict, deque
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .plasticity import StdpConfig, on_post_spike, on_pre_spike
 from .snn import Network, NeuronParams, SpikeEvent, ValidationError, check_ticks
@@ -141,17 +140,13 @@ class StimulusFrame:
     code: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.smell_ahead is not None:
-            _check_smell("smell_ahead", self.smell_ahead)
+        if self.smell_ahead is not None and self.smell_ahead not in SMELLS:
+            raise ValidationError("smell_ahead must be a smell "
+                                  f"({', '.join(c.value for c in SMELLS)}), "
+                                  f"not {self.smell_ahead!r}")
         smell = 0 if self.smell_ahead is None else SMELLS.index(self.smell_ahead) + 1
         object.__setattr__(self, "code", smell << 2 | bool(self.pain_contact) << 1
                            | bool(self.reward_contact))
-
-
-def _check_smell(name: str, smell):
-    if smell not in SMELLS:
-        raise ValidationError(f"{name} must be a smell "
-                              f"({', '.join(c.value for c in SMELLS)}), not {smell!r}")
 
 
 # Every stimulus frame, indexed by its code.
@@ -369,73 +364,6 @@ class AntBrain:
                 raise ValidationError(
                     f"weight for {key[0].value}->{key[1]} outside [w_min, w_max]")
             self.net.synapses[sid].weight = value
-
-
-@dataclass(frozen=True)
-class ConditioningSchedule:
-    """A block of identical paired-stimulus trials.
-
-    `stimulus_gap` is the tick offset from the smell to the unconditioned
-    stimulus; a negative value presents the unconditioned stimulus first
-    (the extinction-direction control). `trial_gap` spaces the trials far
-    enough apart that cross-trial pairings sit in the window's far tail.
-    """
-    smell: Color
-    unconditioned: str  # "pain" or "reward"
-    pairings: int
-    stimulus_gap: int = 2
-    trial_gap: int = 60
-
-    def __post_init__(self):
-        _check_smell("smell", self.smell)
-        if self.unconditioned not in ("pain", "reward"):
-            raise ValidationError("unconditioned stimulus must be 'pain' or 'reward'")
-        if self.pairings < 0:
-            raise ValidationError("pairings must be non-negative")
-        if self.trial_gap < 1:
-            raise ValidationError("trial_gap must be positive")
-
-
-def run_conditioning(brain: AntBrain,
-                     schedules: Sequence[ConditioningSchedule] | ConditioningSchedule,
-                     ) -> dict[tuple[Color, str], float]:
-    """Run a disembodied classical-conditioning protocol.
-
-    The brain should be built without a pacemaker kickstart so that the
-    paired stimuli are the only activity; learning is forced on for the
-    duration. Returns the plastic weights after the protocol.
-    """
-    if isinstance(schedules, ConditioningSchedule):
-        schedules = [schedules]
-    previous = brain.learning
-    brain.learning = True
-    try:
-        for sched in schedules:
-            # The smell path is one synapse longer than the reflex path,
-            # so a pairing's arrival-to-spike lag is stimulus_gap - 1.
-            if abs(sched.stimulus_gap - 1) > brain.stdp_cfg.window_cutoff:
-                warnings.warn(
-                    "stimulus gap reaches beyond the learning window; "
-                    "no conditioning will occur", stacklevel=2)
-            for _ in range(sched.pairings):
-                _run_trial(brain, sched)
-    finally:
-        brain.learning = previous
-    return brain.weights()
-
-
-def _run_trial(brain: AntBrain, sched: ConditioningSchedule):
-    smell_frame = StimulusFrame(smell_ahead=sched.smell)
-    us_frame = (StimulusFrame(pain_contact=True) if sched.unconditioned == "pain"
-                else StimulusFrame(reward_contact=True))
-    first, second = smell_frame, us_frame
-    gap = sched.stimulus_gap
-    if gap < 0:
-        first, second, gap = us_frame, smell_frame, -gap
-    brain.sense(first)
-    brain.step_ticks(gap)
-    brain.sense(second)
-    brain.step_ticks(sched.trial_gap)
 
 
 # -- flat text weight files ------------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spikeants.agents import (
+    CLOCKWISE,
     Ant,
     AntConfig,
     Heading,
@@ -153,13 +154,18 @@ class TestMovementRules:
 
     @pytest.mark.parametrize("heading", list(Heading))
     def test_turns_come_back_to_the_start(self, heading):
-        """Four right turns, or a right turn then a left one, face the
-        ant the way it started."""
-        turned = heading
-        for _ in range(4):
-            turned = turned.turned("right")
-        assert turned is heading
-        assert heading.turned("right").turned("left") is heading
+        """Under either rotate_direction, each rotate frame turns the ant
+        in place one step along CLOCKWISE, forward for "right" and back
+        for "left", so four face it the way it started."""
+        start = CLOCKWISE.index(heading)
+        for direction, step in (("right", 1), ("left", -1)):
+            g, cfg = walled_grid(), AntConfig(rotate_direction=direction)
+            ant = scripted_ant((5, 5), heading, [ActuatorFrame(rotate=True)] * 4)
+            for turn in range(1, 5):
+                step_ant(g, [ant], cfg, SimPhase.FORAGING)
+                assert ant.heading is CLOCKWISE[(start + step * turn) % 4]
+                assert ant.position == (5, 5)
+            assert ant.heading is heading
 
     def test_left_rotation_configurable(self):
         g = walled_grid()
@@ -367,7 +373,7 @@ class TestAntTickCounts:
         heading = data.draw(st.sampled_from(list(Heading)))
         # Facing the other way, the spawn pose is none a step can reach.
         spawn = (data.draw(st.tuples(st.integers(1, w - 2), st.integers(1, h - 2))),
-                 heading.turned("right").turned("right"))
+                 CLOCKWISE[(CLOCKWISE.index(heading) + 2) % 4])
         act = ActuatorFrame(*(data.draw(st.booleans()) for _ in range(4)))
         countdown = data.draw(st.integers(0, 3))
         ant = scripted_ant((x, y), heading, [act], initial_position=spawn[0],

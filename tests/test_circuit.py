@@ -1,6 +1,5 @@
 import builtins
 import math
-import warnings
 from dataclasses import replace
 
 import pytest
@@ -13,13 +12,11 @@ from spikeants.circuit import (
     ActuatorFrame,
     AntBrain,
     CircuitConfig,
-    ConditioningSchedule,
     SMELLS,
     STIMULI,
     StimulusFrame,
     format_weights,
     parse_weights,
-    run_conditioning,
     trained_reference_weights,
 )
 from spikeants.plasticity import StdpConfig
@@ -29,6 +26,29 @@ from spikeants.world import Color
 
 def motor_spikes(brain, ticks, neuron):
     return [ev.tick for ev in brain.step_ticks(ticks) if ev.neuron == neuron]
+
+
+PAIN = StimulusFrame(pain_contact=True)
+REWARD = StimulusFrame(reward_contact=True)
+
+
+def condition(brain, smell, unconditioned, pairings, stimulus_gap=2, trial_gap=60):
+    """Pair `smell` with the `unconditioned` frame `pairings` times, with
+    learning on, and return the plastic weights. The smell leads by
+    `stimulus_gap` ticks; a negative gap presents the unconditioned
+    stimulus first. `trial_gap` puts cross-trial pairings in the window's
+    far tail."""
+    first, second = StimulusFrame(smell_ahead=smell), unconditioned
+    if stimulus_gap < 0:
+        first, second = second, first
+    brain.learning = True
+    for _ in range(pairings):
+        brain.sense(first)
+        brain.step_ticks(abs(stimulus_gap))
+        brain.sense(second)
+        brain.step_ticks(trial_gap)
+    brain.learning = False
+    return brain.weights()
 
 
 class TestBuildBrain:
@@ -359,19 +379,6 @@ class TestStimulusFrames:
         with pytest.raises(ValidationError, match=f"smell_ahead must be a smell .*{smell!r}"):
             StimulusFrame(smell_ahead=smell)
 
-    def test_a_schedule_rejects_what_is_not_a_smell(self):
-        with pytest.raises(ValidationError, match="smell must be a smell .*BLACK"):
-            ConditioningSchedule(Color.BLACK, "pain", 1)
-
-    @pytest.mark.parametrize("args, message", [
-        (("fear", 1), "unconditioned stimulus must be 'pain' or 'reward'"),
-        (("pain", -1), "pairings must be non-negative"),
-        (("pain", 1, 2, 0), "trial_gap must be positive"),
-    ], ids=["unconditioned_fear", "pairings_negative", "trial_gap_zero"])
-    def test_a_schedule_rejects_bad_values(self, args, message):
-        with pytest.raises(ValidationError, match=f"^{message}$"):
-            ConditioningSchedule(Color.WHITE, *args)
-
 
 class TestSense:
     def test_smell_routes_to_matching_receptor_only(self):
@@ -430,14 +437,12 @@ class TestConditioning:
     def test_zero_pairings_leave_initial_weights(self):
         brain = AntBrain(kickstart=False)
         before = brain.weights()
-        report = run_conditioning(
-            brain, ConditioningSchedule(Color.WHITE, "pain", 0))
+        report = condition(brain, Color.WHITE, PAIN, 0)
         assert report == before
 
     def test_200_pain_pairings_near_ceiling(self):
         brain = AntBrain(kickstart=False)
-        report = run_conditioning(
-            brain, ConditioningSchedule(Color.WHITE, "pain", 200, stimulus_gap=2))
+        report = condition(brain, Color.WHITE, PAIN, 200, stimulus_gap=2)
         assert report[(Color.WHITE, MOTOR_ROTATE)] >= 0.9 * brain.stdp_cfg.w_max
         # untouched pathways stay at initialization
         assert report[(Color.WHITE, MOTOR_FORWARD)] == pytest.approx(0.1)
@@ -445,14 +450,12 @@ class TestConditioning:
 
     def test_reward_pairings_condition_forward(self):
         brain = AntBrain(kickstart=False)
-        report = run_conditioning(
-            brain, ConditioningSchedule(Color.GREEN, "reward", 200, stimulus_gap=2))
+        report = condition(brain, Color.GREEN, REWARD, 200, stimulus_gap=2)
         assert report[(Color.GREEN, MOTOR_FORWARD)] >= 0.9 * brain.stdp_cfg.w_max
 
     def test_reversed_order_depresses(self):
         brain = AntBrain(kickstart=False)
-        report = run_conditioning(
-            brain, ConditioningSchedule(Color.WHITE, "pain", 200, stimulus_gap=-2))
+        report = condition(brain, Color.WHITE, PAIN, 200, stimulus_gap=-2)
         assert report[(Color.WHITE, MOTOR_ROTATE)] <= 0.1
 
     def test_reflex_pathways_bit_identical_after_training(self):
@@ -460,19 +463,15 @@ class TestConditioning:
         plastic_ids = set(brain.layout.plastic_synapses.values())
         fixed_before = [(i, s.weight) for i, s in enumerate(brain.net.synapses)
                         if i not in plastic_ids]
-        run_conditioning(brain, [
-            ConditioningSchedule(Color.WHITE, "pain", 100),
-            ConditioningSchedule(Color.GREEN, "reward", 100),
-        ])
+        condition(brain, Color.WHITE, PAIN, 100)
+        condition(brain, Color.GREEN, REWARD, 100)
         fixed_after = [(i, s.weight) for i, s in enumerate(brain.net.synapses)
                        if i not in plastic_ids]
         assert fixed_before == fixed_after
 
     def test_transfer_smell_alone_elicits_response(self):
         brain = AntBrain(kickstart=False)
-        run_conditioning(
-            brain, ConditioningSchedule(Color.WHITE, "pain", 200, stimulus_gap=2))
-        brain.learning = False
+        condition(brain, Color.WHITE, PAIN, 200, stimulus_gap=2)
         brain.sense(StimulusFrame(smell_ahead=Color.WHITE))
         events = brain.step_ticks(4)  # receptor -> afferent -> motoneuron
         assert brain.layout.motor_rotate in {ev.neuron for ev in events}
@@ -485,14 +484,6 @@ class TestConditioning:
         assert brain.layout.motor_rotate not in fired
         assert brain.layout.motor_forward not in fired
 
-    def test_gap_beyond_window_warns(self):
-        brain = AntBrain(kickstart=False)
-        wide = brain.stdp_cfg.window_cutoff
-        with pytest.warns(UserWarning, match="learning window"):
-            run_conditioning(
-                brain, ConditioningSchedule(Color.WHITE, "pain", 1,
-                                            stimulus_gap=wide + 2, trial_gap=wide + 5))
-
     # The smell path is one synapse longer than the reflex path, so the
     # arrival-to-spike lag is stimulus_gap - 1: gaps cutoff + 1 and
     # -(cutoff - 1) still pair within the window, cutoff + 2 and -cutoff
@@ -500,16 +491,11 @@ class TestConditioning:
     @pytest.mark.parametrize("sign, shift, conditions", [
         (1, 1, True), (-1, 1, True), (1, 2, False), (-1, 0, False)],
         ids=["cutoff_plus_1", "minus_cutoff_plus_1", "cutoff_plus_2", "minus_cutoff"])
-    def test_warning_marks_the_window_edge(self, sign, shift, conditions):
+    def test_only_gaps_inside_the_window_condition(self, sign, shift, conditions):
         brain = AntBrain(kickstart=False)
         cutoff = brain.stdp_cfg.window_cutoff
         gap = sign * cutoff + shift
-        schedule = ConditioningSchedule(Color.WHITE, "pain", 5, stimulus_gap=gap,
-                                        trial_gap=cutoff + 5)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            report = run_conditioning(brain, schedule)
-        assert bool(caught) is not conditions
+        report = condition(brain, Color.WHITE, PAIN, 5, stimulus_gap=gap, trial_gap=cutoff + 5)
         moved = report[(Color.WHITE, MOTOR_ROTATE)] != pytest.approx(0.1)
         assert moved is conditions
 
@@ -538,7 +524,7 @@ class TestLearningBookkeeping:
 class TestWeightFiles:
     def test_round_trip(self):
         brain = AntBrain(kickstart=False)
-        run_conditioning(brain, ConditioningSchedule(Color.RED, "pain", 50))
+        condition(brain, Color.RED, PAIN, 50)
         text = format_weights(brain.weights())
         assert parse_weights(text) == brain.weights()
 

@@ -1,6 +1,8 @@
 import gc
 import hashlib
+import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,9 +12,23 @@ from hypothesis import strategies as st
 from spikeants import engine, table
 from spikeants.agents import CLOCKWISE, SimPhase
 
-from spikeants.circuit import MOTOR_ROTATE, AntBrain, trained_reference_weights
-from spikeants.config import SimConfig, parse_config
-from spikeants.engine import SimulationError, _Draw, build_ants, compare, run, run_training
+from spikeants.circuit import (
+    MOTOR_FORWARD,
+    MOTOR_ROTATE,
+    SMELLS,
+    AntBrain,
+    trained_reference_weights,
+)
+from spikeants.config import _KEYS, ConfigError, SimConfig, parse_config
+from spikeants.engine import (
+    SimulationError,
+    _Draw,
+    ant_count,
+    build_ants,
+    compare,
+    run,
+    run_training,
+)
 from spikeants.scenario import parse_scenario, reference_scenario
 from spikeants.snn import Network
 from spikeants.world import Color, PatchKind
@@ -208,6 +224,28 @@ class TestRunTraining:
         cfg = small_cfg(phase_schedule=((SimPhase.TRAINING, 30),))
         with pytest.raises(SimulationError, match="phase_schedule"):
             run_training(cfg, parse_scenario(TRAIN_ARENA))
+
+    def test_bundled_training_learns_nothing_that_acts(self):
+        """What embodied training learns on @training, seed 1, 1000 ticks:
+        five pathways saturate at w_max, and green->rotate ends below its
+        initial weight, plastic_init_fraction of the way up. Against
+        trained_reference_weights() that differs in white->forward and
+        red->forward (w_max, not w_min) and in green->rotate (not w_min).
+        A @foraging run writes the same CSV with either set, so the
+        learned forward pathways and green->rotate change no action:
+        under the defaults only white->rotate and red->rotate carry
+        behaviour, and the reference set saturates both too."""
+        cfg = replace(SimConfig(), seed=1, world_ticks=1000)
+        weights, _ = run_training(cfg, reference_scenario("training"))
+        stdp = cfg.stdp
+        saturated = {(smell, motor): stdp.w_max
+                     for smell in SMELLS for motor in (MOTOR_FORWARD, MOTOR_ROTATE)}
+        assert weights == {**saturated, (Color.GREEN, MOTOR_ROTATE): 0.07727092559598775}
+        initial = stdp.w_min + cfg.circuit.plastic_init_fraction * (stdp.w_max - stdp.w_min)
+        assert weights[(Color.GREEN, MOTOR_ROTATE)] < initial
+        foraging = reference_scenario("foraging")
+        learned = run(cfg, foraging, weights=weights).to_csv_text()
+        assert learned == run(cfg, foraging, weights=trained_reference_weights()).to_csv_text()
 
 
 class TestCompare:
@@ -438,6 +476,80 @@ class TestRunInvariants:
         assert m.initial_food - m.food_consumed == m.total_food[-1]
         food = [m.initial_food, *m.total_food]
         assert all(a >= b for a, b in zip(food, food[1:]))
+
+
+# Values at and past the edges of each key's domain, by the key's parser;
+# the bool, direction and schedule keys share the words.
+_INTS = ["0", "1", "-1", "2", str(2**63 - 1), str(2**63), str(-2**63)]
+EXTREMES = {int: _INTS,
+            float: _INTS + ["-0.0", "5e-324", "1e-308", "1e308", "-1e308", "nan", "inf", "-inf"]}
+WORDS = ["true", "false", "left", "right", "training:1", f"foraging:{2**63 - 1},training:3"]
+
+
+def extreme_line(key):
+    return st.tuples(st.just(key), st.sampled_from(EXTREMES.get(_KEYS[key][2], WORDS)))
+
+
+SMALL_WALLED = """\
+width 6
+height 6
+food_quantity 3
+random_ants 1
+map
+######
+#.F..#
+#..R.#
+#....#
+#.F.R#
+######
+"""
+
+
+class TestConfigExtremes:
+    @settings(max_examples=300, deadline=None)
+    @given(lines=st.lists(st.sampled_from(sorted(_KEYS)).flatmap(extreme_line),
+                          min_size=1, max_size=3, unique_by=lambda line: line[0]))
+    def test_accepted_configs_finish_finite(self, lines):
+        """Whenever parse_config and ant_count accept 1-3 keys at extreme
+        values, a 20-tick run and a 20-tick train finish, and every
+        potential and both pheromone fields are finite at the end. The
+        train is skipped where run_training rejects the config up front:
+        a phase_schedule, or other than one ant. The test sets the budget: 20 world ticks, at most 3 ants, 10 ticks
+        a phase and 20 brain ticks a world tick, since ant_brain_steps
+        takes any positive integer and a world tick runs that many."""
+        try:
+            cfg = parse_config("".join(f"{key} = {value}\n" for key, value in lines))
+        except ConfigError:
+            return
+        circuit = cfg.circuit
+        cfg = replace(cfg, world_ticks=20, n_ants=min(cfg.n_ants, 3),
+                      phase_schedule=tuple((phase, min(ticks, 10))
+                                           for phase, ticks in cfg.phase_schedule),
+                      circuit=replace(circuit, brain_steps_per_world_tick=min(
+                          circuit.brain_steps_per_world_tick, 20)))
+        scenario = parse_scenario(SMALL_WALLED)
+        try:
+            ants = ant_count(scenario, cfg)
+        except (ConfigError, SimulationError):
+            return
+        execute, ends = engine._execute, []
+
+        def kept_end(cfg, scenario, weights, schedule, frame_hook=None):
+            grids = []
+            metrics, ants = execute(cfg, scenario, weights, schedule,
+                                    lambda tick, grid, ants: grids.append(grid))
+            ends.append((grids[-1], ants))
+            return metrics, ants
+
+        with mock.patch.object(engine, "_execute", kept_end):
+            run(cfg, scenario)
+            if not cfg.phase_schedule and ants == 1:
+                run_training(cfg, scenario)
+        for grid, ants in ends:
+            assert np.isfinite(grid.positive).all() and np.isfinite(grid.negative).all()
+            for ant in ants:
+                assert all(math.isfinite(state.membrane_potential)
+                           for state in ant.brain.net.states)
 
 
 class TestTransitionTables:
