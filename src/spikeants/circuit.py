@@ -75,7 +75,8 @@ class CircuitConfig:
         for name in ("brain_steps_per_world_tick", "refractory_ticks", "nociceptor_refractory"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be at least 1 tick")
-        for name in ("refractory_ticks", "nociceptor_refractory", "pacemaker_period"):
+        for name in ("brain_steps_per_world_tick", "refractory_ticks", "nociceptor_refractory",
+                     "pacemaker_period"):
             check_ticks(name, getattr(self, name))
         if self.pacemaker_period < 2:
             raise ValidationError("pacemaker_period must be at least 2 ticks")

@@ -5,7 +5,7 @@ Subcommands:
     run       foraging run: metrics CSV/JSON, optional frame dumps
     compare   paired pheromone on/off runs with a delta summary
     render    draw a scenario's initial state as a PPM image
-    validate  parse scenario (and config) only
+    validate  parse scenario (and config); print the brain ticks a run asks for
     defaults  print the reference configuration
 
 All exits are 0 on success and nonzero with a one-line diagnostic on
@@ -137,7 +137,12 @@ def _cmd_render(args) -> int:
 
 def _cmd_validate(args) -> int:
     scenario = _load_scenario(args.scenario)
-    n_ants = ant_count(scenario, _load_config(args))
+    cfg = _load_config(args)
+    n_ants = ant_count(scenario, cfg)
+    world_ticks = sum(ticks for _, ticks in cfg.phase_schedule) or cfg.world_ticks
+    steps = cfg.circuit.brain_steps_per_world_tick
+    print(f"{world_ticks} world ticks x {n_ants} ants x {steps} ant_brain_steps = "
+          f"{world_ticks * n_ants * steps} brain ticks")
     print(f"ok: {scenario.width}x{scenario.height}, "
           f"{scenario.build_grid().total_food()} food units, {n_ants} ants")
     return 0

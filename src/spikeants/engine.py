@@ -20,7 +20,7 @@ from .agents import CLOCKWISE, Ant, Heading, SimPhase, step_ant
 from .circuit import AntBrain
 from .config import ConfigError, SimConfig, config_hash
 from .scenario import Scenario
-from .table import TransitionTable, keep_tables, share_table, take_tables
+from .table import keep_tables, share_table
 from .world import Color, Grid, PatchKind
 
 
@@ -196,25 +196,16 @@ def _execute(cfg: SimConfig, scenario: Scenario,
     metrics = Metrics(seed=cfg.seed, config_digest=config_hash(cfg),
                       initial_food=grid.total_food())
     food_total = harm_total = reset_total = tick = 0
-    # A table depends only on its circuit config and plastic weights, so
-    # the run starts from the tables an earlier run kept for this config.
-    # Once the last phase has shared its tables, those no brain asked for
-    # are cut, so a run never holds another run's unused tables while it
-    # ticks; the rest are kept when it ends. A run that raises keeps none,
-    # leaving its tables to the cyclic collector.
-    circuit = repr(cfg.circuit)
-    tables = take_tables(circuit)
-    used: set[TransitionTable] = set()
-    for i, (phase, phase_ticks) in enumerate(schedule):
+    # A brain's table depends only on its circuit config and plastic
+    # weights, so `share_table` takes it from the tables an earlier run
+    # kept, if any, and the run keeps all its tables when it ends. A run
+    # that raises keeps none, leaving its tables to the cyclic collector.
+    tables = {}
+    for phase, phase_ticks in schedule:
         learning = phase is SimPhase.TRAINING or cfg.learn_during_foraging
         for ant in ants:
             ant.brain.learning = learning
             ant.tabled = share_table(tables, ant.brain)
-            if ant.tabled is not None:
-                used.add(ant.tabled.table)
-        if used and i == len(schedule) - 1:
-            for key in [key for key, tbl in tables.items() if tbl not in used]:
-                tables.pop(key).cut()
         for _ in range(phase_ticks):
             tick += 1
             ate, pain, reset = step_ant(grid, ants, cfg.ant, phase, cfg.pheromone_enabled)
@@ -230,7 +221,7 @@ def _execute(cfg: SimConfig, scenario: Scenario,
             if ant.tabled is not None:
                 ant.tabled.leave(phase_ticks)
                 ant.tabled = None
-    keep_tables(circuit, tables)
+    keep_tables(tables)
     metrics.food_consumed = food_total
     return metrics, ants
 

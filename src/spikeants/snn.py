@@ -28,7 +28,8 @@ _PULSE = struct.Struct(CELL.format + "q")
 
 
 def check_ticks(name: str, ticks: int):
-    """Reject a dead time or delay that a `CELL` cannot hold."""
+    """Reject a tick count past a signed 64-bit field, such as a dead time
+    or delay that a `CELL` cannot hold."""
     if ticks > 2 ** 63 - 1:
         raise ValidationError(f"{name} must be at most 2**63 - 1 ticks")
 

@@ -19,11 +19,12 @@ circuit config and the plastic weights' bytes. The `repr` covers every
 field a brain is wired and stepped with (`sense_amplitude` and
 `brain_steps_per_world_tick` included, and the derived `NeuronParams`)
 and, unlike the config's `==`, tells -0.0 from 0.0. So tables outlive
-their run. A run takes the kept tables at its start (`take_tables`),
-those of its own circuit config, and keeps the ones its brains stood on
-for the next run (`keep_tables`). Only a later run in one process gains,
-and only on the weights a run before it used: the second arm of
-`compare` and repeated runs of one config, such as a benchmark's.
+their run in one flat store by that key. A run takes out each kept
+table a brain asks for (`share_table`) and, when it ends, puts all its
+tables in as the store, cutting those they replace (`keep_tables`).
+Only a later run in one process gains, and only on the weights a run
+before it used: the second arm of `compare` and repeated runs of one
+config, such as a benchmark's.
 """
 
 from __future__ import annotations
@@ -160,49 +161,41 @@ class Tabled:
         net.load_state(node.acts + node.row, table.order)
 
 
-# The `repr` of the circuit config the last run that tabled a brain ran
-# on, and the tables it kept, by plastic weights. `_store_lock` makes
-# each hand-over one step, so no two runs ever hold one table.
-_kept: tuple[str, dict[bytes, TransitionTable]] = ("", {})
+# The tables kept from run to run, by `repr` of the circuit config and
+# plastic weights' bytes. `_store_lock` makes each take and each swap
+# one step, so no two runs ever hold one table.
+_kept: dict[tuple[str, bytes], TransitionTable] = {}
 _store_lock = threading.Lock()
 
 
 def share_table(tables: dict[bytes, TransitionTable], brain: AntBrain) -> Optional[Tabled]:
-    """`brain` held in the table of `tables` for its plastic weights (made
-    when missing), or None while it learns. It must not learn until `leave`.
-    Every brain shared into one `tables` must have the same circuit config."""
+    """`brain` held in the table of `tables` for its plastic weights, or
+    None while it learns. A missing table is taken from the kept ones, or
+    made. It must not learn until `leave`. Every brain shared into one
+    `tables` must have the same circuit config."""
     if brain.learning:
         return None
     weights = array("d", brain.weights().values()).tobytes()
     table = tables.get(weights)
     if table is None:
-        table = tables[weights] = TransitionTable(brain)
+        with _store_lock:
+            table = _kept.pop((repr(brain.circuit_cfg), weights), None)
+        if table is None:
+            table = TransitionTable(brain)
+        tables[weights] = table
     return Tabled(table, brain)
 
 
-def _cut_all(tables: dict[bytes, TransitionTable]):
-    for table in tables.values():
+def keep_tables(tables: dict[bytes, TransitionTable]):
+    """Keep `tables`, a run's by plastic weights, for the next run in
+    place of the kept ones, which are cut. A run that tabled nothing
+    leaves the kept ones as they are."""
+    global _kept
+    if not tables:
+        return
+    kept = {(repr(table._scratch.circuit_cfg), weights): table
+            for weights, table in tables.items()}
+    with _store_lock:
+        _kept, replaced = kept, _kept
+    for table in replaced.values():
         table.cut()
-
-
-def take_tables(circuit: str) -> dict[bytes, TransitionTable]:
-    """The kept tables, by plastic weights, if they were kept for the
-    circuit config whose `repr` is `circuit`; otherwise none, and the
-    kept ones are cut. None stay kept, so two runs at once never share
-    a table."""
-    global _kept
-    with _store_lock:
-        (kept_for, tables), _kept = _kept, ("", {})
-    if kept_for == circuit:
-        return tables
-    _cut_all(tables)
-    return {}
-
-
-def keep_tables(circuit: str, tables: dict[bytes, TransitionTable]):
-    """Keep `tables`, made for the circuit config whose `repr` is
-    `circuit`, for the next run, cutting any kept meanwhile."""
-    global _kept
-    with _store_lock:
-        (_, meanwhile), _kept = _kept, (circuit, tables)
-    _cut_all(meanwhile)

@@ -4,9 +4,9 @@ from spikeants import table
 
 
 def _empty_store():
-    # No circuit config's `repr` is empty, so this takes no kept table
-    # and cuts them all.
-    table.take_tables("")
+    for kept in table._kept.values():
+        kept.cut()
+    table._kept.clear()
 
 
 @pytest.fixture(autouse=True)

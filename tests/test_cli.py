@@ -72,6 +72,14 @@ class TestValidate:
         assert main(["validate", "--scenario", str(arena)]) == 0
         assert "ok:" in capsys.readouterr().out
 
+    def test_brain_ticks_shown(self, capsys):
+        """Before the verdict, `validate` shows the brain ticks a run of
+        the config would step: world ticks x ants x `ant_brain_steps`."""
+        assert main(["validate", "--scenario", "@foraging"]) == 0
+        assert capsys.readouterr().out == (
+            "1000 world ticks x 10 ants x 10 ant_brain_steps = 100000 brain ticks\n"
+            "ok: 60x60, 270 food units, 10 ants\n")
+
     def test_parse_error_exit_nonzero(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text("width 3\nheight 2\nmap\n##\n##\n")

@@ -687,11 +687,11 @@ class TestTransitionTables:
 
     def test_kept_tables_leave_no_cyclic_garbage(self, monkeypatch):
         """Consecutive runs with different weight sets each keep only the
-        table they used. A table kept before and not asked for is cut
-        before the run's first tick, so a run never holds two runs'
-        tables, and with the cyclic collector off no run leaves garbage
-        behind. A training run tables nothing and keeps the store as it
-        took it; a run on another circuit config cuts it."""
+        table they used. A table kept before and not asked for is cut by
+        the end of the run, and with the cyclic collector off no run
+        leaves garbage behind. A training run tables nothing and leaves
+        the store as it was; a run on another circuit config gets a new
+        table."""
         cfg = parse_config("seed = 1\nworld_ticks = 100\n")
         scenario = reference_scenario("foraging")
         reference = trained_reference_weights(cfg.stdp)
@@ -705,16 +705,15 @@ class TestTransitionTables:
             return tabled
 
         def checked_run(cfg, weights):
-            before = [tbl for tbl in table._kept[1].values()]
-            cut_first = []
+            before = list(table._kept.values())
             used.clear()
-            run(cfg, scenario, weights=weights, frame_hook=lambda *_: cut_first.append(
-                all(not tbl._nodes for tbl in before if tbl not in used)))
+            run(cfg, scenario, weights=weights)
             assert gc.collect() == 0
-            assert cut_first and all(cut_first)
-            circuit, kept = table._kept
+            assert set(used) == {used[0]}
+            [(circuit, _)] = table._kept
             assert circuit == repr(cfg.circuit)
-            assert list(kept.values()) == [used[0]] and set(used) == {used[0]}
+            assert list(table._kept.values()) == [used[0]]
+            assert all(not tbl._nodes for tbl in before if tbl is not used[0])
 
         monkeypatch.setattr(engine, "share_table", recorded_share)
         gc.collect()
@@ -722,15 +721,14 @@ class TestTransitionTables:
         try:
             for weights in (reference, None, other, reference, reference):
                 checked_run(cfg, weights)
-            circuit, kept = table._kept
-            kept = dict(kept)
+            kept = dict(table._kept)
             used.clear()
             run_training(replace(cfg, world_ticks=50), parse_scenario(TRAIN_ARENA))
             assert gc.collect() == 0
-            assert not used and table._kept == (circuit, kept)
+            assert not used and table._kept == kept
             checked_run(parse_config("seed = 1\nworld_ticks = 100\n"
                                      "circuit_sense_amplitude = 0.5\n"), reference)
-            assert used[0] is not kept[next(iter(kept))]
+            assert used[0] not in kept.values()
         finally:
             gc.enable()
 

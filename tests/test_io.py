@@ -320,6 +320,7 @@ class TestConfigFile:
         "neuron_refractory_ticks = 9223372036854775808",
         "circuit_nociceptor_refractory = 9223372036854775808",
         "circuit_pacemaker_period = 9223372036854775808",
+        "ant_brain_steps = 9223372036854775808",
         "circuit_np_pulse_count = 10000000\ncircuit_np_tau = 1e300",
         "neuron_threshold = 1e308\nneuron_rest = -1e308\nneuron_refractory_potential = -1e308",
         "neuron_threshold = 1.7976931348623157e308\ncircuit_np_pulse_count = 1",
@@ -334,7 +335,8 @@ class TestConfigFile:
             "circuit_np_pulse_count_zero", "stdp_w_min_negative",
             "ant_rotate_direction_up", "circuit_plastic_init_fraction_one",
             "neuron_refractory_ticks_beyond_int64", "circuit_nociceptor_refractory_beyond_int64",
-            "circuit_pacemaker_period_beyond_int64", "circuit_np_pulse_count_undecaying",
+            "circuit_pacemaker_period_beyond_int64", "ant_brain_steps_beyond_int64",
+            "circuit_np_pulse_count_undecaying",
             "neuron_threshold_span_overflow", "neuron_threshold_max_single_pulse"])
     def test_invalid_domain_value_rejected(self, line):
         key = line.split()[0]

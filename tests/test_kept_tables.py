@@ -10,10 +10,12 @@ trained brains to a table, and `compare`. Each run must give what it
 gives from an empty store.
 """
 
+import gc
+
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from spikeants import engine
+from spikeants import engine, table
 from spikeants.agents import SimPhase
 from spikeants.circuit import MOTOR_FORWARD, MOTOR_ROTATE, SMELLS, trained_reference_weights
 from spikeants.config import parse_config
@@ -116,3 +118,41 @@ def test_runs_do_not_depend_on_what_ran_before(sequence, empty_store):
     for run, got in zip(sequence, in_sequence):
         empty_store()
         assert outputs(*run) == got
+
+
+def test_a_run_inside_another_builds_its_own_table(empty_store, monkeypatch):
+    """A run takes each kept table out of the store under `_store_lock`,
+    so two runs at once never hold one table: a run started from another
+    run's frame hook, on the same config and weights, builds a table of
+    its own while the outer run holds the kept one. Each run gives the
+    CSV it gives alone, and with the cyclic collector off neither leaves
+    garbage behind."""
+    cfg = parse_config("seed = 1\nworld_ticks = 31\n")
+    weights = trained_reference_weights(cfg.stdp)
+    empty_store()
+    alone = engine.run(cfg, ARENA, weights=weights).to_csv_text()
+    original_init = table.TransitionTable.__init__
+    built, outer_tables, inner_tables, inner = [], [], [], []
+
+    def counted_init(tbl, brain):
+        original_init(tbl, brain)
+        built.append(tbl)
+
+    def outer_hook(tick, grid, ants):
+        outer_tables.extend(ant.tabled.table for ant in ants)
+        if tick == 10:
+            metrics = engine.run(cfg, ARENA, weights=weights, frame_hook=lambda tick, grid, ants:
+                                 inner_tables.extend(ant.tabled.table for ant in ants))
+            inner.append(metrics.to_csv_text())
+
+    monkeypatch.setattr(table.TransitionTable, "__init__", counted_init)
+    gc.collect()
+    gc.disable()
+    try:
+        outer = engine.run(cfg, ARENA, weights=weights, frame_hook=outer_hook).to_csv_text()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert outer == alone and inner == [alone]
+    [outer_table], [inner_table] = set(outer_tables), set(inner_tables)
+    assert built == [inner_table] and inner_table is not outer_table

@@ -93,8 +93,8 @@ def test_a_long_swarm_run_stays_in_the_table(empty_store):
     assert len(steps) == 180
     [(filled_at, filled)] = cuts
     assert filled == table.MAX_TABLE_STATES and filled_at < cfg.world_ticks
-    [kept] = table._kept[1].values()
+    [kept] = table._kept.values()
     assert kept._nodes
     assert digest() == "dc991887ca482c2d"
     assert len(steps) == 0
-    assert list(table._kept[1].values()) == [kept]
+    assert list(table._kept.values()) == [kept]
