@@ -139,7 +139,7 @@ def _cmd_validate(args) -> int:
     scenario = _load_scenario(args.scenario)
     cfg = _load_config(args)
     n_ants = ant_count(scenario, cfg)
-    world_ticks = sum(ticks for _, ticks in cfg.phase_schedule) or cfg.world_ticks
+    world_ticks = sum(ticks for _, ticks in cfg.phases)
     steps = cfg.circuit.brain_steps_per_world_tick
     print(f"{world_ticks} world ticks x {n_ants} ants x {steps} ant_brain_steps = "
           f"{world_ticks * n_ants * steps} brain ticks")

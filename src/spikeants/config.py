@@ -31,8 +31,6 @@ class SimConfig:
     n_ants: int = 0  # 0 -> take the ant count from the scenario
     pheromone_enabled: bool = True
     learn_during_foraging: bool = False
-    # A set schedule is the whole run; empty means a single foraging
-    # phase of world_ticks.
     phase_schedule: tuple[tuple[SimPhase, int], ...] = ()
     stdp: StdpConfig = field(default_factory=StdpConfig)
     evaporation: EvaporationConfig = field(default_factory=EvaporationConfig)
@@ -48,6 +46,12 @@ class SimConfig:
             raise ConfigError("n_ants must be non-negative")
         if any(t < 1 for _, t in self.phase_schedule):
             raise ConfigError("phase_schedule ticks must be positive")
+
+    @property
+    def phases(self) -> tuple[tuple[SimPhase, int], ...]:
+        """The phases a run steps: the phase_schedule, or a single
+        foraging phase of world_ticks when that is empty."""
+        return self.phase_schedule or ((SimPhase.FORAGING, self.world_ticks),)
 
 
 def _parse_schedule(raw: str) -> tuple[tuple[SimPhase, int], ...]:

@@ -231,13 +231,11 @@ def run(cfg: SimConfig, scenario: Scenario,
         frame_hook=None) -> Metrics:
     """Execute a full simulation and return its metrics.
 
-    The phases are the config's phase_schedule, or a single foraging
-    phase of `world_ticks` when that is empty. `frame_hook(tick, grid,
+    The phases are the config's `phases`. `frame_hook(tick, grid,
     ants)`, when given, is called after every sampled tick (the CLI uses
     it for snapshot dumps).
     """
-    schedule = cfg.phase_schedule or ((SimPhase.FORAGING, cfg.world_ticks),)
-    metrics, _ = _execute(cfg, scenario, weights, schedule, frame_hook)
+    metrics, _ = _execute(cfg, scenario, weights, cfg.phases, frame_hook)
     return metrics
 
 

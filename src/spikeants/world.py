@@ -79,41 +79,42 @@ class EvaporationConfig:
 
 
 class _Marks:
-    """One pheromone field's non-zero cells as a sparse set (Briggs &
-    Torczon 1993, *ACM LOPLAS* 2:59): `cells[:n]` lists the flat index of
-    each non-zero cell once, in no set order, and `vals[:n]` holds their
-    values in the same order; every cell outside the list is 0.0.
-    `slot[i]` is cell i's index into both, and counts only when
+    """One pheromone field, the one record of its values, as a sparse set
+    (Briggs & Torczon 1993, *ACM LOPLAS* 2:59): `cells[:n]` lists the
+    flat index of each non-zero cell once, in no set order, and `vals[:n]`
+    holds their values in the same order; every cell outside the list is
+    0.0. `slot[i]` is cell i's index into both, and counts only when
     `0 <= slot[i] < n` and `cells[slot[i]] == i`, so `slot` needs no
     initial values and a new grid touches none of its memory.
 
-    `field` is the (height, width) array the grid shows. `read` writes
-    the listed values into it, and only when a value changed since the
-    last read; a cell is written 0.0 there as it leaves the list.
+    `read` returns a snapshot: a (height, width) array built from the
+    list on the first read after the field changes, and the same array
+    on every later read until it changes again.
 
     `floor` bounds every listed value from below: a newly listed cell
-    lowers it to its value, a deposit only raises a value and `zero` only
-    drops a cell. Rounding is monotonic, so `floor * scale` bounds the
-    decayed values too, and while it stays at or above the threshold no
-    cell can clear."""
+    lowers it to its value, a deposit only raises a value, and a cell
+    leaves the list only by clearing. Rounding is monotonic, so
+    `floor * scale` bounds the decayed values too, and while it stays at
+    or above the threshold no cell can clear."""
 
-    __slots__ = ("field", "flat", "cells", "vals", "slot", "n", "floor", "stale")
+    __slots__ = ("shape", "cells", "vals", "slot", "n", "floor", "snapshot")
 
     def __init__(self, shape: tuple[int, int]):
-        self.field = np.zeros(shape, dtype=np.float64)
-        self.flat = self.field.reshape(-1)  # a view: writes land in `field`
-        self.cells = np.empty(self.flat.size, dtype=np.intp)
-        self.vals = np.empty(self.flat.size, dtype=np.float64)
-        self.slot = np.empty(self.flat.size, dtype=np.intp)
+        self.shape = shape
+        size = shape[0] * shape[1]
+        self.cells = np.empty(size, dtype=np.intp)
+        self.vals = np.empty(size, dtype=np.float64)
+        self.slot = np.empty(size, dtype=np.intp)
         self.n = 0
         self.floor = math.inf
-        self.stale = False  # `field` lags a listed value
+        self.snapshot = None  # the field as last read, until it changes
 
     def read(self) -> np.ndarray:
-        if self.stale:
-            self.flat[self.cells[:self.n]] = self.vals[:self.n]
-            self.stale = False
-        return self.field
+        if self.snapshot is None:
+            flat = np.zeros(self.slot.size)
+            flat[self.cells[:self.n]] = self.vals[:self.n]
+            self.snapshot = flat.reshape(self.shape)
+        return self.snapshot
 
     def at(self, i: int) -> int:
         """Cell i's index into `cells` and `vals`, or -1 if it is not listed."""
@@ -137,7 +138,7 @@ class _Marks:
             self.floor = min(self.floor, value)
         else:
             return 0.0
-        self.stale = True
+        self.snapshot = None
         return value
 
     def _drop(self, s: int) -> int:
@@ -149,15 +150,7 @@ class _Marks:
         cells[s] = last
         self.vals[s] = self.vals.item(n)
         self.slot[last] = s
-        self.flat[i] = 0.0
         return i
-
-    def zero(self, i: int):
-        s = self.at(i)
-        if s >= 0:
-            self._drop(s)
-        else:
-            self.flat[i] = 0.0  # a value written into `field` directly
 
     def decay(self, scale: float, eps: float) -> list[int]:
         """The dense rule, `field *= scale` then `field *= field >= eps`,
@@ -172,7 +165,7 @@ class _Marks:
             return []
         vals = self.vals[:n]
         vals *= scale
-        self.stale = True
+        self.snapshot = None
         floor = self.floor * scale
         if floor >= eps:
             self.floor = floor
@@ -191,33 +184,31 @@ class Grid:
     row-major numpy. One writer per grid within a tick; snapshots taken
     between ticks may be shared freely.
 
-    The `food`, `positive`, `negative` and `sense` arrays are read
-    freely but written only through `from_kinds`, `set_kind`,
-    `consume_food`, `deposit` and `evaporate_step`, which keep three
-    derived records current:
+    The grid is written only through `from_kinds`, `consume_food`,
+    `deposit` and `evaporate_step`, which keep these records current:
 
-    - each field's sparse set of its non-zero cells (`_Marks`): their
-      flat indices and their values in two buffers, in one order, and a
-      slot per cell into both, so that evaporation scales one contiguous
-      buffer and a cell's value is found in O(1); and a floor at or below
-      every listed value, so that a tick on which the floor shows that no
-      cell can clear only scales them;
+    - each field's sparse set of its non-zero cells (`_Marks`), the one
+      record of its values: their flat indices and their values in two
+      buffers, in one order, and a slot per cell into both, so that
+      evaporation scales one contiguous buffer and a cell's value is
+      found in O(1); and a floor at or below every listed value, so that
+      a tick on which the floor shows that no cell can clear only scales
+      them;
     - `sense`, one byte per cell, row-major: the cell's kind and the
       two marks `_COLOR_RULE` reads, as `kind << 2 | (negative >= eps)
       << 1 | (positive >= eps)` (unpacked by `SENSES`), so that
       perceiving a cell is one `bytearray` index; and its census, the
       number of cells holding each byte, which the cell counts read;
-    - the food total that `total_food` returns.
+    - each cell's food units, and the food total that `total_food`
+      returns.
 
-    The buffers hold the pheromone values: `positive` and `negative`
-    are written from them when read, and only if a value changed since
-    the last read, so the tick loop, which never reads them, never pays
-    for them. `kind` is read from the sense bytes, as a read-only array.
-    A value written into an array directly updates none of these
-    records. Written into a field, it is never decayed or seen: it stays
-    until the grid writes that cell, and in a listed cell the buffered
-    value replaces it at the first read after the grid next changes a
-    value, as every evaporation of listed cells does.
+    `kind` and `food` are read-only arrays. `positive` and `negative` are
+    snapshots of the buffers: a field's array is built on the first read
+    after the grid writes that field, and later reads return the same
+    array until the next write, so the tick loop, which never reads
+    them, never pays for them. A value written into a snapshot changes
+    no record: the ants, the renderer and the metrics never see it, and
+    the next snapshot does not hold it.
     """
 
     def __init__(self, width: int, height: int,
@@ -228,7 +219,7 @@ class Grid:
         self.width = width
         self.height = height
         self.clear_threshold = clear_threshold
-        self.food = np.zeros((height, width), dtype=np.int64)
+        self._food = np.zeros((height, width), dtype=np.int64)
         self._positive = _Marks((height, width))
         self._negative = _Marks((height, width))
         self.sense = bytearray(width * height)  # clean empty ground
@@ -254,7 +245,7 @@ class Grid:
         if food_quantity < 1 and food_cells:
             raise ValueError("food_quantity must be positive exactly for food patches")
         grid.sense[:] = (kinds.astype(np.uint8, copy=False) << 2).tobytes()
-        grid.food[food] = food_quantity
+        grid._food[food] = food_quantity
         grid._food_total = food_quantity * food_cells
         return grid
 
@@ -265,15 +256,22 @@ class Grid:
 
     @property
     def positive(self) -> np.ndarray:
-        """The positive field as a (height, width) array, written from
-        its buffer when read."""
+        """The positive field as a (height, width) array, a snapshot of
+        its buffers since the grid last wrote that field."""
         return self._positive.read()
 
     @property
     def negative(self) -> np.ndarray:
-        """The negative field as a (height, width) array, written from
-        its buffer when read."""
+        """The negative field as a (height, width) array, a snapshot of
+        its buffers since the grid last wrote that field."""
         return self._negative.read()
+
+    @property
+    def food(self) -> np.ndarray:
+        """Each cell's food units, as a read-only (height, width) array."""
+        food = self._food.view()
+        food.flags.writeable = False
+        return food
 
     @property
     def kind(self) -> np.ndarray:
@@ -282,19 +280,6 @@ class Grid:
         kind = np.frombuffer(self.sense, dtype=np.uint8).reshape(self.height, self.width) >> 2
         kind.flags.writeable = False
         return kind
-
-    def set_kind(self, x: int, y: int, kind: PatchKind, food_quantity: int = 0):
-        self._check(x, y)
-        kind = PatchKind(kind)
-        if (kind is PatchKind.FOOD) != (food_quantity > 0):
-            raise ValueError("food_quantity must be positive exactly for food patches")
-        self._food_total += food_quantity - self.food.item(y, x)
-        self.food[y, x] = food_quantity
-        i = y * self.width + x
-        if kind is PatchKind.WALL:
-            self._positive.zero(i)
-            self._negative.zero(i)
-        self._recolor(i, kind)
 
     def effective_color_at(self, x: int, y: int) -> Color:
         """Stimulus color one cell presents, by the rule in `_COLOR_RULE`."""
@@ -353,8 +338,8 @@ class Grid:
         i = y * self.width + x
         if self.sense[i] >> 2 != _FOOD:
             return 0
-        q = self.food.item(y, x) - 1
-        self.food[y, x] = q
+        q = self._food.item(y, x) - 1
+        self._food[y, x] = q
         self._food_total -= 1
         if q == 0:
             self._recolor(i, _EMPTY)

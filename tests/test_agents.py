@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grids import grid_of, kinds_of
 from spikeants.agents import (
     CLOCKWISE,
     Ant,
@@ -28,15 +29,18 @@ from spikeants.world import Color, Grid, PatchKind, PheromoneField
 CFG = AntConfig()
 
 
-def walled_grid(w=12, h=12):
-    g = Grid(w, h)
-    for x in range(w):
-        g.set_kind(x, 0, PatchKind.WALL)
-        g.set_kind(x, h - 1, PatchKind.WALL)
-    for y in range(h):
-        g.set_kind(0, y, PatchKind.WALL)
-        g.set_kind(w - 1, y, PatchKind.WALL)
-    return g
+def walled_kinds(w=12, h=12, cells=()):
+    """(h, w) kinds ringed by walls, with each (x, y, kind) of `cells`
+    set inside and empty ground elsewhere."""
+    kinds = np.full((h, w), PatchKind.WALL)
+    kinds[1:-1, 1:-1] = PatchKind.EMPTY
+    for x, y, kind in cells:
+        kinds[y, x] = kind
+    return kinds
+
+
+def walled_grid(w=12, h=12, cells=(), food=1):
+    return grid_of(walled_kinds(w, h, cells), food)
 
 
 class ScriptedBrain:
@@ -72,9 +76,7 @@ class TestPerceive:
         assert not frame.pain_contact and not frame.reward_contact
 
     def test_standing_on_food_rewards_and_smells_front(self):
-        g = walled_grid()
-        g.set_kind(5, 5, PatchKind.FOOD, 3)
-        g.set_kind(6, 5, PatchKind.HARM)
+        g = walled_grid(cells=[(5, 5, PatchKind.FOOD), (6, 5, PatchKind.HARM)], food=3)
         ant = scripted_ant((5, 5), Heading.EAST, [])
         frame = perceive(g, ant)
         assert frame.reward_contact
@@ -107,12 +109,10 @@ class TestPerceive:
         the one the color rule gives cell by cell."""
         eps = 0.05
         w, h = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
-        g = Grid(w, h, clear_threshold=eps)
+        g = grid_of(data.draw(kinds_of(w, h)), clear_threshold=eps)
         levels = st.sampled_from([0.0, eps, 1.0])
         for y in range(h):
             for x in range(w):
-                kind = data.draw(st.sampled_from(list(PatchKind)))
-                g.set_kind(x, y, kind, int(kind is PatchKind.FOOD))
                 # Exact on a fresh cell; a wall takes no deposit.
                 g.deposit(x, y, PheromoneField.NEGATIVE, data.draw(levels))
                 g.deposit(x, y, PheromoneField.POSITIVE, data.draw(levels))
@@ -187,9 +187,7 @@ class TestMovementRules:
            st.sampled_from(list(Heading)))
     @settings(max_examples=50, deadline=None)
     def test_never_on_a_wall_cell(self, moves, heading):
-        g = walled_grid(9, 9)
-        g.set_kind(4, 4, PatchKind.WALL)
-        g.set_kind(2, 6, PatchKind.WALL)
+        g = walled_grid(9, 9, [(4, 4, PatchKind.WALL), (2, 6, PatchKind.WALL)])
         frames = [ActuatorFrame(move_forward=m, rotate=r) for m, r in moves]
         ant = scripted_ant((6, 6), heading, frames)
         for _ in moves:
@@ -260,8 +258,7 @@ class TestEmbodiedBehaviour:
         assert positions == [(2, 5), (3, 5), (4, 5), (5, 5), (6, 5), (7, 5)]
 
     def test_trained_ant_turns_before_red_cell(self):
-        g = walled_grid()
-        g.set_kind(5, 5, PatchKind.HARM)
+        g = walled_grid(cells=[(5, 5, PatchKind.HARM)])
         ant = Ant(position=(4, 5), heading=Heading.EAST, brain=AntBrain())
         ant.brain.set_weights(trained_reference_weights())
         step_ant(g, [ant], CFG, SimPhase.FORAGING)
@@ -269,8 +266,7 @@ class TestEmbodiedBehaviour:
         assert ant.position == (4, 5)
 
     def test_food_contact_eats_and_deposits_on_following_cells(self):
-        g = walled_grid()
-        g.set_kind(6, 5, PatchKind.FOOD, 50)
+        g = walled_grid(cells=[(6, 5, PatchKind.FOOD)], food=50)
         cfg = AntConfig(positive_deposit_ticks=5)
         ant = Ant(position=(4, 5), heading=Heading.EAST, brain=AntBrain())
         ant.brain.set_weights(trained_reference_weights())
@@ -356,20 +352,22 @@ class TestAntTickCounts:
         a training ant's pose snapped back to its spawn. Pheromone grows
         only at the ant's final cell, only while foraging with pheromone on."""
         w, h = data.draw(st.integers(3, 6)), data.draw(st.integers(3, 6))
-        g = Grid(w, h)
-        levels = st.sampled_from([0.0, g.clear_threshold, 1.0])
-        for y in range(h):
-            for x in range(w):
-                kinds = ([PatchKind.WALL, PatchKind.HARM] if g.is_boundary(x, y)
-                         else list(PatchKind))
-                kind = data.draw(st.sampled_from(kinds))
-                g.set_kind(x, y, kind, data.draw(st.integers(1, 3))
-                           if kind is PatchKind.FOOD else 0)
-                g.deposit(x, y, PheromoneField.NEGATIVE, data.draw(levels))
-                g.deposit(x, y, PheromoneField.POSITIVE, data.draw(levels))
         x, y = data.draw(st.tuples(st.integers(1, w - 2), st.integers(1, h - 2)))
-        if g.kind[y, x] == PatchKind.WALL:
-            g.set_kind(x, y, PatchKind.EMPTY)
+        kinds, food = np.empty((h, w), dtype=np.int64), np.empty((h, w), dtype=np.int64)
+        for cy in range(h):
+            for cx in range(w):
+                on_boundary = cx in (0, w - 1) or cy in (0, h - 1)
+                kinds[cy, cx] = data.draw(st.sampled_from(
+                    [PatchKind.WALL, PatchKind.HARM] if on_boundary else list(PatchKind)))
+                food[cy, cx] = data.draw(st.integers(1, 3))
+        if kinds[y, x] == PatchKind.WALL:
+            kinds[y, x] = PatchKind.EMPTY
+        g = grid_of(kinds, food)
+        levels = st.sampled_from([0.0, g.clear_threshold, 1.0])
+        for cy in range(h):
+            for cx in range(w):
+                g.deposit(cx, cy, PheromoneField.NEGATIVE, data.draw(levels))
+                g.deposit(cx, cy, PheromoneField.POSITIVE, data.draw(levels))
         heading = data.draw(st.sampled_from(list(Heading)))
         # Facing the other way, the spawn pose is none a step can reach.
         spawn = (data.draw(st.tuples(st.integers(1, w - 2), st.integers(1, h - 2))),
@@ -452,17 +450,22 @@ class TestOneTickOrder:
         pheromone = data.draw(st.booleans())
         ticks = data.draw(st.integers(1, 4))
 
+        kinds = walled_kinds(w, h, [(x, y, kind) for x, y, kind, *_ in cells])
+        food = np.zeros((h, w), dtype=np.int64)
+        for x, y, _, units, *_ in cells:
+            food[y, x] = units
+        for (x, y), *_ in ant_specs:
+            if kinds[y, x] == PatchKind.WALL:
+                kinds[y, x] = PatchKind.EMPTY
+
         def build():
-            g = walled_grid(w, h)
-            for x, y, kind, food, negative, positive in cells:
-                g.set_kind(x, y, kind, food)
+            g = grid_of(kinds, food)
+            for x, y, _, _, negative, positive in cells:
                 g.deposit(x, y, PheromoneField.NEGATIVE, negative)
                 g.deposit(x, y, PheromoneField.POSITIVE, positive)
             tables = {}
             ants = []
             for (x, y), heading, script, pain, countdown in ant_specs:
-                if g.kind[y, x] == PatchKind.WALL:
-                    g.set_kind(x, y, PatchKind.EMPTY)
                 kw = dict(pain_pending=pain, positive_deposit_remaining=countdown)
                 ants.append(tabled_reference_ant((x, y), heading, tables, **kw)
                             if script is None else scripted_ant((x, y), heading, script, **kw))
@@ -493,8 +496,7 @@ class TestOneTickOrder:
     def test_the_first_ant_on_a_last_unit_eats_it(self, first):
         """Two ants on one unit of food both emit positive pheromone:
         only the first in list order eats, and only it counts down."""
-        g = walled_grid()
-        g.set_kind(5, 5, PatchKind.FOOD, 1)
+        g = walled_grid(cells=[(5, 5, PatchKind.FOOD)])
         pair = [scripted_ant((5, 5), Heading.EAST,
                              [ActuatorFrame(emit_positive_pheromone=True)])
                 for _ in range(2)]

@@ -80,6 +80,17 @@ class TestValidate:
             "1000 world ticks x 10 ants x 10 ant_brain_steps = 100000 brain ticks\n"
             "ok: 60x60, 270 food units, 10 ants\n")
 
+    def test_brain_ticks_shown_for_a_phase_schedule(self, tmp_path, capsys):
+        """A set phase_schedule is the whole run: its phases' ticks are
+        the world ticks, and world_ticks is not read."""
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("world_ticks = 7\nn_ants = 3\nant_brain_steps = 4\n"
+                       "phase_schedule = training:20,foraging:50\n")
+        assert main(["validate", "--scenario", "@foraging", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == (
+            "70 world ticks x 3 ants x 4 ant_brain_steps = 840 brain ticks\n"
+            "ok: 60x60, 270 food units, 3 ants\n")
+
     def test_parse_error_exit_nonzero(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text("width 3\nheight 2\nmap\n##\n##\n")

@@ -568,7 +568,6 @@ class TestTransitionTables:
         second run on the tables the first one kept gives the same
         outputs and steps no more networks."""
         cfg = parse_config(f"seed = 3\n{text}\n")
-        schedule = cfg.phase_schedule or ((SimPhase.FORAGING, cfg.world_ticks),)
         scenario = parse_scenario(ARENA)
         original_step = Network.step
         original_init = table.TransitionTable.__init__
@@ -587,7 +586,7 @@ class TestTransitionTables:
                 empty_store()
             steps.clear()
             held.clear()
-            metrics, ants = engine._execute(cfg, scenario, None, schedule)
+            metrics, ants = engine._execute(cfg, scenario, None, cfg.phases)
             assert all(ant.tabled is None for ant in ants)
             return (metrics.to_csv_text(), [a.brain.weights() for a in ants],
                     [(a.brain.net.current_tick,

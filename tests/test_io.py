@@ -25,7 +25,7 @@ from spikeants.scenario import (
     reference_scenario,
     serialize_scenario,
 )
-from spikeants.world import Grid, PatchKind, PheromoneField
+from spikeants.world import PatchKind, PheromoneField
 
 SMALL = """\
 width 5
@@ -206,20 +206,24 @@ class TestParseScenario:
         assert grid.total_food() > 0
 
     @pytest.mark.parametrize("name", ["training", "foraging"])
-    def test_build_grid_matches_per_cell_set_kind(self, name):
+    def test_build_grid_matches_the_map_cell_by_cell(self, name):
+        """Each cell holds its map character's kind, the scenario's food
+        quantity on a food cell and none elsewhere, and its kind's sense
+        byte with no mark; the totals and counts add up those cells."""
         s = reference_scenario(name)
-        want = Grid(s.width, s.height)
-        for y, row in enumerate(s.rows):
-            for x, ch in enumerate(row):
-                kind = CHAR_TO_KIND[ch]
-                want.set_kind(x, y, kind, s.food_quantity if kind is PatchKind.FOOD else 0)
+        kinds, food = [], []
+        for row in s.rows:
+            for ch in row:
+                kinds.append(CHAR_TO_KIND[ch])
+                food.append(s.food_quantity if kinds[-1] is PatchKind.FOOD else 0)
         got = s.build_grid()
-        assert (got.kind == want.kind).all()
-        assert (got.food == want.food).all()
-        assert got.sense == want.sense
-        assert got.total_food() == want.total_food()
-        assert got.marked_cell_counts() == want.marked_cell_counts()
-        assert got.empty_cell_count() == want.empty_cell_count()
+        assert got.kind.reshape(-1).tolist() == kinds
+        assert got.food.reshape(-1).tolist() == food
+        assert list(got.sense) == [kind << 2 for kind in kinds]
+        assert not got.positive.any() and not got.negative.any()
+        assert got.total_food() == sum(food)
+        assert got.marked_cell_counts() == (0, 0)
+        assert got.empty_cell_count() == kinds.count(PatchKind.EMPTY)
 
     def test_build_grid_rejects_food_without_quantity(self):
         with pytest.raises(ValueError, match="food_quantity"):

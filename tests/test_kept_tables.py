@@ -16,7 +16,6 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from spikeants import engine, table
-from spikeants.agents import SimPhase
 from spikeants.circuit import MOTOR_FORWARD, MOTOR_ROTATE, SMELLS, trained_reference_weights
 from spikeants.config import parse_config
 from spikeants.plasticity import StdpConfig
@@ -90,8 +89,7 @@ def outputs(text, weights, comparing):
     if comparing:
         result = engine.compare(cfg, ARENA, weights=weights)
         return result.enabled.to_csv_text(), result.disabled.to_csv_text()
-    schedule = cfg.phase_schedule or ((SimPhase.FORAGING, cfg.world_ticks),)
-    metrics, ants = engine._execute(cfg, ARENA, weights, schedule)
+    metrics, ants = engine._execute(cfg, ARENA, weights, cfg.phases)
     return (metrics.to_csv_text(), [ant.brain.weights() for ant in ants],
             [(ant.brain.net.current_tick,
               ant.brain.net.state_key(range(len(ant.brain.net.states)))) for ant in ants])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from grids import grid_of, kinds_of
 from spikeants.agents import Ant, Heading
 from spikeants.circuit import AntBrain
 from spikeants.render import ANT_COLOR, PALETTE, render_snapshot
@@ -20,11 +21,10 @@ from spikeants.world import (
 EPS = 0.05
 
 
-def color_of(kind=PatchKind.EMPTY, food=0, pos=0.0, neg=0.0, eps=EPS):
+def color_of(kind=PatchKind.EMPTY, food=1, pos=0.0, neg=0.0, eps=EPS):
     """Effective color of the only cell of a 1x1 grid holding this state;
     a wall takes no deposit."""
-    g = Grid(1, 1, clear_threshold=eps)
-    g.set_kind(0, 0, kind, food)
+    g = grid_of([[kind]], food, clear_threshold=eps)
     g.deposit(0, 0, PheromoneField.POSITIVE, pos)
     g.deposit(0, 0, PheromoneField.NEGATIVE, neg)
     return g.effective_color_at(0, 0)
@@ -52,25 +52,18 @@ AROUND_EPS = st.one_of(
     st.floats(min_value=0.0, max_value=2 * EPS))
 
 
-def food_of(kind):
-    """The food units `set_kind` needs for a patch of this kind."""
-    return int(kind is PatchKind.FOOD)
-
-
 @st.composite
 def small_grids(draw):
-    """Random kinds and pheromone levels, laid through `Grid.deposit`
-    (exact on a fresh cell) before the kinds are set, so that a wall
-    clears its cell as it would in a run."""
+    """Random kinds, drawn first, and pheromone levels laid on them
+    through `Grid.deposit` (exact on a fresh cell); a wall takes no
+    deposit, as in a run."""
     w, h = draw(st.integers(1, 5)), draw(st.integers(1, 5))
-    g = Grid(w, h, clear_threshold=EPS)
+    g = grid_of(draw(kinds_of(w, h)), clear_threshold=EPS)
     for y in range(h):
         for x in range(w):
-            kind = draw(st.sampled_from(list(PatchKind)))
             neg, pos = draw(AROUND_EPS), draw(AROUND_EPS)
             g.deposit(x, y, PheromoneField.NEGATIVE, neg)
             g.deposit(x, y, PheromoneField.POSITIVE, pos)
-            g.set_kind(x, y, kind, food_of(kind))
     return g
 
 
@@ -82,10 +75,9 @@ def every_case_grid():
     """One cell per kind, per pheromone (none, exactly at the threshold)
     and per field: food under both pheromones included. A wall takes no
     deposit, so its column is four clean walls."""
-    g = Grid(4, 4, clear_threshold=EPS)
-    for x, kind in enumerate(PatchKind):
+    g = grid_of([list(PatchKind)] * 4, clear_threshold=EPS)
+    for x in range(4):
         for y in range(4):
-            g.set_kind(x, y, kind, food_of(kind))
             g.deposit(x, y, PheromoneField.NEGATIVE, EPS * (y >> 1))
             g.deposit(x, y, PheromoneField.POSITIVE, EPS * (y & 1))
     return g
@@ -189,41 +181,16 @@ class TestGrid:
             g.kind[0, 1] = PatchKind.WALL
         assert g.kind.tolist() == [[PatchKind.EMPTY, PatchKind.EMPTY]]
 
-    @pytest.mark.parametrize("kind", [0, 1, 2, 3, 7])
-    def test_set_kind_reads_an_int_as_its_member(self, kind):
-        """A plain int kind sets a marked cell as its `PatchKind` member
-        does, through the next evaporation; one outside `PatchKind` is
-        refused before anything is written."""
-        def marked_grid():
-            g = Grid(2, 1, clear_threshold=EPS)
-            g.deposit(0, 0, PheromoneField.NEGATIVE, 1.0)
-            return g
-
-        by_int = marked_grid()
-        if kind == 7:
-            before = grid_state(by_int)
-            with pytest.raises(ValueError):
-                by_int.set_kind(0, 0, kind)
-            assert grid_state(by_int) == before
-            return
-        by_member = marked_grid()
-        for g, k in ((by_int, kind), (by_member, PatchKind(kind))):
-            g.set_kind(0, 0, k, food_of(PatchKind(kind)))
-            g.evaporate_step(EvaporationConfig(clear_threshold=EPS))
-        assert grid_state(by_int) == grid_state(by_member)
-
-    @pytest.mark.parametrize("method", ["set_kind", "deposit", "consume_food",
-                                        "effective_color_at"])
+    @pytest.mark.parametrize("method", ["deposit", "consume_food", "effective_color_at"])
     @pytest.mark.parametrize("x, y", [(-1, 0), (3, 0), (0, -1), (0, 2)])
     def test_a_cell_just_outside_is_refused(self, method, x, y):
         """Each checked method refuses the four cells just outside a 3x2
         grid, one past each edge, and writes nothing."""
-        g = Grid(3, 2, clear_threshold=EPS)
-        g.set_kind(0, 1, PatchKind.FOOD, 2)
+        g = grid_of([[PatchKind.EMPTY] * 3, [PatchKind.FOOD] + [PatchKind.EMPTY] * 2], 2,
+                    clear_threshold=EPS)
         g.deposit(1, 0, PheromoneField.POSITIVE, 1.0)
         g.deposit(2, 1, PheromoneField.NEGATIVE, 1.0)
-        calls = {"set_kind": lambda: g.set_kind(x, y, PatchKind.FOOD, 1),
-                 "deposit": lambda: g.deposit(x, y, PheromoneField.NEGATIVE, 1.0),
+        calls = {"deposit": lambda: g.deposit(x, y, PheromoneField.NEGATIVE, 1.0),
                  "consume_food": lambda: g.consume_food(x, y),
                  "effective_color_at": lambda: g.effective_color_at(x, y)}
         before = grid_state(g)
@@ -240,8 +207,9 @@ class TestDeposit:
         assert g.positive[2, 2] == 2.0
 
     def test_wall_deposit_ignored_with_diagnostic(self):
-        g = Grid(5, 5)
-        g.set_kind(1, 1, PatchKind.WALL)
+        kinds = np.full((5, 5), PatchKind.EMPTY)
+        kinds[1, 1] = PatchKind.WALL
+        g = grid_of(kinds)
         g.deposit(1, 1, PheromoneField.NEGATIVE, 1.0)
         assert g.negative[1, 1] == 0.0
 
@@ -352,16 +320,23 @@ class TestEvaporation:
             EvaporationConfig(clear_threshold=0.0)
 
 
+def food_at(*cells, size=3):
+    """(size, size) kinds, food at these (x, y) cells and empty ground
+    elsewhere."""
+    kinds = np.full((size, size), PatchKind.EMPTY)
+    for x, y in cells:
+        kinds[y, x] = PatchKind.FOOD
+    return kinds
+
+
 class TestFood:
     def test_bite_reduces_quantity(self):
-        g = Grid(3, 3)
-        g.set_kind(1, 1, PatchKind.FOOD, 5)
+        g = grid_of(food_at((1, 1)), 5)
         assert g.consume_food(1, 1) == 4
         assert g.effective_color_at(1, 1) is Color.GREEN
 
     def test_exhaustion_turns_empty(self):
-        g = Grid(3, 3)
-        g.set_kind(1, 1, PatchKind.FOOD, 1)
+        g = grid_of(food_at((1, 1)))
         assert g.consume_food(1, 1) == 0
         assert g.kind[1, 1] == PatchKind.EMPTY
         assert g.effective_color_at(1, 1) is Color.BLACK
@@ -372,18 +347,15 @@ class TestFood:
         assert g.kind[1, 1] == PatchKind.EMPTY
 
     def test_total_food(self):
-        g = Grid(5, 5)
-        assert g.total_food() == 0
-        g.set_kind(1, 1, PatchKind.FOOD, 10)
-        g.set_kind(3, 3, PatchKind.FOOD, 10)
+        assert Grid(5, 5).total_food() == 0
+        g = grid_of(food_at((1, 1), (3, 3), size=5), 10)
         assert g.total_food() == 20
         for _ in range(3):
             g.consume_food(1, 1)
         assert g.total_food() == 17
 
     def test_total_food_monotone_under_consumption(self):
-        g = Grid(5, 5)
-        g.set_kind(2, 2, PatchKind.FOOD, 4)
+        g = grid_of(food_at((2, 2), size=5), 4)
         last = g.total_food()
         for _ in range(6):
             g.consume_food(2, 2)
@@ -391,12 +363,15 @@ class TestFood:
             assert cur <= last
             last = cur
 
-    def test_food_invariant_on_set_kind(self):
-        g = Grid(3, 3)
-        with pytest.raises(ValueError):
-            g.set_kind(0, 0, PatchKind.FOOD, 0)
-        with pytest.raises(ValueError):
-            g.set_kind(0, 0, PatchKind.EMPTY, 5)
+    def test_food_is_read_only(self):
+        """The food array is a view no write can change: the total, the
+        colors and the next bite all keep the grid's own units."""
+        g = grid_of(food_at((1, 1)), 5)
+        with pytest.raises(ValueError, match="read-only"):
+            g.food[g.food > 0] = 0
+        assert g.food.tolist() == [[0, 0, 0], [0, 5, 0], [0, 0, 0]]
+        assert g.total_food() == 5 and g.effective_color_at(1, 1) is Color.GREEN
+        assert g.consume_food(1, 1) == 4
 
 
 class TestCounts:
@@ -423,21 +398,14 @@ class DenseGrid:
     """The pheromone rules written out over whole arrays, with no index of
     marked cells: the reference the grid's fields must match bit for bit."""
 
-    def __init__(self, width, height):
-        self.kind = np.full((height, width), PatchKind.EMPTY.value, dtype=np.uint8)
-        self.food = np.zeros((height, width), dtype=np.int64)
-        self.fields = {field: np.zeros((height, width)) for field in PheromoneField}
+    def __init__(self, kinds, food):
+        self.kind = np.array(kinds, dtype=np.uint8)
+        self.food = np.where(self.kind == PatchKind.FOOD, food, 0).astype(np.int64)
+        self.fields = {field: np.zeros(self.kind.shape) for field in PheromoneField}
 
     def deposit(self, x, y, field, amount):
         if self.kind[y, x] != PatchKind.WALL:
             self.fields[field][y, x] += amount
-
-    def set_kind(self, x, y, kind, food):
-        self.kind[y, x] = kind
-        self.food[y, x] = food
-        if kind is PatchKind.WALL:
-            for values in self.fields.values():
-                values[y, x] = 0.0
 
     def consume_food(self, x, y):
         if self.kind[y, x] == PatchKind.FOOD:
@@ -460,40 +428,32 @@ class DenseGrid:
 
 SPARSE_W, SPARSE_H = 3, 2
 SPARSE_CELLS = st.tuples(st.integers(0, SPARSE_W - 1), st.integers(0, SPARSE_H - 1))
+# A layout is the kinds and the food units on each food cell, drawn
+# before any operation: a cell's kind changes only as its last unit goes.
+SPARSE_LAYOUTS = st.tuples(
+    kinds_of(SPARSE_W, SPARSE_H),
+    st.lists(st.integers(1, 3), min_size=SPARSE_W * SPARSE_H, max_size=SPARSE_W * SPARSE_H)
+    .map(lambda units: np.reshape(units, (SPARSE_H, SPARSE_W))))
+EMPTY_LAYOUT = ([[PatchKind.EMPTY] * SPARSE_W] * SPARSE_H, 1)
 FIELD_OPS = st.lists(st.one_of(
     st.tuples(st.just("deposit"), SPARSE_CELLS, st.sampled_from(list(PheromoneField)),
               st.one_of(AROUND_EPS, st.just(1e300), st.floats(0.0, 1e300))),
-    st.tuples(st.just("set_kind"), SPARSE_CELLS, st.sampled_from(list(PatchKind)),
-              st.integers(1, 3)),
     st.tuples(st.just("consume_food"), SPARSE_CELLS),
     st.tuples(st.just("evaporate_step"))), max_size=40)
-WALL_AND_BACK = [("deposit", (1, 1), PheromoneField.NEGATIVE, 1.0), ("evaporate_step",),
-                 ("set_kind", (1, 1), PatchKind.WALL, 1), ("set_kind", (1, 1), PatchKind.EMPTY, 1),
-                 ("deposit", (1, 1), PheromoneField.NEGATIVE, 1.0), ("evaporate_step",)]
 # Marked food is green until its last unit goes, then red.
-EATEN_UNDER_A_MARK = [("set_kind", (0, 0), PatchKind.FOOD, 2),
-                      ("deposit", (0, 0), PheromoneField.NEGATIVE, 1.0),
+FOOD_UNDER_A_MARK = ([[PatchKind.FOOD] + [PatchKind.EMPTY] * (SPARSE_W - 1),
+                      [PatchKind.EMPTY] * SPARSE_W], 2)
+EATEN_UNDER_A_MARK = [("deposit", (0, 0), PheromoneField.NEGATIVE, 1.0),
                       ("consume_food", (0, 0)), ("consume_food", (0, 0)),
                       ("consume_food", (0, 0)), ("evaporate_step",)]
-
-# A wall clears a cell marked since the last evaporation, swapping the
-# last indexed cell into its slot; reopened and marked again before the
-# next evaporation, the cell is indexed once.
-WALLED_BEFORE_EVAPORATING = [("deposit", (0, 0), PheromoneField.POSITIVE, 1.0),
-                             ("deposit", (1, 0), PheromoneField.POSITIVE, 1.0),
-                             ("set_kind", (0, 0), PatchKind.WALL, 1),
-                             ("set_kind", (0, 0), PatchKind.EMPTY, 1),
-                             ("deposit", (0, 0), PheromoneField.POSITIVE, 1.0),
-                             ("evaporate_step",)]
 
 
 # Runs of evaporation long enough for a field to decay for many ticks
 # with no cell near the threshold and then cross it, between deposits
-# either side of the threshold, large ones and walls.
+# either side of the threshold and large ones.
 DECAY_OPS = st.lists(st.one_of(
     st.tuples(st.just("deposit"), SPARSE_CELLS, st.sampled_from(list(PheromoneField)),
               st.one_of(AROUND_EPS, st.floats(0.0, 10.0), st.just(1e300))),
-    st.tuples(st.just("set_kind"), SPARSE_CELLS, st.sampled_from([PatchKind.WALL, PatchKind.EMPTY])),
     st.tuples(st.just("evaporate"), st.integers(1, 64))), max_size=20)
 # Three positive cells, each clearing on the tick after the last on which
 # the floor shows that none can: 1.0 laid first decays 98 ticks at 0.03
@@ -506,9 +466,16 @@ DECAY_PAST_THE_FLOOR = [("deposit", (0, 0), PheromoneField.POSITIVE, 1.0), ("eva
 
 
 # Two faint deposits that together reach the threshold, the second
-# made while the field's array lags its buffer.
+# made after an evaporation and before any read of the field.
 FAINT_TWICE = [("deposit", (0, 0), PheromoneField.NEGATIVE, 0.6 * EPS), ("evaporate_step",),
                ("deposit", (0, 0), PheromoneField.NEGATIVE, 0.6 * EPS)]
+
+
+def sparse_grids(layout):
+    """A `SPARSE_W` x `SPARSE_H` grid of this layout, and its dense
+    reference."""
+    kinds, food = layout
+    return grid_of(kinds, food, clear_threshold=EPS), DenseGrid(kinds, food)
 
 
 def apply_field_op(g, ref, op, cfg):
@@ -518,11 +485,6 @@ def apply_field_op(g, ref, op, cfg):
         (x, y), field, amount = args
         g.deposit(x, y, field, amount)
         ref.deposit(x, y, field, amount)
-    elif name == "set_kind":
-        (x, y), kind, units = args
-        food = units * food_of(kind)
-        g.set_kind(x, y, kind, food)
-        ref.set_kind(x, y, kind, food)
     elif name == "consume_food":
         (x, y), = args
         g.consume_food(x, y)
@@ -540,18 +502,17 @@ def dense_sense(ref):
 
 class TestSparseFields:
     @settings(max_examples=300, deadline=None)
-    @given(FIELD_OPS, st.sampled_from([EvaporationConfig(clear_threshold=EPS),
-                                       EvaporationConfig(0.5, 0.9, EPS)]))
-    @example(WALL_AND_BACK, EvaporationConfig(clear_threshold=EPS))
-    @example(EATEN_UNDER_A_MARK, EvaporationConfig(0.5, 0.9, EPS))
-    @example(WALLED_BEFORE_EVAPORATING, EvaporationConfig(clear_threshold=EPS))
-    @example([("deposit", (0, 0), PheromoneField.POSITIVE, EPS / 2)], EvaporationConfig())
-    def test_matches_the_dense_rules(self, ops, cfg):
-        """Random deposits, kind changes, bites and evaporations leave the
-        same bits, census, colors and food total as the whole-array rules,
-        after every operation: an indexed cell is never lost or counted
-        twice, and no write leaves a cell's sense byte stale."""
-        g, ref = Grid(SPARSE_W, SPARSE_H, clear_threshold=EPS), DenseGrid(SPARSE_W, SPARSE_H)
+    @given(SPARSE_LAYOUTS, FIELD_OPS, st.sampled_from([EvaporationConfig(clear_threshold=EPS),
+                                                       EvaporationConfig(0.5, 0.9, EPS)]))
+    @example(FOOD_UNDER_A_MARK, EATEN_UNDER_A_MARK, EvaporationConfig(0.5, 0.9, EPS))
+    @example(EMPTY_LAYOUT, [("deposit", (0, 0), PheromoneField.POSITIVE, EPS / 2)],
+             EvaporationConfig())
+    def test_matches_the_dense_rules(self, layout, ops, cfg):
+        """Random deposits, bites and evaporations on random kinds leave
+        the same bits, census, colors and food total as the whole-array
+        rules, after every operation: an indexed cell is never lost or
+        counted twice, and no write leaves a cell's sense byte stale."""
+        g, ref = sparse_grids(layout)
         for op in ops:
             apply_field_op(g, ref, op, cfg)
             assert g.positive.tobytes() == ref.fields[PheromoneField.POSITIVE].tobytes()
@@ -565,24 +526,21 @@ class TestSparseFields:
                 assert g.effective_color_at(x, y) is want
                 assert pixel == PALETTE[want]
                 assert SENSES[g.sense[y * SPARSE_W + x]] == (ref.kind[y, x], want)
-            assert g.total_food() == ref.food.sum()
+            assert (g.food == ref.food).all() and g.total_food() == ref.food.sum()
             for marks, field in ((g._positive, g.positive), (g._negative, g.negative)):
                 assert np.sort(marks.cells[:marks.n]).tolist() == np.flatnonzero(field).tolist()
 
     @settings(max_examples=300, deadline=None)
-    @given(FIELD_OPS, st.sampled_from([EvaporationConfig(clear_threshold=EPS),
-                                       EvaporationConfig(0.5, 0.9, EPS)]))
-    @example(WALL_AND_BACK, EvaporationConfig(clear_threshold=EPS))
-    @example(EATEN_UNDER_A_MARK, EvaporationConfig(0.5, 0.9, EPS))
-    @example(WALLED_BEFORE_EVAPORATING, EvaporationConfig(clear_threshold=EPS))
-    @example(FAINT_TWICE, EvaporationConfig(clear_threshold=EPS))
-    def test_matches_the_dense_rules_with_the_fields_read_once(self, ops, cfg):
+    @given(SPARSE_LAYOUTS, FIELD_OPS, st.sampled_from([EvaporationConfig(clear_threshold=EPS),
+                                                       EvaporationConfig(0.5, 0.9, EPS)]))
+    @example(FOOD_UNDER_A_MARK, EATEN_UNDER_A_MARK, EvaporationConfig(0.5, 0.9, EPS))
+    @example(EMPTY_LAYOUT, FAINT_TWICE, EvaporationConfig(clear_threshold=EPS))
+    def test_matches_the_dense_rules_with_the_fields_read_once(self, layout, ops, cfg):
         """The same operations leave the same sense bytes, census and food
         total after every operation with `positive` and `negative` read
         only after the last one, when they hold the dense rules' values:
-        the arrays lag the buffers between reads, so no write may read
-        them."""
-        g, ref = Grid(SPARSE_W, SPARSE_H, clear_threshold=EPS), DenseGrid(SPARSE_W, SPARSE_H)
+        no write reads a field's array, which is built only when read."""
+        g, ref = sparse_grids(layout)
         for op in ops:
             apply_field_op(g, ref, op, cfg)
             sense = dense_sense(ref)
@@ -593,38 +551,36 @@ class TestSparseFields:
         assert g.negative.tobytes() == ref.fields[PheromoneField.NEGATIVE].tobytes()
 
     def test_a_value_written_into_a_listed_cell_is_replaced_at_the_next_read(self):
-        """The buffer holds a listed cell's value: one written into the
-        field directly is never decayed or seen, and the buffered value
-        replaces it at the first read after the grid changes a value."""
-        g = Grid(1, 1, clear_threshold=EPS)
+        """A field's array is a snapshot of its buffers: a value written
+        into it is read back until the grid next writes that field, and is
+        never decayed or seen by the grid; the first read after that write
+        equals the buffers, so a listed cell shows its buffered value."""
+        g = Grid(2, 1, clear_threshold=EPS)
         g.deposit(0, 0, PheromoneField.POSITIVE, 1.0)
-        g.positive[0, 0] = 0.0
-        assert g.positive[0, 0] == 0.0  # no value changed since the last read
-        assert g.effective_color_at(0, 0) is Color.GREEN
+        snapshot = g.positive
+        snapshot[0] = [0.0, 2.0]
+        g.deposit(0, 0, PheromoneField.NEGATIVE, 1.0)  # the other field
+        assert g.positive is snapshot and snapshot.tolist() == [[0.0, 2.0]]
+        assert g.marked_cell_counts() == (1, 1)  # the buffered value only
+        assert [g.effective_color_at(x, 0) for x in range(2)] == [Color.RED, Color.BLACK]
         cfg = EvaporationConfig(clear_threshold=EPS)
         g.evaporate_step(cfg)
-        assert g.positive[0, 0] == 1.0 * (1.0 - cfg.rho_positive)
-
-    def test_walling_a_value_written_directly_keeps_the_index(self):
-        """A value written into a field directly was never indexed, so
-        walling its cell clears it and leaves the index as it was."""
-        g = Grid(2, 1, clear_threshold=EPS)
-        g.deposit(1, 0, PheromoneField.NEGATIVE, 1.0)
-        g.negative[0, 0] = 1.0
-        g.set_kind(0, 0, PatchKind.WALL)
-        assert g.negative.tolist() == [[0.0, 1.0]]
-        assert g._negative.cells[:g._negative.n].tolist() == [1]
+        marks, fresh = g._positive, g.positive
+        assert fresh is not snapshot
+        assert fresh.tolist() == [[1.0 * (1.0 - cfg.rho_positive), 0.0]]
+        assert fresh.reshape(-1)[marks.cells[:marks.n]].tolist() == marks.vals[:marks.n].tolist()
+        assert np.count_nonzero(fresh) == marks.n
 
     @settings(max_examples=200, deadline=None)
-    @given(DECAY_OPS, st.sampled_from([EvaporationConfig(clear_threshold=EPS),
-                                       EvaporationConfig(0.5, 0.9, EPS)]))
-    @example(DECAY_PAST_THE_FLOOR, EvaporationConfig(clear_threshold=EPS))
-    def test_decay_matches_the_dense_rules_on_both_sides_of_the_floor(self, ops, cfg):
+    @given(SPARSE_LAYOUTS, DECAY_OPS, st.sampled_from([EvaporationConfig(clear_threshold=EPS),
+                                                       EvaporationConfig(0.5, 0.9, EPS)]))
+    @example(EMPTY_LAYOUT, DECAY_PAST_THE_FLOOR, EvaporationConfig(clear_threshold=EPS))
+    def test_decay_matches_the_dense_rules_on_both_sides_of_the_floor(self, layout, ops, cfg):
         """Ticks on which each field's `floor` shows that no cell can clear
         leave the same bits, census and sense bytes as the whole-array
         rules, and so do the ticks that cross the threshold; the floor
-        bounds every indexed value after every operation and tick."""
-        g, ref = Grid(SPARSE_W, SPARSE_H, clear_threshold=EPS), DenseGrid(SPARSE_W, SPARSE_H)
+        bounds every listed value after every operation and tick."""
+        g, ref = sparse_grids(layout)
 
         def check():
             assert g.positive.tobytes() == ref.fields[PheromoneField.POSITIVE].tobytes()
@@ -634,17 +590,13 @@ class TestSparseFields:
             assert g._census == np.bincount(sense.reshape(-1), minlength=len(SENSES)).tolist()
             for marks in g._positive, g._negative:
                 if marks.n:
-                    assert marks.floor <= marks.flat[marks.cells[:marks.n]].min()
+                    assert marks.floor <= marks.vals[:marks.n].min()
 
         for name, *args in ops:
             if name == "deposit":
                 (x, y), field, amount = args
                 g.deposit(x, y, field, amount)
                 ref.deposit(x, y, field, amount)
-            elif name == "set_kind":
-                (x, y), kind = args
-                g.set_kind(x, y, kind)
-                ref.set_kind(x, y, kind, 0)
             else:
                 for _ in range(args[0]):
                     g.evaporate_step(cfg)
