@@ -39,10 +39,12 @@ def _load_scenario(path: str):
 
 
 def _read(path: str) -> str:
-    p = Path(path)
-    if not p.is_file():
-        raise CliError(f"no such file: {path}")
-    return p.read_text()
+    try:
+        return Path(path).read_text()
+    except FileNotFoundError:
+        raise CliError(f"no such file: {path}") from None
+    except IsADirectoryError:
+        raise CliError(f"{path} is a directory") from None
 
 
 def _load_config(args) -> SimConfig:

@@ -34,7 +34,7 @@ class PheromoneField(Enum):
     NEGATIVE = "negative"
 
 
-_POSITIVE = PheromoneField.POSITIVE  # a read of an Enum member is slow
+_POSITIVE, _NEGATIVE = PheromoneField  # a read of an Enum member is slow
 # Stimulus color a cell presents, mixing base kind and pheromones, as a
 # table indexed [kind][negative >= eps][positive >= eps]. Walls are always
 # white and food always green; on anything else a negative deposit masks
@@ -95,7 +95,9 @@ class _Marks:
     lowers it to its value, a deposit only raises a value, and a cell
     leaves the list only by clearing. Rounding is monotonic, so
     `floor * scale` bounds the decayed values too, and while it stays at
-    or above the threshold no cell can clear."""
+    or above the threshold no cell can clear. Only `decay` lowers values,
+    and it drops each one it takes below the threshold, so the grid
+    clears a cell's mark bit for this field on exactly the cells it returns."""
 
     __slots__ = ("shape", "cells", "vals", "slot", "n", "floor", "snapshot")
 
@@ -120,10 +122,6 @@ class _Marks:
         """Cell i's index into `cells` and `vals`, or -1 if it is not listed."""
         s = self.slot.item(i)
         return s if 0 <= s < self.n and self.cells.item(s) == i else -1
-
-    def value(self, i: int) -> float:
-        s = self.at(i)
-        return self.vals.item(s) if s >= 0 else 0.0
 
     def add(self, i: int, amount: float) -> float:
         """Cell i's value after adding `amount`, listing the cell if it
@@ -198,7 +196,10 @@ class Grid:
       two marks `_COLOR_RULE` reads, as `kind << 2 | (negative >= eps)
       << 1 | (positive >= eps)` (unpacked by `SENSES`), so that
       perceiving a cell is one `bytearray` index; and its census, the
-      number of cells holding each byte, which the cell counts read;
+      number of cells holding each byte, which the cell counts read. A
+      field's bit is `value >= eps`: the deposit that lifts a value to eps
+      sets it, the evaporation that clears the cell from that field clears
+      it, and a patch eaten empty keeps both; `_set_sense` moves the census;
     - each cell's food units, and the food total that `total_food`
       returns.
 
@@ -286,11 +287,9 @@ class Grid:
         self._check(x, y)
         return SENSES[self.sense[y * self.width + x]][1]
 
-    def _recolor(self, i: int, kind: int):
-        """Set flat cell i's sense byte from this kind and both fields,
-        moving the cell in the census from its old byte to the new."""
-        eps = self.clear_threshold
-        sense = kind << 2 | (self._negative.value(i) >= eps) << 1 | (self._positive.value(i) >= eps)
+    def _set_sense(self, i: int, sense: int):
+        """Set flat cell i's sense byte, moving the cell in the census
+        from its old byte to the new."""
         self._census[self.sense[i]] -= 1
         self._census[sense] += 1
         self.sense[i] = sense
@@ -303,6 +302,8 @@ class Grid:
         Attempts on wall cells are ignored. A deposit only raises a value,
         so only this field's set, floor and sense bit can change.
         """
+        if fieldkind is not _POSITIVE and fieldkind is not _NEGATIVE:
+            raise ValueError(f"fieldkind must be a PheromoneField, not {fieldkind!r}")
         self._check(x, y)
         check_deposit_amount(amount)
         i = y * self.width + x
@@ -311,20 +312,16 @@ class Grid:
             return
         marks, bit = (self._positive, 1) if fieldkind is _POSITIVE else (self._negative, 2)
         if marks.add(i, amount) >= self.clear_threshold and not sense & bit:
-            self._census[sense] -= 1
-            self._census[sense | bit] += 1
-            self.sense[i] = sense | bit
+            self._set_sense(i, sense | bit)
 
     def evaporate_step(self, cfg: EvaporationConfig):
         """One tick of multiplicative decay at `cfg`'s rates; residues
         below the grid's own `clear_threshold` snap to zero."""
         eps = self.clear_threshold
-        cleared = (self._positive.decay(1.0 - cfg.rho_positive, eps)
-                   + self._negative.decay(1.0 - cfg.rho_negative, eps))
-        # Only a cleared cell can change color; the color reads both
-        # fields, so it is recolored once both have decayed.
-        for i in cleared:
-            self._recolor(i, self.sense[i] >> 2)
+        for i in self._positive.decay(1.0 - cfg.rho_positive, eps):
+            self._set_sense(i, self.sense[i] & ~1)
+        for i in self._negative.decay(1.0 - cfg.rho_negative, eps):
+            self._set_sense(i, self.sense[i] & ~2)
 
     # -- food ------------------------------------------------------------
 
@@ -342,7 +339,7 @@ class Grid:
         self._food[y, x] = q
         self._food_total -= 1
         if q == 0:
-            self._recolor(i, _EMPTY)
+            self._set_sense(i, self.sense[i] & 3)  # empty ground, marks kept
         return q
 
     def total_food(self) -> int:

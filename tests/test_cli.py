@@ -53,6 +53,16 @@ RRRRRRRRRRRR
 """
 
 
+def run_module(*args, **kwargs):
+    """`python -m spikeants` with these arguments in a subprocess, which
+    does not see pytest's pythonpath setting, so `src` is put on its path."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "spikeants", *args],
+                          capture_output=True, text=True, env=env, **kwargs)
+
+
 @pytest.fixture
 def arena(tmp_path):
     p = tmp_path / "arena.txt"
@@ -100,6 +110,18 @@ class TestValidate:
     def test_missing_file(self, capsys):
         assert main(["validate", "--scenario", "/nonexistent.txt"]) == 1
         assert "no such file" in capsys.readouterr().err
+
+    def test_config_read_from_a_pipe(self):
+        """A config that is not a regular file, here the process's
+        standard input, is read like one."""
+        proc = run_module("validate", "--scenario", "@foraging", "--config", "/dev/stdin",
+                          input="n_ants = 3\n")
+        assert proc.returncode == 0, proc.stderr
+        assert "3 ants" in proc.stdout
+
+    def test_config_that_is_a_directory(self, tmp_path, capsys):
+        assert main(["validate", "--scenario", "@foraging", "--config", str(tmp_path)]) == 1
+        assert f"error: {tmp_path} is a directory" in capsys.readouterr().err
 
     def test_bad_config_rejected(self, arena, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"
@@ -479,14 +501,7 @@ class TestDefaults:
         assert cfg.circuit.pacemaker_period == 10
 
     def test_module_entry_point(self, arena):
-        # The subprocess does not see pytest's pythonpath setting.
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(
-            [sys.executable, "-m", "spikeants", "validate",
-             "--scenario", str(arena)],
-            capture_output=True, text=True, env=env)
+        proc = run_module("validate", "--scenario", str(arena))
         assert proc.returncode == 0
         assert "ok:" in proc.stdout
 

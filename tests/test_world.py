@@ -231,6 +231,16 @@ class TestDeposit:
             g.deposit(1, 1, field, amount)
         assert not g.positive.any() and not g.negative.any()
 
+    @pytest.mark.parametrize("field", ["positive", None])
+    def test_a_field_kind_that_is_not_a_member_is_rejected(self, field):
+        """Only the two `PheromoneField` members name a field; anything
+        else, a member's value included, marks neither."""
+        g = Grid(3, 3)
+        with pytest.raises(ValueError, match="^fieldkind must be a PheromoneField"):
+            g.deposit(0, 0, field, 1.0)
+        assert not g.positive.any() and not g.negative.any()
+        assert g.marked_cell_counts() == (0, 0)
+
 
 class TestEvaporation:
     def test_single_step_arithmetic(self):
@@ -469,6 +479,21 @@ DECAY_PAST_THE_FLOOR = [("deposit", (0, 0), PheromoneField.POSITIVE, 1.0), ("eva
 # made after an evaporation and before any read of the field.
 FAINT_TWICE = [("deposit", (0, 0), PheromoneField.NEGATIVE, 0.6 * EPS), ("evaporate_step",),
                ("deposit", (0, 0), PheromoneField.NEGATIVE, 0.6 * EPS)]
+# One cell marked by both fields, the positive mark clearing on the 14th
+# tick at the default rates while the negative one stays.
+POSITIVE_CLEARS_UNDER_NEGATIVE = [("deposit", (0, 0), PheromoneField.POSITIVE, 1.5 * EPS),
+                                  ("deposit", (0, 0), PheromoneField.NEGATIVE, 1.0),
+                                  *[("evaporate_step",)] * 14]
+# A faint negative mark on a 1-unit food cell, the unit eaten, and a
+# second faint deposit that lifts the mark past the threshold.
+ONE_UNIT_FOOD = ([[PatchKind.FOOD] + [PatchKind.EMPTY] * (SPARSE_W - 1),
+                  [PatchKind.EMPTY] * SPARSE_W], 1)
+FAINT_ON_EATEN_FOOD = [("deposit", (0, 0), PheromoneField.NEGATIVE, 0.5 * EPS),
+                       ("consume_food", (0, 0)),
+                       ("deposit", (0, 0), PheromoneField.NEGATIVE, 0.6 * EPS)]
+# Both marks on one cell, clearing on the same tick at rates 0.5 and 0.9.
+BOTH_CLEAR_AT_ONCE = [("deposit", (0, 0), PheromoneField.POSITIVE, 1.5 * EPS),
+                      ("deposit", (0, 0), PheromoneField.NEGATIVE, 5 * EPS), ("evaporate_step",)]
 
 
 def sparse_grids(layout):
@@ -535,6 +560,9 @@ class TestSparseFields:
                                                        EvaporationConfig(0.5, 0.9, EPS)]))
     @example(FOOD_UNDER_A_MARK, EATEN_UNDER_A_MARK, EvaporationConfig(0.5, 0.9, EPS))
     @example(EMPTY_LAYOUT, FAINT_TWICE, EvaporationConfig(clear_threshold=EPS))
+    @example(EMPTY_LAYOUT, POSITIVE_CLEARS_UNDER_NEGATIVE, EvaporationConfig(clear_threshold=EPS))
+    @example(ONE_UNIT_FOOD, FAINT_ON_EATEN_FOOD, EvaporationConfig(clear_threshold=EPS))
+    @example(EMPTY_LAYOUT, BOTH_CLEAR_AT_ONCE, EvaporationConfig(0.5, 0.9, EPS))
     def test_matches_the_dense_rules_with_the_fields_read_once(self, layout, ops, cfg):
         """The same operations leave the same sense bytes, census and food
         total after every operation with `positive` and `negative` read
